@@ -1,0 +1,62 @@
+"""Golden outputs: SHA-256 hashes of the files the CLI writes.
+
+Each case runs one small fixed configuration (140-160 digits) and compares
+the hash of every output file with the value recorded when the case was
+added.  A refactor must leave all of them unchanged; an intended change of
+an output format or of a numerical path has to update the hash here, in the
+same commit, with the reason.
+"""
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from broydenlab.cli import main
+
+_SINGLE = ["single", "--problem", "example1", "--alpha", "0.01",
+           "--precision", "140", "--tol", "60", "--seed", "3"]
+_BASIN = ["basin", "--problem", "example1", "--half-width", "0.001",
+          "--grid-res", "9", "--precision", "160", "--tol", "60"]
+_BASIN_9X9 = {
+    "basin.ppm": "7dddf22f8b4ba04727a06fc5d181b20f5cc92fcdaeb75ed27c2900dd68e8c709",
+    "basin.csv": "39fa888f14847a3a7b450001330ec395ef1626b0f4203a7f9152feca1085beab",
+}
+
+CASES = {
+    "single-bm": (_SINGLE + ["--method", "bm"], {
+        "metrics.csv": "73d13b9e919b18621143775056d7e75552642b27677fddd5298cbbc369192b48"}),
+    "single-bmp": (_SINGLE + ["--method", "bmp"], {
+        "metrics.csv": "198f6569e6eb0a6ab95542628819fb2a1ef70ffc9bff8c1fdc1aea4488d021be"}),
+    "single-bmp-beta": (_SINGLE + ["--method", "bmp", "--beta", "1e-3"], {
+        "metrics.csv": "1c2dbb71e6d075044923c1356bc779a9c176294461340021a0ed3b1616f7e8f4"}),
+    "single-smp": (_SINGLE + ["--method", "smp"], {
+        "metrics.csv": "5b262fd10ae4a5e4c912f1beb59b135f7a9aa843abf12def5fd6ff4c2c60f277"}),
+    "single-newton": (_SINGLE + ["--method", "newton"], {
+        "metrics.csv": "12563ca70c1e0c75ad50295d16961b6f54df30fb184f40c2af4b90ae7b2b2726"}),
+    "single-bmp-full-precision": (_SINGLE + ["--method", "bmp", "--full-precision"], {
+        "metrics.csv": "e7e8945eaf0caadfbbc584aad4876c3235a83cea21c0e9c70bb27909f9a435fc"}),
+    "single-example3-broyden-update": (
+        ["single", "--problem", "example3", "--alpha", "0.1",
+         "--b0-mode", "broyden-update", "--precision", "140", "--tol", "60",
+         "--seed", "3"], {
+            "metrics.csv": "5b22bc1326d37d20d049a31baefb8301c026b18d9a3ce40987c0d63a16a75432"}),
+    "cumulative-m5": (
+        ["cumulative", "--problem", "example1", "--alpha", "1e-5", "--m", "5",
+         "--precision", "130", "--tol", "60", "--seed", "11"], {
+            "summary.csv": "e83263b3d5f82628e5bce88c400f1d84a9de33ebf2fa826a38c4e7ec54bfa656"}),
+    # the y = 0 row of this grid is purple: the Newton-like step lands on
+    # the root exactly, so kbar = 1 and Q is undefined
+    "basin-9x9-workers-1": (_BASIN + ["--workers", "1"], _BASIN_9X9),
+    "basin-9x9-workers-2": (_BASIN + ["--workers", "2"], _BASIN_9X9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, tmp_path):
+    argv, hashes = CASES[name]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+           for f in hashes}
+    assert got == hashes
