@@ -15,15 +15,15 @@ of the grid point, so renders are byte-identical for any worker count.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import enum
 from dataclasses import dataclass
 
 from .formatting import format_metric
-from .harness import AcceptanceCriteria
+from .harness import (AcceptanceCriteria, check_scale, final_factors,
+                      parallel_map, removal_reason)
 from .linalg import PrecisionContext, Vec
 from .problems import Problem, get_problem
-from .solvers import B0Mode, SolverOptions, SUCCESS, bmp_run
+from .solvers import B0Mode, SolverOptions, bmp_run
 
 
 class DimensionMismatch(Exception):
@@ -35,6 +35,16 @@ class Classification(enum.Enum):
     OUT_OF_BAND = "out-of-band"
     NO_CONVERGENCE = "no-convergence"
 
+
+#: class of each outcome of :func:`harness.removal_reason`
+_CLASS_OF_REASON = {
+    None: Classification.IN_BAND,
+    "band": Classification.OUT_OF_BAND,
+    "degenerate": Classification.OUT_OF_BAND,
+    "timeout": Classification.NO_CONVERGENCE,
+    "no-convergence": Classification.NO_CONVERGENCE,
+    "u-cap": Classification.NO_CONVERGENCE,
+}
 
 COLORS = {
     Classification.IN_BAND: (0, 0, 255),
@@ -53,7 +63,8 @@ class GridSpec:
     center: tuple = ("0", "0")
 
     def __post_init__(self):
-        object.__setattr__(self, "half_width", str(self.half_width))
+        object.__setattr__(self, "half_width",
+                           check_scale("half_width", self.half_width))
         object.__setattr__(self, "center",
                            tuple(str(c) for c in self.center))
         if len(self.center) != 2:
@@ -78,14 +89,6 @@ class PixelResult:
     q_final: object
 
 
-def _in_band(value, band, ctx) -> bool:
-    if band is None:
-        return True
-    if value == -1:
-        return False
-    return ctx.real(band[0]) <= value <= ctx.real(band[1])
-
-
 def classify_point(p: Problem, u_hat: Vec, crit: AcceptanceCriteria,
                    opts: SolverOptions) -> Classification:
     """Classify one starting point (see module docstring for the classes)."""
@@ -105,39 +108,18 @@ def classify_point_detail(p: Problem, u_hat: Vec, crit: AcceptanceCriteria,
         # the root itself trivially converges
         return Classification.IN_BAND, 0, sentinel
     rec = bmp_run(p, u_hat, p.jac(u_hat), B0Mode.jacobian_at_u0(), opts)
-    if rec.status not in SUCCESS:
-        return Classification.NO_CONVERGENCE, rec.kbar, sentinel
-    trace = rec.trace
-    errs = [(trace[k].u - root).norm() for k in range(max(0, rec.kbar - 2),
-                                                     rec.kbar + 1)]
-    if errs[-1] > ctx.real(crit.u_cap):
-        # converged, but not to the root under study
-        return Classification.NO_CONVERGENCE, rec.kbar, sentinel
-    q_final = sentinel
-    if len(errs) >= 2 and errs[-2] > 0:
-        q_final = errs[-1] / errs[-2]
-    big_q_final = sentinel
-    if rec.kbar >= 2:
-        eps_prev = trace[rec.kbar - 1].eps
-        eps_prev2 = trace[rec.kbar - 2].eps
-        if eps_prev is not None and eps_prev2 is not None and eps_prev2 > 0:
-            big_q_final = eps_prev / eps_prev2
-    if _in_band(q_final, crit.q_band, ctx) and _in_band(big_q_final,
-                                                        crit.big_q_band, ctx):
-        return Classification.IN_BAND, rec.kbar, q_final
-    return Classification.OUT_OF_BAND, rec.kbar, q_final
-
-
-def _pixel_options(digits: int, tol_exponent: int, max_iter: int) -> SolverOptions:
-    return SolverOptions(precision=PrecisionContext(digits),
-                         tol_exponent=tol_exponent, max_iter=max_iter,
-                         record_spectra=False)
+    cls = _CLASS_OF_REASON[removal_reason(rec, p, crit)]
+    if cls is Classification.NO_CONVERGENCE:
+        return cls, rec.kbar, sentinel
+    return cls, rec.kbar, final_factors(rec, p)[1]
 
 
 def _classify_chunk(problem_name: str, grid: GridSpec, crit: AcceptanceCriteria,
                     digits: int, tol_exponent: int, max_iter: int, pixels):
     p = get_problem(problem_name)
-    opts = _pixel_options(digits, tol_exponent, max_iter)
+    opts = SolverOptions(precision=PrecisionContext(digits),
+                         tol_exponent=tol_exponent, max_iter=max_iter,
+                         record_spectra=False)
     ctx = opts.precision
     out = []
     for i, j in pixels:
@@ -159,21 +141,15 @@ def render_basin(p: Problem, grid: GridSpec, crit: AcceptanceCriteria,
     res = grid.resolution
     pixels = [(i, j) for j in range(res - 1, -1, -1) for i in range(res)]
     digits = opts.precision.decimal_digits
-    if workers <= 1:
-        raw = _classify_chunk(p.name, grid, crit, digits, opts.tol_exponent,
-                              opts.max_iter, pixels)
-    else:
-        chunks = [pixels[c::workers] for c in range(workers)]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_classify_chunk, p.name, grid, crit, digits,
-                                   opts.tol_exponent, opts.max_iter, chunk)
-                       for chunk in chunks]
-            parts = [f.result() for f in futures]
-        by_pixel = {}
-        for part in parts:
-            for item in part:
-                by_pixel[(item[0], item[1])] = item
-        raw = [by_pixel[pix] for pix in pixels]
+    # one strided chunk per requested worker, reassembled in raster order
+    chunks = max(1, min(workers, len(pixels)))
+    parts = parallel_map(_classify_chunk,
+                         [(p.name, grid, crit, digits, opts.tol_exponent,
+                           opts.max_iter, pixels[c::chunks])
+                          for c in range(chunks)], workers)
+    raw = [None] * len(pixels)
+    for c, part in enumerate(parts):
+        raw[c::chunks] = part
 
     header = f"P6\n{res} {res}\n255\n".encode("ascii")
     body = bytearray()

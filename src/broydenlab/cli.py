@@ -9,8 +9,9 @@ Subcommands:
 * ``list-problems``  show the registry
 * ``verify``         second-derivative and finite-difference checks
 
-Exit codes: 0 success, 2 configuration error (nothing written),
-3 empty accepted set in a cumulative run.
+Exit codes: 0 success, 1 a failed ``verify`` check, 2 configuration error
+or refused input (one ``error:`` line, nothing written), 3 empty accepted
+set in a cumulative run.
 """
 from __future__ import annotations
 
@@ -19,25 +20,23 @@ import json
 import sys
 from pathlib import Path
 
-from .basin import GridSpec, csv_lines, render_basin
+from .basin import (DimensionMismatch, GridSpec, blue_fraction, csv_lines,
+                    render_basin)
 from .diagnostics import metrics_from_trace
 from .formatting import format_full, format_metric
-from .harness import (AcceptanceCriteria, CounterRng, CumulativeSummary,
-                      EmptyAcceptedSet, SeriesConfig, cumulative_run,
-                      default_criteria, init_random)
-from .linalg import PrecisionContext
+from .harness import (SUMMARY_COLUMNS, AcceptanceCriteria, CounterRng,
+                      CumulativeSummary, EmptyAcceptedSet, SeriesConfig,
+                      cumulative_run, default_criteria, seeded_start)
+from .linalg import LinalgError, PrecisionContext
 from .problems import (MissingNullData, fd_jacobian_deviation, get_problem,
                        list_problems, verify_a2)
-from .solvers import B0Mode, SolverOptions, bmp_run, broyden_run, newton_run, smp_run
+from .solvers import SolverOptions, bmp_run, broyden_run, newton_run, smp_run
 
 METRICS_HEADER = ("k,F_norm,u_norm,r,q,eps,R,Q,delta,zeta,"
                   "Lambda1,Lambda2,E_norm")
 
-SUMMARY_HEADER = ("problem,alpha,beta,b0_mode,m,seed,"
-                  "F_min,F_max,u_min,u_max,r_min,r_max,q_min,q_max,"
-                  "R_min,R_max,Q_min,Q_max,delta_min,delta_max,"
-                  "zeta_min,zeta_max,Lambda1,Lambda2_min,Lambda2_max,"
-                  "E_norm,it_min,it_max,rem")
+SUMMARY_HEADER = ",".join(["problem,alpha,beta,b0_mode,m,seed",
+                           *(c.csv for c in SUMMARY_COLUMNS), "rem"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,52 +116,35 @@ def _fmt(x, full_digits=None):
 
 def _metrics_csv(rows, full_digits=None) -> str:
     lines = [METRICS_HEADER]
-    sentinel = "-1"
     for row in rows:
-        if row.e_svals is not None:
-            lam1 = _fmt(row.e_svals[0], full_digits)
-            lam2 = (_fmt(row.e_svals[1], full_digits)
-                    if len(row.e_svals) > 1 else sentinel)
-        else:
-            lam1 = lam2 = sentinel
-        lines.append(",".join([
-            str(row.k), _fmt(row.f_norm, full_digits), _fmt(row.err, full_digits),
-            _fmt(row.r, full_digits), _fmt(row.q, full_digits),
-            _fmt(row.eps, full_digits), _fmt(row.r_eps, full_digits),
-            _fmt(row.q_eps, full_digits), _fmt(row.delta, full_digits),
-            _fmt(row.zeta, full_digits), lam1, lam2,
-            _fmt(row.e_norm, full_digits)]))
+        lines.append(",".join([str(row.k)] + [
+            "-1" if x is None else _fmt(x, full_digits)
+            for x in (row.f_norm, row.err, row.r, row.q, row.eps, row.r_eps,
+                      row.q_eps, row.delta, row.zeta, row.lambda1,
+                      row.lambda2, row.e_norm)]))
     return "\n".join(lines) + "\n"
 
 
 def summary_csv_row(cfg: SeriesConfig, summary: CumulativeSummary) -> str:
     values = [cfg.problem, cfg.alpha, cfg.beta, cfg.b0_mode,
               str(cfg.m), str(cfg.rng_seed)]
-    for attr in ("f_min", "f_max", "u_min", "u_max", "r_min", "r_max",
-                 "q_min", "q_max", "r_eps_min", "r_eps_max",
-                 "q_eps_min", "q_eps_max", "delta_min", "delta_max",
-                 "zeta_min", "zeta_max", "lambda1", "lambda2_min",
-                 "lambda2_max", "e_norm_min"):
-        values.append(format_metric(getattr(summary, attr)))
-    values.extend([str(summary.it_min), str(summary.it_max),
-                   str(summary.removed)])
+    for col in SUMMARY_COLUMNS:
+        value = getattr(summary, col.attr)
+        values.append(str(value) if isinstance(value, int)
+                      else format_metric(value))
+    values.append(str(summary.removed))
     return ",".join(values)
 
 
 def _cmd_single(args) -> int:
-    ctx = PrecisionContext(args.precision)
-    p = get_problem(args.problem)
-    opts = SolverOptions(precision=ctx, tol_exponent=args.tol,
-                         max_iter=args.max_iter)
-    rng = CounterRng(args.seed, 0)
-    u_hat, b_hat, noise = init_random(p, args.alpha, args.beta, rng, ctx)
+    cfg = SeriesConfig(problem=args.problem, alpha=args.alpha, beta=args.beta,
+                       b0_mode=args.b0_mode, m=1, tol_exponent=args.tol,
+                       precision=args.precision, max_iter=args.max_iter,
+                       rng_seed=args.seed)
+    p, opts, u_hat, b_hat, mode = seeded_start(cfg, 0)
     seed_info = {"problem": p.name, "alpha": args.alpha, "beta": args.beta,
                  "seed": args.seed}
     if args.method == "bmp":
-        if args.b0_mode == "jacobian":
-            mode = B0Mode.jacobian_at_u0(beta=args.beta, noise=noise)
-        else:
-            mode = B0Mode.broyden_update()
         rec = bmp_run(p, u_hat, b_hat, mode, opts, seed_info)
     elif args.method == "bm":
         rec = broyden_run(p, u_hat, b_hat, opts, seed_info)
@@ -184,13 +166,10 @@ def _cmd_single(args) -> int:
 def _cmd_cumulative(args) -> int:
     if args.config:
         data = json.loads(Path(args.config).read_text())
-        crit_spec = data.pop("criteria", None)
+        crit_spec = data.pop("criteria", None) if isinstance(data, dict) else None
         cfg = SeriesConfig.from_mapping(data)
         if crit_spec is not None:
-            crit = AcceptanceCriteria(
-                u_cap=crit_spec.get("u_cap", "1e-10"),
-                q_band=tuple(crit_spec["q_band"]) if crit_spec.get("q_band") else None,
-                big_q_band=tuple(crit_spec["Q_band"]) if crit_spec.get("Q_band") else None)
+            crit = AcceptanceCriteria.from_mapping(crit_spec)
         else:
             crit = default_criteria(cfg.problem)
     else:
@@ -224,7 +203,6 @@ def _cmd_basin(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "basin.ppm").write_bytes(image)
     (out / "basin.csv").write_text("\n".join(csv_lines(results)) + "\n")
-    from .basin import blue_fraction
     print(f"{p.name} basin: resolution={args.grid_res} "
           f"half_width={args.half_width} blue_fraction={blue_fraction(results):.4f}")
     return 0
@@ -285,7 +263,8 @@ def main(argv=None) -> int:
     except EmptyAcceptedSet as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, json.JSONDecodeError, LinalgError,
+            DimensionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

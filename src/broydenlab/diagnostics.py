@@ -49,6 +49,18 @@ class MetricsRow:
     e_svals: Optional[tuple]
     e_norm: object
 
+    @property
+    def lambda1(self):
+        """Smallest singular value of E_k; None when spectra were not recorded."""
+        return self.e_svals[0] if self.e_svals is not None else None
+
+    @property
+    def lambda2(self):
+        """Second smallest singular value of E_k; None when undefined."""
+        if self.e_svals is None or len(self.e_svals) < 2:
+            return None
+        return self.e_svals[1]
+
 
 def metrics_from_trace(rec: RunRecord, p: Problem) -> list[MetricsRow]:
     """One MetricsRow per displayed iteration index of ``rec``.

@@ -19,10 +19,14 @@ experiment gives bit-identical results for any worker count.
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import hashlib
+import os
 import struct
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
+
+import mpmath
 
 from .diagnostics import metrics_from_trace
 from .linalg import Mat, PrecisionContext, Vec, spectral_norm
@@ -71,13 +75,31 @@ class CounterRng:
         return ctx.real(scale) * (2 * self.uniform_unit(ctx) - 1)
 
 
+def check_scale(name: str, value, allow_zero: bool = False) -> str:
+    """``value`` as a decimal string after checking that it is a finite
+    number that is positive (or nonnegative with ``allow_zero``)."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        x = mpmath.mpf(str(value))
+    except (ValueError, TypeError):
+        raise ValueError(f"{name} is not a number: {value!r}") from None
+    if not mpmath.isfinite(x) or x < 0 or (x == 0 and not allow_zero):
+        kind = "nonnegative" if allow_zero else "positive"
+        raise ValueError(f"{name} must be finite and {kind}, got {value!r}")
+    return str(value)
+
+
 @dataclass(frozen=True)
 class SeriesConfig:
-    """Configuration of one cumulative run (all m single runs)."""
+    """Configuration of one cumulative run (all m single runs).
+
+    A ``single`` run is run index 0 of a series with m = 1.
+    """
 
     problem: str
     alpha: str
-    beta: str
+    beta: str = "0"
     b0_mode: str = "jacobian"           # "jacobian" or "broyden-update"
     m: int = 200
     tol_exponent: int = 100
@@ -87,12 +109,16 @@ class SeriesConfig:
     window_rule: str = "min"            # "min" as printed, "max" alternative
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", str(self.alpha))
-        object.__setattr__(self, "beta", str(self.beta))
-        if float(self.alpha) <= 0:
-            raise ValueError("alpha must be positive")
-        if float(self.beta) < 0:
-            raise ValueError("beta must be nonnegative")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool)
+                                    or not isinstance(value, int)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if not isinstance(self.problem, str):
+            raise ValueError(f"problem must be a name, got {self.problem!r}")
+        object.__setattr__(self, "alpha", check_scale("alpha", self.alpha))
+        object.__setattr__(self, "beta",
+                           check_scale("beta", self.beta, allow_zero=True))
         if self.b0_mode not in ("jacobian", "broyden-update"):
             raise ValueError(f"unknown b0_mode {self.b0_mode!r}")
         if self.m < 1:
@@ -102,11 +128,16 @@ class SeriesConfig:
 
     @classmethod
     def from_mapping(cls, data: dict) -> "SeriesConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        _check_keys("config", data, [f.name for f in dataclasses.fields(cls)])
         return cls(**data)
+
+
+def _check_keys(what: str, data, known):
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {data!r}")
+    unknown = set(data) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -123,14 +154,24 @@ class AcceptanceCriteria:
     big_q_band: Optional[tuple] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "u_cap", str(self.u_cap))
+        object.__setattr__(self, "u_cap", check_scale("u_cap", self.u_cap))
         for name in ("q_band", "big_q_band"):
             band = getattr(self, name)
             if band is not None:
-                lo, hi = band
-                if float(str(lo)) > float(str(hi)):
+                if not isinstance(band, (list, tuple)) or len(band) != 2:
+                    raise ValueError(f"{name} must be a (lo, hi) pair, got {band!r}")
+                lo, hi = (check_scale(name, x, allow_zero=True) for x in band)
+                if float(lo) > float(hi):
                     raise ValueError(f"{name} is empty: {band}")
-                object.__setattr__(self, name, (str(lo), str(hi)))
+                object.__setattr__(self, name, (lo, hi))
+
+    @classmethod
+    def from_mapping(cls, data: dict) -> "AcceptanceCriteria":
+        """Criteria from a config's ``criteria`` object with the keys
+        ``u_cap``, ``q_band`` and ``Q_band``; null keeps the default."""
+        fields = {"u_cap": "u_cap", "q_band": "q_band", "Q_band": "big_q_band"}
+        _check_keys("criteria", data, fields)
+        return cls(**{fields[k]: v for k, v in data.items() if v is not None})
 
 
 def default_criteria(problem_name: str) -> AcceptanceCriteria:
@@ -187,21 +228,30 @@ def init_random(p: Problem, alpha, beta, rng: CounterRng,
     return u_hat, b_hat, noise
 
 
-def run_single(cfg: SeriesConfig, run_index: int):
-    """One seeded single run of the configured series.
+def seeded_start(cfg: SeriesConfig, run_index: int):
+    """Problem, options and seeded starting data of one run of ``cfg``.
 
-    Returns the solver record together with its metrics rows.
+    Returns (p, opts, u_hat, b_hat, mode) with the B0Mode of ``cfg.b0_mode``.
     """
     ctx = PrecisionContext(cfg.precision)
     p = get_problem(cfg.problem)
+    opts = SolverOptions(precision=ctx, tol_exponent=cfg.tol_exponent,
+                         max_iter=cfg.max_iter)
     rng = CounterRng(cfg.rng_seed, run_index)
     u_hat, b_hat, noise = init_random(p, cfg.alpha, cfg.beta, rng, ctx)
     if cfg.b0_mode == "jacobian":
         mode = B0Mode.jacobian_at_u0(beta=cfg.beta, noise=noise)
     else:
         mode = B0Mode.broyden_update()
-    opts = SolverOptions(precision=ctx, tol_exponent=cfg.tol_exponent,
-                         max_iter=cfg.max_iter)
+    return p, opts, u_hat, b_hat, mode
+
+
+def run_single(cfg: SeriesConfig, run_index: int):
+    """One seeded single run of the configured series.
+
+    Returns the solver record together with its metrics rows.
+    """
+    p, opts, u_hat, b_hat, mode = seeded_start(cfg, run_index)
     rec = bmp_run(p, u_hat, b_hat, mode, opts,
                   seed_info={"problem": cfg.problem, "alpha": cfg.alpha,
                              "beta": cfg.beta, "seed": cfg.rng_seed,
@@ -210,19 +260,40 @@ def run_single(cfg: SeriesConfig, run_index: int):
     return rec, rows
 
 
-def removal_reason(rec: RunRecord, rows: list, crit: AcceptanceCriteria) -> Optional[str]:
+def final_factors(rec: RunRecord, p: Problem):
+    """(err, q, Q) at the final index kbar, read from the last three trace
+    entries; q and Q are the sentinel -1 where undefined, as in
+    :func:`metrics_from_trace`."""
+    trace = rec.trace
+    ctx = trace[0].u.ctx
+    sentinel = ctx.real(-1)
+    root = p.root(ctx)
+    errs = [(e.u - root).norm() for e in trace[-2:]]
+    q = sentinel
+    if len(errs) == 2 and errs[0] > 0:
+        q = errs[1] / errs[0]
+    big_q = sentinel
+    if rec.kbar >= 2:
+        eps_prev, eps_prev2 = trace[-2].eps, trace[-3].eps
+        if eps_prev is not None and eps_prev2 is not None and eps_prev2 > 0:
+            big_q = eps_prev / eps_prev2
+    return errs[-1], q, big_q
+
+
+def removal_reason(rec: RunRecord, p: Problem,
+                   crit: AcceptanceCriteria) -> Optional[str]:
     """None when the run is accepted, otherwise the removal category."""
-    ctx = rec.trace[0].u.ctx
     if rec.status is Status.MAX_ITER:
         return "timeout"
     if rec.status not in SUCCESS:
         return "no-convergence"
     if rec.kbar < 2:
         return "degenerate"
-    final = rows[rec.kbar]
-    if final.err > ctx.real(crit.u_cap):
+    ctx = rec.trace[0].u.ctx
+    err, q, big_q = final_factors(rec, p)
+    if err > ctx.real(crit.u_cap):
         return "u-cap"
-    for band, value in ((crit.q_band, final.q), (crit.big_q_band, final.q_eps)):
+    for band, value in ((crit.q_band, q), (crit.big_q_band, big_q)):
         if band is None:
             continue
         lo, hi = ctx.real(band[0]), ctx.real(band[1])
@@ -231,114 +302,94 @@ def removal_reason(rec: RunRecord, rows: list, crit: AcceptanceCriteria) -> Opti
     return None
 
 
+class SummaryColumn(NamedTuple):
+    """One column of summary.csv.
+
+    ``stat`` is the per-run statistic (pick, attr) of the MetricsRow
+    attribute ``attr``: its value at kbar ("final") or its extremum over the
+    window K with sentinels skipped ("min", "max").  ``fold`` reduces the
+    statistic over the accepted runs into the CumulativeSummary field
+    ``attr``.
+    """
+
+    csv: str
+    attr: str
+    stat: tuple
+    fold: Callable
+
+
+SUMMARY_COLUMNS = tuple(SummaryColumn(*c) for c in (
+    ("F_min", "f_min", ("final", "f_norm"), min),
+    ("F_max", "f_max", ("final", "f_norm"), max),
+    ("u_min", "u_min", ("final", "err"), min),
+    ("u_max", "u_max", ("final", "err"), max),
+    ("r_min", "r_min", ("min", "r"), min),
+    ("r_max", "r_max", ("max", "r"), max),
+    ("q_min", "q_min", ("min", "q"), min),
+    ("q_max", "q_max", ("max", "q"), max),
+    ("R_min", "r_eps_min", ("min", "r_eps"), min),
+    ("R_max", "r_eps_max", ("max", "r_eps"), max),
+    ("Q_min", "q_eps_min", ("min", "q_eps"), min),
+    ("Q_max", "q_eps_max", ("max", "q_eps"), max),
+    ("delta_min", "delta_min", ("min", "delta"), min),
+    ("delta_max", "delta_max", ("max", "delta"), max),
+    # zeta folds the window maximum both ways
+    ("zeta_min", "zeta_min", ("max", "zeta"), min),
+    ("zeta_max", "zeta_max", ("max", "zeta"), max),
+    ("Lambda1", "lambda1", ("final", "lambda1"), max),
+    ("Lambda2_min", "lambda2_min", ("final", "lambda2"), min),
+    ("Lambda2_max", "lambda2_max", ("final", "lambda2"), max),
+    ("E_norm", "e_norm_min", ("min", "e_norm"), min),
+    ("it_min", "it_min", ("final", "k"), min),
+    ("it_max", "it_max", ("final", "k"), max),
+))
+
+#: the distinct per-run statistics, in column order
+_STATS = tuple(dict.fromkeys(c.stat for c in SUMMARY_COLUMNS))
+
+
 @dataclass
 class RunStats:
-    """Window extrema of one accepted run (None where nothing was defined)."""
+    """Per-run statistics of one accepted run, keyed like ``_STATS``
+    (None where nothing was defined)."""
 
-    kbar: int
-    f_final: object
-    u_final: object
-    r_min: object = None
-    r_max: object = None
-    q_min: object = None
-    q_max: object = None
-    r_eps_min: object = None
-    r_eps_max: object = None
-    q_eps_min: object = None
-    q_eps_max: object = None
-    delta_min: object = None
-    delta_max: object = None
-    zeta_max: object = None
-    lambda1_final: object = None
-    lambda2_final: object = None
-    e_norm_min: object = None
-
-    _FIELDS = ("f_final", "u_final", "r_min", "r_max", "q_min", "q_max",
-               "r_eps_min", "r_eps_max", "q_eps_min", "q_eps_max",
-               "delta_min", "delta_max", "zeta_max", "lambda1_final",
-               "lambda2_final", "e_norm_min")
+    values: dict
 
     def to_wire(self):
         """Exact transport form (mpf -> mantissa/exponent tuples)."""
-        def enc(x):
-            return None if x is None else x._mpf_
-        return (self.kbar,) + tuple(enc(getattr(self, f)) for f in self._FIELDS)
+        return tuple(getattr(self.values[k], "_mpf_", self.values[k])
+                     for k in _STATS)
 
     @classmethod
     def from_wire(cls, wire, ctx: PrecisionContext) -> "RunStats":
-        def dec(t):
-            return None if t is None else ctx.make(t)
-        values = dict(zip(cls._FIELDS, (dec(t) for t in wire[1:])))
-        return cls(kbar=wire[0], **values)
+        return cls({k: ctx.make(t) if isinstance(t, tuple) else t
+                    for k, t in zip(_STATS, wire)})
 
 
 def run_stats(rec: RunRecord, rows: list, window_rule: str = "min") -> RunStats:
-    """Window extrema of the diagnostics of one run, sentinels skipped."""
+    """The per-run statistics of one run's diagnostics."""
     window = Window.from_kbar(rec.kbar, window_rule)
-    final = rows[rec.kbar]
-    stats = RunStats(kbar=rec.kbar, f_final=final.f_norm, u_final=final.err)
 
-    def scan(attr):
-        lo = hi = None
-        for k in window.indices:
-            v = getattr(rows[k], attr)
-            if v == -1:
-                continue
-            if lo is None or v < lo:
-                lo = v
-            if hi is None or v > hi:
-                hi = v
-        return lo, hi
+    def stat(pick, attr):
+        if pick == "final":
+            return getattr(rows[window.kbar], attr)
+        values = [v for v in (getattr(rows[k], attr) for k in window.indices)
+                  if v != -1]
+        if not values:
+            return None
+        return min(values) if pick == "min" else max(values)
 
-    stats.r_min, stats.r_max = scan("r")
-    stats.q_min, stats.q_max = scan("q")
-    stats.r_eps_min, stats.r_eps_max = scan("r_eps")
-    stats.q_eps_min, stats.q_eps_max = scan("q_eps")
-    stats.delta_min, stats.delta_max = scan("delta")
-    _, stats.zeta_max = scan("zeta")
-    stats.e_norm_min, _ = scan("e_norm")
-    if final.e_svals is not None:
-        stats.lambda1_final = final.e_svals[0]
-        if len(final.e_svals) > 1:
-            stats.lambda2_final = final.e_svals[1]
-    return stats
+    return RunStats({k: stat(*k) for k in _STATS})
 
 
-@dataclass
-class CumulativeSummary:
-    """Aggregates over the accepted runs of one cumulative run.
-
-    Minus/plus pairs are min/max over the accepted runs of the per-run window
-    extrema (zeta uses the window maximum inside both).  ``lambda1`` is the
-    largest final smallest singular value of E, ``e_norm_min`` the smallest
-    windowed ||E_k||.  Fields with no defined contribution are -1.
-    """
-
-    accepted: int
-    removed: int
-    removal_reasons: dict
-    f_min: object
-    f_max: object
-    u_min: object
-    u_max: object
-    r_min: object
-    r_max: object
-    q_min: object
-    q_max: object
-    r_eps_min: object
-    r_eps_max: object
-    q_eps_min: object
-    q_eps_max: object
-    delta_min: object
-    delta_max: object
-    zeta_min: object
-    zeta_max: object
-    lambda1: object
-    lambda2_min: object
-    lambda2_max: object
-    e_norm_min: object
-    it_min: int
-    it_max: int
+CumulativeSummary = dataclasses.make_dataclass(
+    "CumulativeSummary",
+    [("accepted", int), ("removed", int), ("removal_reasons", dict)]
+    + [(c.attr, object) for c in SUMMARY_COLUMNS],
+    namespace={"__module__": __name__, "__doc__": (
+        "Aggregates over the accepted runs of one cumulative run: besides the "
+        "run counts, one field per SUMMARY_COLUMNS entry holding the column's "
+        "fold of its per-run statistic, -1 where no accepted run defines it.")})
 
 
 def _reduce_stats(all_stats: list, ctx: PrecisionContext, removed: int,
@@ -347,28 +398,14 @@ def _reduce_stats(all_stats: list, ctx: PrecisionContext, removed: int,
         raise EmptyAcceptedSet(removed, reasons)
     sentinel = ctx.real(-1)
 
-    def fold(attr, which):
-        values = [getattr(s, attr) for s in all_stats if getattr(s, attr) is not None]
-        if not values:
-            return sentinel
-        return min(values) if which == "min" else max(values)
+    def fold(col):
+        values = [s.values[col.stat] for s in all_stats
+                  if s.values[col.stat] is not None]
+        return col.fold(values) if values else sentinel
 
     return CumulativeSummary(
         accepted=len(all_stats), removed=removed, removal_reasons=dict(reasons),
-        f_min=fold("f_final", "min"), f_max=fold("f_final", "max"),
-        u_min=fold("u_final", "min"), u_max=fold("u_final", "max"),
-        r_min=fold("r_min", "min"), r_max=fold("r_max", "max"),
-        q_min=fold("q_min", "min"), q_max=fold("q_max", "max"),
-        r_eps_min=fold("r_eps_min", "min"), r_eps_max=fold("r_eps_max", "max"),
-        q_eps_min=fold("q_eps_min", "min"), q_eps_max=fold("q_eps_max", "max"),
-        delta_min=fold("delta_min", "min"), delta_max=fold("delta_max", "max"),
-        zeta_min=fold("zeta_max", "min"), zeta_max=fold("zeta_max", "max"),
-        lambda1=fold("lambda1_final", "max"),
-        lambda2_min=fold("lambda2_final", "min"),
-        lambda2_max=fold("lambda2_final", "max"),
-        e_norm_min=fold("e_norm_min", "min"),
-        it_min=min(s.kbar for s in all_stats),
-        it_max=max(s.kbar for s in all_stats))
+        **{col.attr: fold(col) for col in SUMMARY_COLUMNS})
 
 
 def aggregate(accepted: list, removed: int = 0,
@@ -382,12 +419,33 @@ def aggregate(accepted: list, removed: int = 0,
     return _reduce_stats(stats, ctx, removed, dict(removal_reasons or {}))
 
 
+def pool_size(workers: int, tasks: int, cpus: Optional[int]) -> int:
+    """Processes for ``tasks`` tasks: at most the requested ``workers``,
+    the ``cpus`` available and one per task."""
+    return min(workers, cpus or 1, tasks)
+
+
+def parallel_map(fn, tasks, workers: int) -> list:
+    """``[fn(*task) for task in tasks]``, in task order.
+
+    Runs on a process pool of :func:`pool_size` workers, or in-process when
+    that is at most one.
+    """
+    tasks = list(tasks)
+    size = pool_size(workers, len(tasks), os.cpu_count())
+    if size <= 1:
+        return [fn(*task) for task in tasks]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=size) as pool:
+        futures = [pool.submit(fn, *task) for task in tasks]
+        return [f.result() for f in futures]
+
+
 def _worker_stats(cfg: SeriesConfig, crit: AcceptanceCriteria, run_index: int):
     rec, rows = run_single(cfg, run_index)
-    reason = removal_reason(rec, rows, crit)
+    reason = removal_reason(rec, get_problem(cfg.problem), crit)
     if reason is not None:
-        return run_index, reason, None
-    return run_index, None, run_stats(rec, rows, cfg.window_rule).to_wire()
+        return reason, None
+    return None, run_stats(rec, rows, cfg.window_rule).to_wire()
 
 
 def cumulative_run(cfg: SeriesConfig, crit: Optional[AcceptanceCriteria] = None,
@@ -403,24 +461,12 @@ def cumulative_run(cfg: SeriesConfig, crit: Optional[AcceptanceCriteria] = None,
     ctx = PrecisionContext(cfg.precision)
     reasons: dict = {}
     stats: list = []
-
-    def consume(result):
-        _, reason, wire = result
+    results = parallel_map(_worker_stats,
+                           [(cfg, crit, j) for j in range(cfg.m)], workers)
+    for reason, wire in results:
         if reason is not None:
             reasons[reason] = reasons.get(reason, 0) + 1
         else:
             stats.append(RunStats.from_wire(wire, ctx))
-
-    if workers <= 1:
-        for j in range(cfg.m):
-            consume(_worker_stats(cfg, crit, j))
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_worker_stats, cfg, crit, j)
-                       for j in range(cfg.m)]
-            results = [f.result() for f in futures]
-        for result in sorted(results, key=lambda r: r[0]):
-            consume(result)
-
     removed = sum(reasons.values())
     return _reduce_stats(stats, ctx, removed, reasons)

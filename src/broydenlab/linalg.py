@@ -67,8 +67,6 @@ class PrecisionContext:
 
     def real(self, x):
         """Convert int/float/str/mpf to a scalar at this precision."""
-        if isinstance(x, str):
-            return self.mp.mpf(x)
         return self.mp.mpf(x)
 
     @property
@@ -108,9 +106,6 @@ class PrecisionContext:
 
     def power(self, x, y):
         return self.mp.power(x, y)
-
-    def is_finite(self, x):
-        return self.mp.isfinite(x)
 
     # -- container constructors ----------------------------------------------
 
@@ -232,9 +227,6 @@ class Mat:
                 acc += a * x
             out.append(acc)
         return Vec(tuple(out), self.ctx)
-
-    def transpose(self) -> "Mat":
-        return Mat(tuple(zip(*self.rows)), self.ctx)
 
     def column(self, j: int) -> Vec:
         return Vec(tuple(row[j] for row in self.rows), self.ctx)

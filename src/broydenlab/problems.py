@@ -150,13 +150,6 @@ class Projectors:
     p_n: Mat
     p_x: Mat
 
-    def null_coefficient(self, v: Vec, p: "Problem"):
-        """Signed coefficient a with P_N v = a * phi."""
-        ctx = v.ctx
-        phi = p.phi(ctx)
-        psi = p.psi(ctx)
-        return psi.dot(v) / psi.dot(phi)
-
 
 _REGISTRY = {
     "example1": Problem(

@@ -1,11 +1,12 @@
 """Quasi-Newton iterations with full per-iteration traces.
 
-Four drivers share one bookkeeping convention:
+Four drivers run on one engine, each giving it a step rule and, when it
+carries a matrix, a matrix update:
 
 * ``broyden_run``    rank-one secant updates from a given (u0, B0);
 * ``bmp_run``        a Newton-like step u0 = u_hat - B_hat^{-1} F(u_hat)
-                     followed by ``broyden_run``, with the trace re-indexed
-                     so the initial guess is entry 0 of the record;
+                     followed by Broyden's method, with the initial guess as
+                     entry 0 of the record;
 * ``smp_run``        the Shamanskii-like acceleration (Newton iterate,
                      simplified Newton step z, correction y - (4 - C|z|^a) z)
                      behind the same preceding Newton-like step;
@@ -100,13 +101,6 @@ class RunRecord:
     #: is a genuine rank-one secant update; None when there are none.
     broyden_updates_from: Optional[int] = None
 
-    @property
-    def success(self) -> bool:
-        return self.status in SUCCESS
-
-    def final_u(self) -> Vec:
-        return self.trace[-1].u
-
     def final_f_norm(self):
         return self.trace[-1].f_norm
 
@@ -145,18 +139,6 @@ class B0Mode:
 
 # -- shared bookkeeping --------------------------------------------------------
 
-def _record_entry(trace, u, f_norm, B, opts, j_root):
-    entry = TraceEntry(u=u, f_norm=f_norm)
-    if B is not None and opts.record_spectra and j_root is not None:
-        svals = singular_values(B - j_root, opts.precision)
-        entry.e_svals = svals
-        entry.e_norm = svals[-1]
-    if B is not None and opts.record_full_matrices:
-        entry.b = B
-    trace.append(entry)
-    return entry
-
-
 def _check_terminal(f_norm, u, k, opts, tol, guard) -> Optional[Status]:
     if f_norm == 0:
         return Status.EXACT_ROOT
@@ -176,138 +158,149 @@ def _secant_update(B, s, f_next) -> Mat:
     return rank_one_update(B, f_next.scaled(1 / s.dot(s)), s)
 
 
-def _engine(p, u, B, opts, trace, j_root, fu=None, newton=False):
-    """Iterate from (u, B), appending to ``trace``; returns (status, B_last)."""
+def _engine(p, u, B, opts, method, seed_info, step, update=None) -> RunRecord:
+    """Iterate from (u, B) to a terminal status and record the run.
+
+    ``step(k, u, fu, B) -> (s, u_next)`` proposes the next iterate and
+    ``update(k, B, s, u_next, f_next) -> B_next`` carries the matrix.  Without
+    ``update`` there is no matrix: no spectra, no eps and no zero-step guard.
+    """
     ctx = opts.precision
     tol = ctx.pow10(-opts.tol_exponent)
     guard = ctx.real(opts.divergence_guard)
-    if fu is None:
-        fu = p.f(u)
+    j_root = None
+    if update is not None and opts.record_spectra:
+        j_root = p.jac(p.root(ctx))
+    trace = []
+    fu = p.f(u)
     while True:
+        k = len(trace)
         nf = fu.norm()
-        entry = _record_entry(trace, u, nf, B, opts, j_root)
-        status = _check_terminal(nf, u, len(trace) - 1, opts, tol, guard)
+        entry = TraceEntry(u=u, f_norm=nf)
+        if j_root is not None:
+            entry.e_svals = singular_values(B - j_root, ctx)
+            entry.e_norm = entry.e_svals[-1]
+        if B is not None and opts.record_full_matrices:
+            entry.b = B
+        trace.append(entry)
+        status = _check_terminal(nf, u, k, opts, tol, guard)
         if status is not None:
-            return status, B
+            break
         try:
-            s = lu_solve(B, -fu, ctx)
+            s, u_next = step(k, u, fu, B)
         except SingularMatrix:
-            return Status.SINGULAR_MATRIX, B
-        ns = s.norm()
-        if ns == 0:
-            # zero step with a nonzero residual: the update is undefined
-            return Status.SINGULAR_MATRIX, B
-        u_next = u + s
+            status = Status.SINGULAR_MATRIX
+            break
+        if update is not None:
+            ns = s.norm()
+            if ns == 0:
+                # zero step with a nonzero residual: the update is undefined
+                status = Status.SINGULAR_MATRIX
+                break
         f_next = p.f(u_next)
         entry.s = s
-        entry.eps = f_next.norm() / ns
-        if newton:
-            B_next = p.jac(u_next)
+        if update is not None:
+            entry.eps = f_next.norm() / ns
+            B = update(k, B, s, u_next, f_next)
+        u, fu = u_next, f_next
+    return RunRecord(status=status, kbar=k, trace=trace, b_final=B,
+                     tol_exponent=opts.tol_exponent,
+                     precision_digits=ctx.decimal_digits, method=method,
+                     seed_info=dict(seed_info or {}))
+
+
+def _quasi_newton_step(ctx):
+    """Step rule s = -B^{-1} F(u) shared by every method carrying a matrix."""
+    def step(k, u, fu, B):
+        s = lu_solve(B, -fu, ctx)
+        return s, u + s
+    return step
+
+
+def _shamanskii_step(p, b_hat, c, alpha, ctx):
+    """Step rule of ``smp_run``: B_hat at k = 0, Newton at k = 1, then the
+    corrected Shamanskii-like step."""
+    def step(k, u, fu, B):
+        if k == 0:
+            u_next = u + lu_solve(b_hat, -fu, ctx)
+        elif k == 1:
+            u_next = u + lu_solve(p.jac(u), -fu, ctx)
         else:
-            B_next = _secant_update(B, s, f_next)
-        u, fu, B = u_next, f_next, B_next
+            j = p.jac(u)
+            y = u + lu_solve(j, -fu, ctx)
+            z = lu_solve(j, p.f(y), ctx)
+            nz = z.norm()
+            if nz == 0:
+                u_next = y
+            else:
+                u_next = y - z.scaled(4 - c * ctx.power(nz, alpha))
+        # the difference of the stored iterates, which rounds differently
+        # from the solves' own steps
+        return u_next - u, u_next
+    return step
 
 
-def _spectra_root(p, opts):
-    if not opts.record_spectra:
-        return None
-    ctx = opts.precision
-    return p.jac(p.root(ctx))
+def _check_dims(p, u, b=None):
+    if len(u) != p.n or (b is not None and b.n != p.n):
+        raise ValueError("dimension mismatch")
 
 
 def broyden_run(p: Problem, u0: Vec, b0: Mat, opts: SolverOptions,
                 seed_info: Optional[dict] = None) -> RunRecord:
     """Plain Broyden iteration from (u0, B0)."""
-    if b0.n != p.n or len(u0) != p.n:
-        raise ValueError("dimension mismatch")
-    j_root = _spectra_root(p, opts)
-    trace = []
-    status, b_last = _engine(p, u0, b0, opts, trace, j_root)
-    return RunRecord(status=status, kbar=len(trace) - 1, trace=trace,
-                     b_final=b_last, tol_exponent=opts.tol_exponent,
-                     precision_digits=opts.precision.decimal_digits,
-                     method="bm", seed_info=dict(seed_info or {}),
-                     broyden_updates_from=0)
+    _check_dims(p, u0, b0)
+    rec = _engine(p, u0, b0, opts, "bm", seed_info,
+                  _quasi_newton_step(opts.precision),
+                  lambda k, B, s, u_next, f_next: _secant_update(B, s, f_next))
+    rec.broyden_updates_from = 0
+    return rec
 
 
 def bmp_run(p: Problem, u_hat: Vec, b_hat: Mat, mode: B0Mode,
             opts: SolverOptions, seed_info: Optional[dict] = None) -> RunRecord:
     """Broyden's method with a preceding Newton-like step.
 
-    The record is re-indexed for display: entry 0 holds (u_hat, B_hat), entry
-    1 the Newton-like iterate u0 with the selected B_0, and so on, matching
-    how single-run tables label the sequence.
+    The first step u0 = u_hat - B_hat^{-1} F(u_hat) is the engine's step 0;
+    the matrix update at k = 0 installs the B_0 selected by ``mode`` and every
+    later one is the secant update.  Entry 0 of the record holds
+    (u_hat, B_hat), entry 1 the Newton-like iterate u0 with B_0, and so on,
+    matching how single-run tables label the sequence.
     """
-    if b_hat.n != p.n or len(u_hat) != p.n:
-        raise ValueError("dimension mismatch")
+    _check_dims(p, u_hat, b_hat)
     ctx = opts.precision
-    tol = ctx.pow10(-opts.tol_exponent)
-    guard = ctx.real(opts.divergence_guard)
-    j_root = _spectra_root(p, opts)
     info = dict(seed_info or {})
     info.setdefault("b0_mode", mode.kind)
 
-    def record(status, trace, b_last, updates_from):
-        return RunRecord(status=status, kbar=len(trace) - 1, trace=trace,
-                         b_final=b_last, tol_exponent=opts.tol_exponent,
-                         precision_digits=ctx.decimal_digits, method="bmp",
-                         seed_info=info, broyden_updates_from=updates_from)
-
-    trace = []
-    f_hat = p.f(u_hat)
-    nf_hat = f_hat.norm()
-    entry0 = _record_entry(trace, u_hat, nf_hat, b_hat, opts, j_root)
-    status = _check_terminal(nf_hat, u_hat, 0, opts, tol, guard)
-    if status is not None:
-        return record(status, trace, b_hat, None)
-    try:
-        s0 = lu_solve(b_hat, -f_hat, ctx)
-    except SingularMatrix:
-        return record(Status.SINGULAR_MATRIX, trace, b_hat, None)
-    ns0 = s0.norm()
-    if ns0 == 0:
-        return record(Status.SINGULAR_MATRIX, trace, b_hat, None)
-    u0 = u_hat + s0
-    f0 = p.f(u0)
-    entry0.s = s0
-    entry0.eps = f0.norm() / ns0
-
-    if mode.kind == B0Mode.JACOBIAN:
-        j0 = p.jac(u0)
+    def update(k, B, s, u_next, f_next):
+        if k > 0 or mode.kind == B0Mode.BROYDEN_UPDATE:
+            return _secant_update(B, s, f_next)
+        if mode.kind == B0Mode.GIVEN:
+            return mode.matrix
+        if mode.kind != B0Mode.JACOBIAN:
+            raise ValueError(f"unknown B0 mode {mode.kind!r}")
+        j0 = p.jac(u_next)
         beta = ctx.real(mode.beta)
-        if beta != 0 and mode.noise is not None:
-            scale = beta * spectral_norm(j0, ctx)
-            b0 = j0 + Mat(tuple(tuple(scale * x for x in row)
-                                for row in mode.noise.rows), ctx)
-        else:
-            b0 = j0
-        updates_from = 1
-    elif mode.kind == B0Mode.BROYDEN_UPDATE:
-        b0 = _secant_update(b_hat, s0, f0)
-        updates_from = 0
-    elif mode.kind == B0Mode.GIVEN:
-        b0 = mode.matrix
-        updates_from = 1
-    else:
-        raise ValueError(f"unknown B0 mode {mode.kind!r}")
+        if beta == 0 or mode.noise is None:
+            return j0
+        scale = beta * spectral_norm(j0, ctx)
+        return j0 + Mat(tuple(tuple(scale * x for x in row)
+                              for row in mode.noise.rows), ctx)
 
-    status, b_last = _engine(p, u0, b0, opts, trace, j_root, fu=f0)
-    return record(status, trace, b_last, updates_from)
+    rec = _engine(p, u_hat, b_hat, opts, "bmp", info, _quasi_newton_step(ctx),
+                  update)
+    if rec.kbar > 0:
+        # B_0 came from the Newton-like step itself only in broyden-update mode
+        rec.broyden_updates_from = 0 if mode.kind == B0Mode.BROYDEN_UPDATE else 1
+    return rec
 
 
 def newton_run(p: Problem, u0: Vec, opts: SolverOptions,
                seed_info: Optional[dict] = None) -> RunRecord:
     """Newton's method with the Jacobian refreshed every step."""
-    if len(u0) != p.n:
-        raise ValueError("dimension mismatch")
-    j_root = _spectra_root(p, opts)
-    trace = []
-    status, b_last = _engine(p, u0, p.jac(u0), opts, trace, j_root, newton=True)
-    return RunRecord(status=status, kbar=len(trace) - 1, trace=trace,
-                     b_final=b_last, tol_exponent=opts.tol_exponent,
-                     precision_digits=opts.precision.decimal_digits,
-                     method="newton", seed_info=dict(seed_info or {}),
-                     broyden_updates_from=None)
+    _check_dims(p, u0)
+    return _engine(p, u0, p.jac(u0), opts, "newton", seed_info,
+                   _quasi_newton_step(opts.precision),
+                   lambda k, B, s, u_next, f_next: p.jac(u_next))
 
 
 def smp_run(p: Problem, u_hat: Vec, b_hat: Mat, c, alpha,
@@ -320,54 +313,14 @@ def smp_run(p: Problem, u_hat: Vec, b_hat: Mat, c, alpha,
     lists (u_hat, u^{-1}, u^0, u^1, ...); there is no Broyden matrix, so eps
     and spectra stay empty.
     """
-    if b_hat.n != p.n or len(u_hat) != p.n:
-        raise ValueError("dimension mismatch")
+    _check_dims(p, u_hat, b_hat)
     ctx = opts.precision
     c = ctx.real(c)
     alpha = ctx.real(alpha)
-    if c == 0:
-        raise ValueError("C must be nonzero")
+    if c == 0 or not ctx.mp.isfinite(c):
+        raise ValueError("C must be finite and nonzero")
     golden = (ctx.sqrt(ctx.real(5)) - 1) / 2
     if not (0 < alpha < golden):
         raise ValueError("alpha must lie in (0, (sqrt(5)-1)/2)")
-    tol = ctx.pow10(-opts.tol_exponent)
-    guard = ctx.real(opts.divergence_guard)
-    info = dict(seed_info or {})
-
-    trace = []
-    u = u_hat
-    fu = p.f(u)
-    status = None
-    while True:
-        nf = fu.norm()
-        entry = _record_entry(trace, u, nf, None, opts, None)
-        status = _check_terminal(nf, u, len(trace) - 1, opts, tol, guard)
-        if status is not None:
-            break
-        k = len(trace) - 1
-        try:
-            if k == 0:
-                u_next = u + lu_solve(b_hat, -fu, ctx)
-            elif k == 1:
-                u_next = u + lu_solve(p.jac(u), -fu, ctx)
-            else:
-                j = p.jac(u)
-                y = u + lu_solve(j, -fu, ctx)
-                z = lu_solve(j, p.f(y), ctx)
-                nz = z.norm()
-                if nz == 0:
-                    u_next = y
-                else:
-                    factor = 4 - c * ctx.power(nz, alpha)
-                    u_next = y - z.scaled(factor)
-        except SingularMatrix:
-            status = Status.SINGULAR_MATRIX
-            break
-        entry.s = u_next - u
-        u = u_next
-        fu = p.f(u)
-
-    return RunRecord(status=status, kbar=len(trace) - 1, trace=trace,
-                     b_final=None, tol_exponent=opts.tol_exponent,
-                     precision_digits=ctx.decimal_digits, method="smp",
-                     seed_info=info, broyden_updates_from=None)
+    return _engine(p, u_hat, None, opts, "smp", seed_info,
+                   _shamanskii_step(p, b_hat, c, alpha, ctx))

@@ -125,3 +125,9 @@ def test_blue_fraction_density_trend_small_grid(ex1, crit):
                        crit, basin_opts())[1]
     assert blue_fraction(near) >= blue_fraction(far)
     assert blue_fraction(near) > 0.5
+
+
+@pytest.mark.parametrize("half_width", ["-0.001", "0", "nan", "inf", "abc"])
+def test_grid_spec_rejects_bad_half_width(half_width):
+    with pytest.raises(ValueError):
+        GridSpec(half_width=half_width, resolution=3)

@@ -149,3 +149,66 @@ def test_basin_writes_image_and_table(tmp_path, capsys):
     header, rows = read_csv(tmp_path / "basin.csv")
     assert header == ["x", "y", "class", "kbar", "q_final"]
     assert len(rows) == 9
+
+
+def _assert_refused(code, capsys, tmp_path, name):
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / name).exists()
+
+
+def test_basin_dimension_mismatch_exits_2(tmp_path, capsys):
+    code = main(["basin", "--problem", "example2", "--grid-res", "3",
+                 "--out", str(tmp_path)])
+    _assert_refused(code, capsys, tmp_path, "basin.ppm")
+
+
+def test_basin_negative_half_width_exits_2(tmp_path, capsys):
+    code = main(["basin", "--problem", "example1", "--half-width", "-0.001",
+                 "--grid-res", "3", "--out", str(tmp_path)])
+    _assert_refused(code, capsys, tmp_path, "basin.ppm")
+
+
+@pytest.mark.parametrize("extra", [
+    ["--alpha", "nan"], ["--alpha", "inf"], ["--alpha", "-1"],
+    ["--beta", "nan"], ["--beta", "-0.5"],
+    ["--method", "smp", "--C", "nan"], ["--method", "smp", "--C", "inf"],
+    ["--method", "smp", "--order-alpha", "nan"],
+])
+def test_single_bad_scale_exits_2(tmp_path, capsys, extra):
+    code = main(["single", "--problem", "example1", *extra,
+                 "--precision", "100", "--tol", "50", "--out", str(tmp_path)])
+    _assert_refused(code, capsys, tmp_path, "metrics.csv")
+
+
+@pytest.mark.parametrize("config", [
+    [1, 2],
+    {"problem": "example1", "alpha": "1e-5", "beta": "0", "m": "3"},
+    {"problem": "example1", "alpha": "1e-5", "beta": "0", "m": True},
+    {"problem": "example1", "alpha": "nan", "beta": "0"},
+    {"problem": 1, "alpha": "1e-5"},
+    {"problem": "example1", "alpha": "1e-5", "beta": "0",
+     "criteria": {"q_bnd": ["0.9", "1.0"]}},
+    {"problem": "example1", "alpha": "1e-5", "criteria": [0.9, 1.0]},
+    {"problem": "example1", "alpha": "1e-5", "criteria": {"q_band": 0.9}},
+])
+def test_cumulative_malformed_config_exits_2(tmp_path, capsys, config):
+    cfg_path = tmp_path / "series.json"
+    cfg_path.write_text(json.dumps(config))
+    code = main(["cumulative", "--config", str(cfg_path), "--out", str(tmp_path)])
+    _assert_refused(code, capsys, tmp_path, "summary.csv")
+
+
+def test_cumulative_config_beta_defaults_to_zero(tmp_path):
+    cfg = {"problem": "example1", "alpha": "1e-5", "m": 1, "tol_exponent": 60,
+           "precision": 130, "rng_seed": 11,
+           "criteria": {"u_cap": "1e-10", "q_band": ["0.616", "0.620"],
+                        "Q_band": None}}
+    cfg_path = tmp_path / "series.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["cumulative", "--config", str(cfg_path),
+                 "--out", str(tmp_path)]) == 0
+    header, rows = read_csv(tmp_path / "summary.csv")
+    assert dict(zip(header, rows[0]))["beta"] == "0"

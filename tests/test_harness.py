@@ -4,10 +4,12 @@ import pytest
 
 from helpers import synthetic_record
 from broydenlab.diagnostics import metrics_from_trace
+from broydenlab import harness
 from broydenlab.harness import (AcceptanceCriteria, CounterRng,
                                 EmptyAcceptedSet, SeriesConfig, Window,
                                 aggregate, cumulative_run, default_criteria,
-                                init_random, removal_reason, run_single)
+                                final_factors, init_random, parallel_map,
+                                pool_size, removal_reason, run_single)
 from broydenlab.linalg import PrecisionContext
 from broydenlab.problems import get_problem
 from broydenlab.solvers import Status
@@ -87,6 +89,53 @@ def test_series_config_validation():
     assert cfg.alpha == "0.1" and cfg.beta == "0"
 
 
+@pytest.mark.parametrize("bad", [
+    {"alpha": "nan"}, {"alpha": "inf"}, {"alpha": "-1e-5"}, {"alpha": True},
+    {"beta": "nan"}, {"beta": "-inf"}, {"beta": None},
+    {"m": "3"}, {"m": True}, {"precision": 320.0}, {"rng_seed": "0"},
+    {"problem": 1},
+])
+def test_series_config_rejects_bad_types_and_scales(bad):
+    data = {"problem": "example1", "alpha": "1e-5", **bad}
+    with pytest.raises(ValueError):
+        SeriesConfig.from_mapping(data)
+
+
+def test_series_config_strict_mapping():
+    with pytest.raises(ValueError):
+        SeriesConfig.from_mapping([1, 2])
+    assert SeriesConfig.from_mapping({"problem": "example1",
+                                      "alpha": "1e-5"}).beta == "0"
+
+
+def test_criteria_from_mapping():
+    crit = AcceptanceCriteria.from_mapping(
+        {"u_cap": "1e-8", "q_band": ["0.6", "0.7"], "Q_band": ["0.5", "0.6"]})
+    assert crit == AcceptanceCriteria(u_cap="1e-8", q_band=("0.6", "0.7"),
+                                      big_q_band=("0.5", "0.6"))
+    assert AcceptanceCriteria.from_mapping({"Q_band": None}) == AcceptanceCriteria()
+    for bad in ({"q_bnd": ["0.9", "1.0"]}, {"big_q_band": ["0.5", "0.6"]},
+                ["0.9", "1.0"], {"q_band": 0.9}, {"q_band": ["0.9"]},
+                {"u_cap": "nan"}):
+        with pytest.raises(ValueError):
+            AcceptanceCriteria.from_mapping(bad)
+
+
+def test_pool_size_clamp():
+    assert pool_size(8, 100, 2) == 2
+    assert pool_size(4, 3, 16) == 3
+    assert pool_size(2, 10, 64) == 2
+    assert pool_size(1000, 1000, 4) == 4
+    assert pool_size(8, 10, None) == 1
+    assert pool_size(0, 10, 4) == 0
+
+
+def test_parallel_map_runs_in_process_on_one_cpu(monkeypatch):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 1)
+    assert parallel_map(divmod, [(7, 2), (9, 4), (5, 5)], 1000) == \
+        [(3, 1), (2, 1), (1, 0)]
+
+
 def test_criteria_band_validation():
     with pytest.raises(ValueError):
         AcceptanceCriteria(q_band=("0.9", "0.6"))
@@ -122,18 +171,28 @@ def test_single_run_reproducible(tiny_cfg):
 
 
 def test_removal_reason_categories(tiny_cfg):
-    rec, rows = run_single(tiny_cfg, 0)
+    rec, _ = run_single(tiny_cfg, 0)
+    p = get_problem(tiny_cfg.problem)
     assert rec.status is Status.CONVERGED
     crit = default_criteria("example1")
-    assert removal_reason(rec, rows, crit) is None
+    assert removal_reason(rec, p, crit) is None
     tight_band = AcceptanceCriteria(q_band=("0.9", "0.95"))
-    assert removal_reason(rec, rows, tight_band) == "band"
+    assert removal_reason(rec, p, tight_band) == "band"
     tiny_cap = AcceptanceCriteria(u_cap="1e-200")
-    assert removal_reason(rec, rows, tiny_cap) == "u-cap"
+    assert removal_reason(rec, p, tiny_cap) == "u-cap"
     short = dataclasses.replace(rec, status=Status.MAX_ITER)
-    assert removal_reason(short, rows, crit) == "timeout"
+    assert removal_reason(short, p, crit) == "timeout"
     broken = dataclasses.replace(rec, status=Status.SINGULAR_MATRIX)
-    assert removal_reason(broken, rows, crit) == "no-convergence"
+    assert removal_reason(broken, p, crit) == "no-convergence"
+
+
+def test_final_factors_match_metrics_rows(tiny_cfg):
+    # the acceptance rule reads the trace, the summary reads the rows: both
+    # must see the same final err, q and Q
+    rec, rows = run_single(tiny_cfg, 1)
+    final = rows[rec.kbar]
+    assert final_factors(rec, get_problem(tiny_cfg.problem)) == \
+        (final.err, final.q, final.q_eps)
 
 
 def test_aggregate_singleton_collapses(tiny_cfg):
