@@ -6,10 +6,16 @@ state.  The matrices in the experiments are tiny (n <= 4), so the
 implementations favor transparent error behavior over asymptotic speed:
 LU with partial pivoting for solves, one-sided Jacobi rotations for
 singular values.
+
+The per-iteration kernels call :mod:`mpmath.libmp` on raw ``_mpf_`` tuples
+at the context's precision and rounding, as the ``mpf`` operators do: the
+results are bit-identical, without an object per intermediate scalar.
 """
 from __future__ import annotations
 
 from mpmath import mp
+from mpmath.libmp import (fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_lt,
+                          mpf_mul, mpf_neg, mpf_sqrt, mpf_sub)
 
 
 class LinalgError(Exception):
@@ -34,7 +40,8 @@ class PrecisionContext:
     matrix entry triggers :class:`SingularMatrix`.
     """
 
-    __slots__ = ("decimal_digits", "singular_pivot_guard", "mp")
+    __slots__ = ("decimal_digits", "singular_pivot_guard", "mp", "prec",
+                 "rounding", "pivot_scale")
 
     def __init__(self, decimal_digits: int, singular_pivot_guard: int = 20):
         decimal_digits = int(decimal_digits)
@@ -47,6 +54,10 @@ class PrecisionContext:
         self.singular_pivot_guard = singular_pivot_guard
         self.mp = mp.clone()
         self.mp.dps = decimal_digits
+        #: binary precision and rounding mode the mpf operators pass to libmp
+        self.prec, self.rounding = self.mp._prec_rounding
+        #: relative pivot threshold of :func:`lu_solve`
+        self.pivot_scale = self.pow10(-(decimal_digits - singular_pivot_guard))
 
     def __repr__(self):
         return (f"PrecisionContext(decimal_digits={self.decimal_digits}, "
@@ -92,6 +103,11 @@ class PrecisionContext:
     def make(self, mpf_tuple):
         """Rebuild a scalar from its exact ``_mpf_`` tuple (worker transport)."""
         return self.mp.make_mpf(mpf_tuple)
+
+    def raw_vec(self, mpf_tuples) -> "Vec":
+        """Vector from raw ``_mpf_`` tuples."""
+        make = self.mp.make_mpf
+        return Vec(tuple(make(x) for x in mpf_tuples), self)
 
     # -- elementary functions ------------------------------------------------
 
@@ -157,26 +173,42 @@ class Vec:
         return "Vec(" + ", ".join(str(x) for x in self.entries) + ")"
 
     def __add__(self, other):
-        return Vec(tuple(a + b for a, b in zip(self.entries, other.entries)), self.ctx)
+        ctx = self.ctx
+        prec, rnd = ctx.prec, ctx.rounding
+        return ctx.raw_vec(mpf_add(a._mpf_, b._mpf_, prec, rnd)
+                           for a, b in zip(self.entries, other.entries))
 
     def __sub__(self, other):
-        return Vec(tuple(a - b for a, b in zip(self.entries, other.entries)), self.ctx)
+        ctx = self.ctx
+        prec, rnd = ctx.prec, ctx.rounding
+        return ctx.raw_vec(mpf_sub(a._mpf_, b._mpf_, prec, rnd)
+                           for a, b in zip(self.entries, other.entries))
 
     def __neg__(self):
-        return Vec(tuple(-a for a in self.entries), self.ctx)
+        ctx = self.ctx
+        prec, rnd = ctx.prec, ctx.rounding
+        return ctx.raw_vec(mpf_neg(a._mpf_, prec, rnd) for a in self.entries)
 
     def scaled(self, a) -> "Vec":
-        return Vec(tuple(a * x for x in self.entries), self.ctx)
+        ctx = self.ctx
+        prec, rnd = ctx.prec, ctx.rounding
+        a = a._mpf_
+        return ctx.raw_vec(mpf_mul(a, x._mpf_, prec, rnd) for x in self.entries)
+
+    def _raw_dot(self, other):
+        prec, rnd = self.ctx.prec, self.ctx.rounding
+        acc = fzero
+        for a, b in zip(self.entries, other.entries):
+            acc = mpf_add(acc, mpf_mul(a._mpf_, b._mpf_, prec, rnd), prec, rnd)
+        return acc
 
     def dot(self, other):
-        acc = self.ctx.zero
-        for a, b in zip(self.entries, other.entries):
-            acc += a * b
-        return acc
+        return self.ctx.make(self._raw_dot(other))
 
     def norm(self):
         """Euclidean norm."""
-        return self.ctx.sqrt(self.dot(self))
+        ctx = self.ctx
+        return ctx.make(mpf_sqrt(self._raw_dot(self), ctx.prec, ctx.rounding))
 
     def normalized(self) -> "Vec":
         n = self.norm()
@@ -257,8 +289,13 @@ def rank_one_update(B: Mat, v: Vec, w: Vec) -> Mat:
     """Return B + v w^T; B is left unmodified."""
     if B.n != len(v) or B.n != len(w):
         raise ValueError("dimension mismatch in rank-one update")
-    return Mat(tuple(tuple(b + a * c for b, c in zip(row, w.entries))
-                     for row, a in zip(B.rows, v.entries)), B.ctx)
+    ctx = B.ctx
+    prec, rnd = ctx.prec, ctx.rounding
+    make = ctx.mp.make_mpf
+    return Mat(tuple(tuple(make(mpf_add(b._mpf_, mpf_mul(a._mpf_, c._mpf_, prec, rnd),
+                                        prec, rnd))
+                           for b, c in zip(row, w.entries))
+                     for row, a in zip(B.rows, v.entries)), ctx)
 
 
 def lu_solve(A: Mat, b: Vec, ctx: PrecisionContext | None = None) -> Vec:
@@ -273,33 +310,37 @@ def lu_solve(A: Mat, b: Vec, ctx: PrecisionContext | None = None) -> Vec:
     n = A.n
     if len(b) != n:
         raise ValueError("dimension mismatch in lu_solve")
-    rows = [list(r) for r in A.rows]
-    x = list(b.entries)
-    threshold = ctx.pow10(-(ctx.decimal_digits - ctx.singular_pivot_guard)) * A.max_abs()
+    prec, rnd = ctx.prec, ctx.rounding
+    rows = [[a._mpf_ for a in r] for r in A.rows]
+    x = [a._mpf_ for a in b.entries]
+    threshold = mpf_mul(ctx.pivot_scale._mpf_, A.max_abs()._mpf_, prec, rnd)
     for k in range(n):
-        piv, piv_mag = k, abs(rows[k][k])
+        piv, piv_mag = k, mpf_abs(rows[k][k], prec, rnd)
         for i in range(k + 1, n):
-            mag = abs(rows[i][k])
-            if mag > piv_mag:
+            mag = mpf_abs(rows[i][k], prec, rnd)
+            if mpf_gt(mag, piv_mag):
                 piv, piv_mag = i, mag
-        if piv_mag == 0 or piv_mag < threshold:
-            raise SingularMatrix(f"pivot {piv_mag} below threshold {threshold}")
+        if piv_mag == fzero or mpf_lt(piv_mag, threshold):
+            raise SingularMatrix(f"pivot {ctx.make(piv_mag)} below threshold "
+                                 f"{ctx.make(threshold)}")
         if piv != k:
             rows[k], rows[piv] = rows[piv], rows[k]
             x[k], x[piv] = x[piv], x[k]
-        pivot_val = rows[k][k]
+        pivot_row = rows[k]
         for i in range(k + 1, n):
-            m = rows[i][k] / pivot_val
-            if m != 0:
+            row = rows[i]
+            m = mpf_div(row[k], pivot_row[k], prec, rnd)
+            if m != fzero:
                 for j in range(k + 1, n):
-                    rows[i][j] -= m * rows[k][j]
-                x[i] -= m * x[k]
+                    row[j] = mpf_sub(row[j], mpf_mul(m, pivot_row[j], prec, rnd),
+                                     prec, rnd)
+                x[i] = mpf_sub(x[i], mpf_mul(m, x[k], prec, rnd), prec, rnd)
     for i in range(n - 1, -1, -1):
         acc = x[i]
         for j in range(i + 1, n):
-            acc -= rows[i][j] * x[j]
-        x[i] = acc / rows[i][i]
-    return Vec(tuple(x), ctx)
+            acc = mpf_sub(acc, mpf_mul(rows[i][j], x[j], prec, rnd), prec, rnd)
+        x[i] = mpf_div(acc, rows[i][i], prec, rnd)
+    return ctx.raw_vec(x)
 
 
 def singular_values(A: Mat, ctx: PrecisionContext | None = None):

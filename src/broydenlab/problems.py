@@ -32,7 +32,8 @@ class MissingNullData(Exception):
 
 def _f_example1(u: Vec) -> Vec:
     u1, u2 = u.entries
-    return Vec((u1 + u2 * u2, u1 * u2 * 3 / 2 + u2 * u2 + u2 * u2 * u2), u.ctx)
+    sq = u2 * u2
+    return Vec((u1 + sq, u1 * u2 * 3 / 2 + sq + sq * u2), u.ctx)
 
 
 def _j_example1(u: Vec) -> Mat:

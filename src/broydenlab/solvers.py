@@ -139,12 +139,14 @@ class B0Mode:
 
 # -- shared bookkeeping --------------------------------------------------------
 
-def _check_terminal(f_norm, u, k, opts, tol, guard) -> Optional[Status]:
+def _check_terminal(f_norm, u, k, opts, tol, guard, guard2) -> Optional[Status]:
     if f_norm == 0:
         return Status.EXACT_ROOT
     if f_norm <= tol:
         return Status.CONVERGED
-    if u.norm() > guard:
+    # the correctly rounded square root of a value <= guard**2 (``guard2``,
+    # exact) cannot exceed guard, so the first test only skips a square root
+    if u.dot(u) > guard2 and u.norm() > guard:
         return Status.DIVERGED
     if k >= opts.max_iter:
         return Status.MAX_ITER
@@ -168,14 +170,15 @@ def _engine(p, u, B, opts, method, seed_info, step, update=None) -> RunRecord:
     ctx = opts.precision
     tol = ctx.pow10(-opts.tol_exponent)
     guard = ctx.real(opts.divergence_guard)
+    guard2 = ctx.mp.fmul(guard, guard, exact=True)
     j_root = None
     if update is not None and opts.record_spectra:
         j_root = p.jac(p.root(ctx))
     trace = []
     fu = p.f(u)
+    nf = fu.norm()
     while True:
         k = len(trace)
-        nf = fu.norm()
         entry = TraceEntry(u=u, f_norm=nf)
         if j_root is not None:
             entry.e_svals = singular_values(B - j_root, ctx)
@@ -183,7 +186,7 @@ def _engine(p, u, B, opts, method, seed_info, step, update=None) -> RunRecord:
         if B is not None and opts.record_full_matrices:
             entry.b = B
         trace.append(entry)
-        status = _check_terminal(nf, u, k, opts, tol, guard)
+        status = _check_terminal(nf, u, k, opts, tol, guard, guard2)
         if status is not None:
             break
         try:
@@ -198,9 +201,10 @@ def _engine(p, u, B, opts, method, seed_info, step, update=None) -> RunRecord:
                 status = Status.SINGULAR_MATRIX
                 break
         f_next = p.f(u_next)
+        nf = f_next.norm()
         entry.s = s
         if update is not None:
-            entry.eps = f_next.norm() / ns
+            entry.eps = nf / ns
             B = update(k, B, s, u_next, f_next)
         u, fu = u_next, f_next
     return RunRecord(status=status, kbar=k, trace=trace, b_final=B,

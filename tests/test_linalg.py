@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import charpoly_singular_values
+from broydenlab.harness import CounterRng
 from broydenlab.linalg import (Mat, PrecisionContext, SingularMatrix, Vec,
                                lu_solve, outer, rank_one_update,
                                singular_values, spectral_norm)
@@ -188,3 +189,63 @@ def test_context_independence_from_global_state():
     y = hi.real(2) / 3
     assert abs(hi.real(x) - y) > hi.pow10(-70)   # lo really is coarser
     assert abs(hi.real(x) - y) < hi.pow10(-55)
+
+
+def _operator_lu_solve(A, b, ctx):
+    # the textbook elimination in mpf operator arithmetic
+    n = A.n
+    rows = [list(r) for r in A.rows]
+    x = list(b.entries)
+    threshold = ctx.pow10(-(ctx.decimal_digits - ctx.singular_pivot_guard)) * A.max_abs()
+    for k in range(n):
+        piv = max(range(k, n), key=lambda i: (abs(rows[i][k]), -i))
+        if rows[piv][k] == 0 or abs(rows[piv][k]) < threshold:
+            return None
+        rows[k], rows[piv] = rows[piv], rows[k]
+        x[k], x[piv] = x[piv], x[k]
+        for i in range(k + 1, n):
+            m = rows[i][k] / rows[k][k]
+            if m != 0:
+                for j in range(k + 1, n):
+                    rows[i][j] -= m * rows[k][j]
+                x[i] -= m * x[k]
+    for i in range(n - 1, -1, -1):
+        acc = x[i]
+        for j in range(i + 1, n):
+            acc -= rows[i][j] * x[j]
+        x[i] = acc / rows[i][i]
+    return tuple(x)
+
+
+def test_kernels_bit_identical_to_mpf_operators():
+    ctx = PrecisionContext(160)
+    rng = CounterRng(11, 0)
+    for trial in range(40):
+        n = 1 + trial % 4
+        scale = ctx.pow10(-(trial % 7) * 5)
+
+        def draw():
+            return [rng.uniform_symmetric(ctx, scale) for _ in range(n)]
+
+        v, w = ctx.vec(draw()), ctx.vec(draw())
+        rows = [draw() for _ in range(n)]
+        if trial % 5 == 4 and n > 1:
+            rows[1] = [2 * x for x in rows[0]]   # exactly singular
+        B = ctx.mat(rows)
+        assert (v + w).entries == tuple(a + b for a, b in zip(v, w))
+        assert (v - w).entries == tuple(a - b for a, b in zip(v, w))
+        assert (-v).entries == tuple(-a for a in v)
+        assert v.scaled(w[0]).entries == tuple(w[0] * a for a in v)
+        acc = ctx.zero
+        for a, b in zip(v, w):
+            acc += a * b
+        assert v.dot(w) == acc
+        assert w.norm() == ctx.sqrt(w.dot(w))
+        assert rank_one_update(B, v, w).rows == tuple(
+            tuple(b + a * c for b, c in zip(row, w)) for row, a in zip(B.rows, v))
+        want = _operator_lu_solve(B, v, ctx)
+        if want is None:
+            with pytest.raises(SingularMatrix):
+                lu_solve(B, v)
+        else:
+            assert lu_solve(B, v).entries == want
