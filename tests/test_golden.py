@@ -9,6 +9,7 @@ same commit, with the reason.
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
@@ -45,6 +46,14 @@ CASES = {
         ["cumulative", "--problem", "example1", "--alpha", "1e-5", "--m", "5",
          "--precision", "130", "--tol", "60", "--seed", "11"], {
             "summary.csv": "e83263b3d5f82628e5bce88c400f1d84a9de33ebf2fa826a38c4e7ec54bfa656"}),
+    # the only case of the "max" window rule; the config dict is written to
+    # a file and its path takes the dict's place in argv
+    "cumulative-config-max-window": (
+        ["cumulative", "--config",
+         {"problem": "example1", "alpha": "1e-5", "beta": "1e-3", "m": 4,
+          "tol_exponent": 60, "precision": 130, "rng_seed": 5,
+          "window_rule": "max"}], {
+            "summary.csv": "cd183d2977a2f1b55ff27fc9c03f0629d42ff4718da8ae9dd184400c05ae3fe1"}),
     # the y = 0 row of this grid is purple: the Newton-like step lands on
     # the root exactly, so kbar = 1 and Q is undefined
     "basin-9x9-workers-1": (_BASIN + ["--workers", "1"], _BASIN_9X9),
@@ -55,6 +64,11 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name, tmp_path):
     argv, hashes = CASES[name]
+    config = tmp_path / "config.json"
+    for i, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            config.write_text(json.dumps(arg))
+            argv = argv[:i] + [str(config)] + argv[i + 1:]
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv + ["--out", str(tmp_path)]) == 0
     got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
