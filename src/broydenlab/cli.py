@@ -265,7 +265,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, KeyError, OSError, json.JSONDecodeError, LinalgError,
             DimensionMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes included
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -10,10 +10,9 @@ norms eps_k = ||F(u^{k+1})|| / ||s^k||, each row collects
     q_eps_k = eps_{k-1} / eps_{k-2}             (update-norm analogue of q)
     delta_k = log ||F_k|| / log ||s^{k-1}||
     zeta_k  = min(||shat^k - phi||, ||shat^k + phi||)
-    lam_k   = signed ratio of successive nullspace components
-    omega_k = ||P_X (u^k - root)|| / ||P_N (u^k - root)||**2
 
-plus the ascending singular values of E_k = B_k - F'(root).  Undefined
+plus the ascending singular values of E_k = B_k - F'(root), computed from
+the B_k that the trace keeps (``SolverOptions.record_spectra``).  Undefined
 entries carry the sentinel -1; delta additionally requires ||s^{k-1}|| < 1
 so the logarithm ratio keeps its sign.
 """
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .linalg import Mat, Vec, singular_values, spectral_norm
-from .problems import Problem, projectors
+from .problems import Problem
 from .solvers import RunRecord
 
 
@@ -44,8 +43,6 @@ class MetricsRow:
     q_eps: object
     delta: object
     zeta: object
-    lam: object
-    omega: object
     e_svals: Optional[tuple]
     e_norm: object
 
@@ -62,35 +59,33 @@ class MetricsRow:
         return self.e_svals[1]
 
 
-def metrics_from_trace(rec: RunRecord, p: Problem) -> list[MetricsRow]:
-    """One MetricsRow per displayed iteration index of ``rec``.
+def metrics_from_trace(rec: RunRecord, p: Problem,
+                       indices: Optional[range] = None) -> list[MetricsRow]:
+    """One MetricsRow per displayed iteration index of ``rec`` in ``indices``
+    (default: every index).
 
-    Nullspace-based quantities (zeta, lam, omega) need phi/psi and are
-    sentinels for problems without them; lam and omega also fall back to the
-    sentinel once the nullspace component drops below the stopping tolerance.
+    Errors and step norms are computed from ``indices[0] - 1`` onward only,
+    and the spectra of E_k only for the rows built, from the B_k kept in the
+    trace.  zeta needs phi and is the sentinel for problems without it.
     """
     trace = rec.trace
+    if indices is None:
+        indices = range(len(trace))
     ctx = trace[0].u.ctx
     sentinel = ctx.real(-1)
     root = p.root(ctx)
-    floor = ctx.pow10(-rec.tol_exponent)
+    phi = p.phi(ctx) if p.has_null_data else None
+    j_root = None
 
-    phi = None
-    p_x = None
-    coeffs = None
-    if p.has_null_data:
-        proj = projectors(p, ctx)
-        phi = p.phi(ctx)
-        p_x = proj.p_x
-        psi = p.psi(ctx)
-        d = psi.dot(phi)
-        coeffs = [psi.dot(e.u - root) / d for e in trace]
-
-    errs = [(e.u - root).norm() for e in trace]
-    step_norms = [e.s.norm() if e.s is not None else None for e in trace]
+    lo = indices[0] - 1 if indices else 0
+    errs = [(e.u - root).norm() if k >= lo else None
+            for k, e in enumerate(trace)]
+    step_norms = [e.s.norm() if k >= lo and e.s is not None else None
+                  for k, e in enumerate(trace)]
 
     rows = []
-    for k, entry in enumerate(trace):
+    for k in indices:
+        entry = trace[k]
         err = errs[k]
         r = sentinel
         q = sentinel
@@ -123,20 +118,17 @@ def metrics_from_trace(rec: RunRecord, p: Problem) -> list[MetricsRow]:
             shat = entry.s.scaled(1 / step_norms[k])
             zeta = min((shat - phi).norm(), (shat + phi).norm())
 
-        lam = sentinel
-        omega = sentinel
-        if coeffs is not None:
-            a_k = coeffs[k]
-            if abs(a_k) > floor:
-                omega = p_x.matvec(entry.u - root).norm() / (a_k * a_k)
-                if k + 1 < len(trace):
-                    lam = coeffs[k + 1] / a_k
+        e_svals = None
+        if entry.b is not None:
+            if j_root is None:
+                j_root = p.jac(root)
+            e_svals = singular_values(entry.b - j_root, ctx)
 
         rows.append(MetricsRow(
             k=k, f_norm=entry.f_norm, err=err, r=r, q=q, eps=eps_prev,
-            r_eps=r_eps, q_eps=q_eps, delta=delta, zeta=zeta, lam=lam,
-            omega=omega, e_svals=entry.e_svals,
-            e_norm=entry.e_norm if entry.e_norm is not None else sentinel))
+            r_eps=r_eps, q_eps=q_eps, delta=delta, zeta=zeta,
+            e_svals=e_svals,
+            e_norm=e_svals[-1] if e_svals is not None else sentinel))
     return rows
 
 
@@ -196,9 +188,9 @@ def update_norm_identity_errors(rec: RunRecord):
     """Relative gaps |eps_k - ||B_{k+1} - B_k||| / eps_k over the recorded
     Broyden updates.
 
-    Requires the run to have been recorded with ``record_full_matrices``.
-    The spectral norm of the update is recomputed by SVD, so this checks the
-    update-norm identity through an independent path.
+    Requires the trace to keep every B_k (``SolverOptions.record_spectra``,
+    the default).  The spectral norm of the update is recomputed by SVD, so
+    this checks the update-norm identity through an independent path.
     """
     if rec.broyden_updates_from is None:
         return []
@@ -206,7 +198,7 @@ def update_norm_identity_errors(rec: RunRecord):
     for k in range(rec.broyden_updates_from, rec.kbar):
         entry, nxt = rec.trace[k], rec.trace[k + 1]
         if entry.b is None or nxt.b is None or entry.eps is None:
-            raise ValueError("run was not recorded with record_full_matrices")
+            raise ValueError("run was not recorded with record_spectra")
         if entry.eps == 0:
             continue
         gap = abs(entry.eps - spectral_norm(nxt.b - entry.b))

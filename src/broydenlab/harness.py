@@ -249,14 +249,16 @@ def seeded_start(cfg: SeriesConfig, run_index: int):
 def run_single(cfg: SeriesConfig, run_index: int):
     """One seeded single run of the configured series.
 
-    Returns the solver record together with its metrics rows.
+    Returns the solver record together with its metrics rows over the final
+    window K of ``cfg.window_rule``.
     """
     p, opts, u_hat, b_hat, mode = seeded_start(cfg, run_index)
     rec = bmp_run(p, u_hat, b_hat, mode, opts,
                   seed_info={"problem": cfg.problem, "alpha": cfg.alpha,
                              "beta": cfg.beta, "seed": cfg.rng_seed,
                              "run_index": run_index})
-    rows = metrics_from_trace(rec, p)
+    window = Window.from_kbar(rec.kbar, cfg.window_rule)
+    rows = metrics_from_trace(rec, p, window.indices)
     return rec, rows
 
 
@@ -367,13 +369,18 @@ class RunStats:
 
 
 def run_stats(rec: RunRecord, rows: list, window_rule: str = "min") -> RunStats:
-    """The per-run statistics of one run's diagnostics."""
+    """The per-run statistics of one run's diagnostics.
+
+    ``rows`` may cover every index or only the window K; rows are matched
+    by ``row.k``.
+    """
     window = Window.from_kbar(rec.kbar, window_rule)
+    by_k = {row.k: row for row in rows}
 
     def stat(pick, attr):
         if pick == "final":
-            return getattr(rows[window.kbar], attr)
-        values = [v for v in (getattr(rows[k], attr) for k in window.indices)
+            return getattr(by_k[window.kbar], attr)
+        values = [v for v in (getattr(by_k[k], attr) for k in window.indices)
                   if v != -1]
         if not values:
             return None
@@ -431,6 +438,8 @@ def parallel_map(fn, tasks, workers: int) -> list:
     Runs on a process pool of :func:`pool_size` workers, or in-process when
     that is at most one.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     tasks = list(tasks)
     size = pool_size(workers, len(tasks), os.cpu_count())
     if size <= 1:

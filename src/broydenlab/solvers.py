@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .linalg import (Mat, PrecisionContext, SingularMatrix, Vec, lu_solve,
-                     rank_one_update, singular_values, spectral_norm)
+                     rank_one_update, spectral_norm)
 from .problems import Problem
 
 
@@ -41,20 +41,20 @@ SUCCESS = (Status.CONVERGED, Status.EXACT_ROOT)
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Stopping rules and recording switches for one run.
+    """Stopping rules and the recording switch for one run.
 
     ``tol_exponent`` t stops the iteration at ||F(u)|| <= 10**-t; it must
     leave at least 20 digits of headroom below the working precision so the
     test cannot stagnate at roundoff level.  ``divergence_guard`` aborts a
     run whose iterate norm explodes, as a bounded-time alternative to
-    ``max_iter``.
+    ``max_iter``.  ``record_spectra`` keeps B_k in every trace entry, so the
+    spectra of E_k = B_k - F'(root) can be computed later.
     """
 
     precision: PrecisionContext
     tol_exponent: int
     max_iter: int = 3000
     divergence_guard: float = 1e10
-    record_full_matrices: bool = False
     record_spectra: bool = True
 
     def __post_init__(self):
@@ -71,17 +71,15 @@ class TraceEntry:
     """State at one displayed iteration index k.
 
     ``s`` is the step u^{k+1} - u^k and ``eps`` the update norm
-    ||F(u^{k+1})|| / ||s^k||; both are None at the final index.  ``e_svals``
-    are the ascending singular values of E_k = B_k - F'(root) when spectra
-    are recorded (never for the Shamanskii-like method, which carries no B).
+    ||F(u^{k+1})|| / ||s^k||; both are None at the final index.  ``b`` is
+    the (immutable) matrix B_k when spectra are recorded (never for the
+    Shamanskii-like method, which carries no B).
     """
 
     u: Vec
     f_norm: object
     s: Optional[Vec] = None
     eps: Optional[object] = None
-    e_svals: Optional[tuple] = None
-    e_norm: Optional[object] = None
     b: Optional[Mat] = None
 
 
@@ -165,26 +163,18 @@ def _engine(p, u, B, opts, method, seed_info, step, update=None) -> RunRecord:
 
     ``step(k, u, fu, B) -> (s, u_next)`` proposes the next iterate and
     ``update(k, B, s, u_next, f_next) -> B_next`` carries the matrix.  Without
-    ``update`` there is no matrix: no spectra, no eps and no zero-step guard.
+    ``update`` there is no matrix: no B_k, no eps and no zero-step guard.
     """
     ctx = opts.precision
     tol = ctx.pow10(-opts.tol_exponent)
     guard = ctx.real(opts.divergence_guard)
     guard2 = ctx.mp.fmul(guard, guard, exact=True)
-    j_root = None
-    if update is not None and opts.record_spectra:
-        j_root = p.jac(p.root(ctx))
     trace = []
     fu = p.f(u)
     nf = fu.norm()
     while True:
         k = len(trace)
-        entry = TraceEntry(u=u, f_norm=nf)
-        if j_root is not None:
-            entry.e_svals = singular_values(B - j_root, ctx)
-            entry.e_norm = entry.e_svals[-1]
-        if B is not None and opts.record_full_matrices:
-            entry.b = B
+        entry = TraceEntry(u=u, f_norm=nf, b=B if opts.record_spectra else None)
         trace.append(entry)
         status = _check_terminal(nf, u, k, opts, tol, guard, guard2)
         if status is not None:
@@ -315,7 +305,7 @@ def smp_run(p: Problem, u_hat: Vec, b_hat: Mat, c, alpha,
     iteration computes the Newton iterate y, the simplified Newton step
     z = F'(u)^{-1} F(y), and corrects to y - (4 - C ||z||^alpha) z.  The trace
     lists (u_hat, u^{-1}, u^0, u^1, ...); there is no Broyden matrix, so eps
-    and spectra stay empty.
+    and B_k stay empty.
     """
     _check_dims(p, u_hat, b_hat)
     ctx = opts.precision

@@ -23,14 +23,14 @@ def ex1_reference_run():
 
     Newton-step-then-Broyden, start box half-width 0.01, no matrix
     perturbation, B_0 = F'(u_0), 350 digits, tolerance 10**-100, fixed seed.
-    Full matrices are recorded for the update-identity checks.
+    Every B_k is kept (``record_spectra``, the default) for the
+    update-identity checks.
     """
     ctx = PrecisionContext(350)
     p = get_problem("example1")
     rng = CounterRng(42, 0)
     u_hat, b_hat, noise = init_random(p, "0.01", "0", rng, ctx)
-    opts = SolverOptions(precision=ctx, tol_exponent=100, max_iter=3000,
-                         record_full_matrices=True)
+    opts = SolverOptions(precision=ctx, tol_exponent=100, max_iter=3000)
     rec = bmp_run(p, u_hat, b_hat, B0Mode.jacobian_at_u0(beta="0", noise=noise),
                   opts, seed_info={"seed": 42})
     rows = metrics_from_trace(rec, p)

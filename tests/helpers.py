@@ -7,10 +7,13 @@ by hand.
 """
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import mpmath
 
+from broydenlab.diagnostics import metrics_from_trace
 from broydenlab.linalg import Mat, PrecisionContext, Vec
-from broydenlab.problems import Problem
+from broydenlab.problems import Problem, projectors
 from broydenlab.solvers import RunRecord, Status, TraceEntry
 
 
@@ -119,7 +122,8 @@ def synthetic_record(ctx: PrecisionContext, us, f_norms, eps=None, svals=None,
     """RunRecord built from explicit iterates and norms.
 
     ``eps`` entries apply to indices 0..kbar-1; steps are the consecutive
-    differences of ``us``.
+    differences of ``us``.  ``svals`` (pairs, for example1) are the singular
+    values of E_k that the record's B_k give.
     """
     kbar = len(us) - 1
     trace = []
@@ -130,10 +134,45 @@ def synthetic_record(ctx: PrecisionContext, us, f_norms, eps=None, svals=None,
             if eps is not None:
                 entry.eps = ctx.real(eps[k])
         if svals is not None and svals[k] is not None:
-            entry.e_svals = tuple(ctx.real(s) for s in svals[k])
-            entry.e_norm = entry.e_svals[-1]
+            # B_k = J* + diag(svals) with example1's J* = diag(1, 0), so
+            # E_k = B_k - J* is diag(svals) exactly for dyadic svals
+            s1, s2 = (ctx.real(s) for s in svals[k])
+            entry.b = ctx.mat([[1 + s1, 0], [0, s2]])
         trace.append(entry)
     return RunRecord(status=Status.CONVERGED, kbar=kbar, trace=trace,
                      b_final=None, tol_exponent=tol_exponent,
                      precision_digits=ctx.decimal_digits, method="bm",
                      broyden_updates_from=None)
+
+
+def lam_omega_rows(rec: RunRecord, p: Problem) -> list:
+    """``metrics_from_trace`` rows with two nullspace quantities added:
+
+        lam_k   = a_{k+1} / a_k, the signed ratio of successive nullspace
+                  components a_k = psi.(u^k - root) / psi.phi
+        omega_k = ||P_X (u^k - root)|| / a_k**2
+
+    Both are the sentinel -1 for problems without phi/psi and where |a_k|
+    is below the stopping tolerance; lam also at kbar.
+    """
+    trace = rec.trace
+    ctx = trace[0].u.ctx
+    sentinel = ctx.real(-1)
+    root = p.root(ctx)
+    floor = ctx.pow10(-rec.tol_exponent)
+    coeffs = None
+    if p.has_null_data:
+        p_x = projectors(p, ctx).p_x
+        psi = p.psi(ctx)
+        d = psi.dot(p.phi(ctx))
+        coeffs = [psi.dot(e.u - root) / d for e in trace]
+    out = []
+    for k, row in enumerate(metrics_from_trace(rec, p)):
+        lam = omega = sentinel
+        if coeffs is not None and abs(coeffs[k]) > floor:
+            a_k = coeffs[k]
+            omega = p_x.matvec(trace[k].u - root).norm() / (a_k * a_k)
+            if k + 1 < len(trace):
+                lam = coeffs[k + 1] / a_k
+        out.append(SimpleNamespace(**vars(row), lam=lam, omega=omega))
+    return out

@@ -1,6 +1,10 @@
+import concurrent.futures
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mpf
 
 from broydenlab.cli import METRICS_HEADER, SUMMARY_HEADER, main
@@ -212,3 +216,108 @@ def test_cumulative_config_beta_defaults_to_zero(tmp_path):
                  "--out", str(tmp_path)]) == 0
     header, rows = read_csv(tmp_path / "summary.csv")
     assert dict(zip(header, rows[0]))["beta"] == "0"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["cumulative", "--problem", "example1", "--alpha", "1e-5", "--m", "2",
+      "--workers", "0", "--precision", "60", "--tol", "30"], "summary.csv"),
+    (["basin", "--problem", "example1", "--grid-res", "3", "--workers", "-3"],
+     "basin.ppm"),
+])
+def test_workers_below_one_exit_2(tmp_path, capsys, monkeypatch, argv, name):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    code = main(argv + ["--out", str(tmp_path)])
+    _assert_refused(code, capsys, tmp_path, name)
+
+
+@pytest.mark.parametrize("problem, line", [
+    ("nope", "error: unknown problem 'nope'\n"),
+    ("monomial:0", "error: monomial exponent must be >= 1\n"),
+    ("monomial:x", "error: bad monomial exponent in 'monomial:x'\n"),
+])
+def test_unknown_problem_message(tmp_path, capsys, problem, line):
+    code = main(["single", "--problem", problem, "--alpha", "0.1",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == line
+
+
+# -- random command lines and configs ------------------------------------------
+
+# each strategy draws from its valid values at least as often as from the
+# invalid ones, so that some runs get past the input checks
+_PROBLEMS = st.one_of(st.just("example1"), st.sampled_from(
+    ["example1", "example2", "example3", "example4", "monomial:2",
+     "monomial:0", "nope"]))
+_GOOD_SCALES = st.sampled_from(["0.01", "1e-5", "0.3", "0"])
+_SCALES = st.one_of(_GOOD_SCALES, _GOOD_SCALES,
+                    st.sampled_from(["-1", "nan", "inf", "abc", "1e400"]))
+_TOLS = st.one_of(st.integers(20, 30), st.integers(-2, 60))
+_M = st.one_of(st.integers(1, 2), st.integers(-1, 2))
+
+
+def _command(name, required, optional):
+    """``name`` and ``--option value`` pairs for the required options and a
+    random subset of the optional ones."""
+    return st.fixed_dictionaries(required, optional=optional).map(
+        lambda d: [name] + [x for k, v in d.items() for x in (k, str(v))])
+
+
+# precision, tolerance and iteration cap are always drawn, so no run falls
+# back to the 320-digit defaults
+_BOUNDED = {"--problem": _PROBLEMS, "--tol": _TOLS,
+            "--precision": st.integers(50, 80),
+            "--max-iter": st.one_of(st.integers(30, 60), st.integers(-1, 60))}
+
+_SINGLE = _command(
+    "single", _BOUNDED,
+    {"--method": st.sampled_from(["bm", "bmp", "smp", "newton"]),
+     "--seed": st.integers(0, 3), "--alpha": _SCALES, "--beta": _SCALES,
+     "--b0-mode": st.sampled_from(["jacobian", "broyden-update"]),
+     "--C": _SCALES, "--order-alpha": _SCALES})
+
+_CUMULATIVE = _command(
+    "cumulative", {**_BOUNDED, "--m": _M, "--alpha": _SCALES},
+    {"--seed": st.integers(0, 3), "--beta": _SCALES})
+
+_BASIN = _command(
+    "basin", {**_BOUNDED, "--grid-res": st.one_of(st.sampled_from([3, 5]),
+                                                   st.integers(-1, 5))},
+    {"--seed": st.integers(0, 3), "--half-width": _SCALES})
+
+_JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-2, 80),
+                         _SCALES, st.lists(_SCALES, max_size=3))
+_CONFIG = st.fixed_dictionaries(
+    {"problem": _PROBLEMS, "alpha": _SCALES, "tol_exponent": _TOLS,
+     "precision": st.integers(50, 80), "max_iter": _BOUNDED["--max-iter"],
+     "m": _M},
+    optional={"beta": _SCALES, "rng_seed": st.integers(0, 3),
+              "b0_mode": st.sampled_from(["jacobian", "broyden-update", "x"]),
+              "window_rule": st.sampled_from(["min", "max", "x"]),
+              "criteria": st.dictionaries(
+                  st.sampled_from(["u_cap", "q_band", "Q_band", "q_bnd"]),
+                  _JSON_VALUES, max_size=3),
+              "bogus": _JSON_VALUES})
+
+
+@settings(max_examples=40, deadline=None)
+@given(command=st.one_of(_SINGLE, _CUMULATIVE, _BASIN, _CONFIG))
+def test_cli_random_input_never_crashes(tmp_path_factory, command):
+    # any command line that argparse accepts, and any JSON config, ends in
+    # a documented exit code with at most one line on stderr
+    out = tmp_path_factory.mktemp("out")
+    argv = command
+    if isinstance(command, dict):
+        config = out / "series.json"
+        config.write_text(json.dumps(command))
+        argv = ["cumulative", "--config", str(config)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv + ["--out", str(out)])
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert err.getvalue().count("\n") <= 1, err.getvalue()

@@ -5,11 +5,13 @@ import pytest
 from helpers import synthetic_record
 from broydenlab.diagnostics import metrics_from_trace
 from broydenlab import harness
+from broydenlab.diagnostics import MetricsRow
 from broydenlab.harness import (AcceptanceCriteria, CounterRng,
                                 EmptyAcceptedSet, SeriesConfig, Window,
                                 aggregate, cumulative_run, default_criteria,
                                 final_factors, init_random, parallel_map,
-                                pool_size, removal_reason, run_single)
+                                pool_size, removal_reason, run_single,
+                                run_stats)
 from broydenlab.linalg import PrecisionContext
 from broydenlab.problems import get_problem
 from broydenlab.solvers import Status
@@ -190,7 +192,8 @@ def test_final_factors_match_metrics_rows(tiny_cfg):
     # the acceptance rule reads the trace, the summary reads the rows: both
     # must see the same final err, q and Q
     rec, rows = run_single(tiny_cfg, 1)
-    final = rows[rec.kbar]
+    final = rows[-1]
+    assert final.k == rec.kbar
     assert final_factors(rec, get_problem(tiny_cfg.problem)) == \
         (final.err, final.q, final.q_eps)
 
@@ -198,12 +201,13 @@ def test_final_factors_match_metrics_rows(tiny_cfg):
 def test_aggregate_singleton_collapses(tiny_cfg):
     rec, rows = run_single(tiny_cfg, 0)
     summary = aggregate([(rec, rows)])
+    assert rows[-1].k == rec.kbar
     assert summary.accepted == 1 and summary.removed == 0
     assert summary.q_min <= summary.q_max
-    assert summary.f_min == summary.f_max == rows[rec.kbar].f_norm
-    assert summary.u_min == summary.u_max == rows[rec.kbar].err
+    assert summary.f_min == summary.f_max == rows[-1].f_norm
+    assert summary.u_min == summary.u_max == rows[-1].err
     assert summary.it_min == summary.it_max == rec.kbar
-    assert summary.lambda1 == rows[rec.kbar].e_svals[0]
+    assert summary.lambda1 == rows[-1].e_svals[0]
 
 
 def test_aggregate_two_synthetic_records_hand_check(ctx100):
@@ -286,3 +290,24 @@ def test_removed_runs_decrease_with_smaller_start_box():
             return exc.removed
 
     assert rem_for("1e-5") <= rem_for("0.1")
+
+
+@pytest.mark.parametrize("rule", ["min", "max"])
+def test_windowed_rows_equal_full_rows(tiny_cfg, rule):
+    # rows built over K only are the K-slice of the full rows, field for
+    # field, and give the same per-run statistics
+    cfg = dataclasses.replace(tiny_cfg, window_rule=rule)
+    p = get_problem(cfg.problem)
+    for j in range(cfg.m):
+        rec, rows = run_single(cfg, j)
+        window = Window.from_kbar(rec.kbar, rule)
+        full = metrics_from_trace(rec, p)
+        windowed = metrics_from_trace(rec, p, window.indices)
+        assert [row.k for row in windowed] == list(window.indices)
+        assert len(windowed) < len(full)
+        for got, want in zip(windowed, full[window.k0:], strict=True):
+            for f in dataclasses.fields(MetricsRow):
+                assert getattr(got, f.name) == getattr(want, f.name)
+        assert [row.k for row in rows] == list(window.indices)
+        assert run_stats(rec, rows, rule) == run_stats(rec, full, rule)
+    assert metrics_from_trace(rec, p, range(0)) == []

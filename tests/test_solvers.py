@@ -115,7 +115,7 @@ def test_bmp_tail_equals_plain_broyden(ctx120):
 def test_bmp_broyden_update_mode_satisfies_identity_from_start(ctx120):
     p = get_problem("example3")
     u_hat = ctx120.vec(["0.05", "-0.03", "0.02"])
-    opts = opts_for(ctx120, tol=60, max_iter=400, record_full_matrices=True)
+    opts = opts_for(ctx120, tol=60, max_iter=400)
     rec = bmp_run(p, u_hat, p.jac(u_hat), B0Mode.broyden_update(), opts)
     assert rec.status is Status.CONVERGED
     assert rec.broyden_updates_from == 0
@@ -129,7 +129,7 @@ def test_update_norm_identity_invariant(ctx120):
     # |eps_k - ||B_{k+1} - B_k||| <= 10**(-digits+25) * eps_k on a real run
     p = get_problem("example1")
     u_hat = ctx120.vec(["0.008", "0.005"])
-    opts = opts_for(ctx120, tol=80, max_iter=500, record_full_matrices=True)
+    opts = opts_for(ctx120, tol=80, max_iter=500)
     rec = bmp_run(p, u_hat, p.jac(u_hat), B0Mode.jacobian_at_u0(), opts)
     assert rec.status is Status.CONVERGED
     errors = update_norm_identity_errors(rec)
@@ -141,7 +141,7 @@ def test_update_norm_identity_invariant(ctx120):
 def test_secant_condition_after_every_update(ctx120):
     p = get_problem("example1")
     u_hat = ctx120.vec(["0.007", "-0.004"])
-    opts = opts_for(ctx120, tol=60, max_iter=400, record_full_matrices=True)
+    opts = opts_for(ctx120, tol=60, max_iter=400)
     rec = bmp_run(p, u_hat, p.jac(u_hat), B0Mode.jacobian_at_u0(), opts)
     tol_fac = ctx120.pow10(-ctx120.decimal_digits + 20)
     from broydenlab.linalg import spectral_norm
@@ -312,5 +312,5 @@ def test_smp_trace_has_no_matrix_data(ctx100):
     rec = smp_run(p, u_hat, p.jac(u_hat), 1, "0.5",
                   opts_for(ctx100, tol=60, max_iter=100))
     assert rec.status is Status.CONVERGED
-    assert all(e.eps is None and e.e_svals is None for e in rec.trace)
+    assert all(e.eps is None and e.b is None for e in rec.trace)
     assert rec.b_final is None and rec.broyden_updates_from is None
