@@ -54,10 +54,23 @@ CASES = {
           "tol_exponent": 60, "precision": 130, "rng_seed": 5,
           "window_rule": "max"}], {
             "summary.csv": "cd183d2977a2f1b55ff27fc9c03f0629d42ff4718da8ae9dd184400c05ae3fe1"}),
+    # the only cumulative case of the broyden-update B_0 (no b0 rule)
+    "cumulative-broyden-update": (
+        ["cumulative", "--problem", "example1", "--alpha", "1e-5",
+         "--beta", "1e-3", "--b0-mode", "broyden-update", "--m", "4",
+         "--precision", "130", "--tol", "60", "--seed", "7"], {
+            "summary.csv": "ec812cdfad780e55a25bee7b56bdbc280df51f2779583319f175485433d75d3e"}),
     # the y = 0 row of this grid is purple: the Newton-like step lands on
     # the root exactly, so kbar = 1 and Q is undefined
     "basin-9x9-workers-1": (_BASIN + ["--workers", "1"], _BASIN_9X9),
     "basin-9x9-workers-2": (_BASIN + ["--workers", "2"], _BASIN_9X9),
+    # 209 in-band, 14 out-of-band and 2 no-convergence pixels
+    "basin-15x15": (
+        ["basin", "--problem", "example1", "--half-width", "0.001",
+         "--grid-res", "15", "--precision", "160", "--tol", "60",
+         "--workers", "1"], {
+            "basin.ppm": "737284de4b35954de6651cb8f972198dca143d5a18a2566ecb5a739ea204a7a4",
+            "basin.csv": "9488ad4485a1704ef127cbae2722e279e316d5276440278c7af2fee8c352da00"}),
 }
 
 
