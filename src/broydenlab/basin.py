@@ -23,7 +23,7 @@ from .harness import (AcceptanceCriteria, check_scale, final_factors,
                       parallel_map, removal_reason)
 from .linalg import PrecisionContext, Vec
 from .problems import Problem, get_problem
-from .solvers import B0Mode, SolverOptions, bmp_run
+from .solvers import SolverOptions, bmp_run
 
 
 class DimensionMismatch(Exception):
@@ -89,13 +89,6 @@ class PixelResult:
     q_final: object
 
 
-def classify_point(p: Problem, u_hat: Vec, crit: AcceptanceCriteria,
-                   opts: SolverOptions) -> Classification:
-    """Classify one starting point (see module docstring for the classes)."""
-    cls, _, _ = classify_point_detail(p, u_hat, crit, opts)
-    return cls
-
-
 def classify_point_detail(p: Problem, u_hat: Vec, crit: AcceptanceCriteria,
                           opts: SolverOptions):
     """Classification plus (kbar, final q-factor) for the CSV table."""
@@ -107,7 +100,7 @@ def classify_point_detail(p: Problem, u_hat: Vec, crit: AcceptanceCriteria,
     if u_hat == root:
         # the root itself trivially converges
         return Classification.IN_BAND, 0, sentinel
-    rec = bmp_run(p, u_hat, p.jac(u_hat), B0Mode.jacobian_at_u0(), opts)
+    rec = bmp_run(p, u_hat, p.jac(u_hat), opts, p.jac)
     cls = _CLASS_OF_REASON[removal_reason(rec, p, crit)]
     if cls is Classification.NO_CONVERGENCE:
         return cls, rec.kbar, sentinel

@@ -39,8 +39,16 @@ SUMMARY_HEADER = ",".join(["problem,alpha,beta,b0_mode,m,seed",
                            *(c.csv for c in SUMMARY_COLUMNS), "rem"])
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser that refuses bad flags with one ``error:`` line (the
+    subcommand parsers inherit the class)."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="broydenlab",
         description="Arbitrary-precision experiments with Broyden-type "
                     "methods on singular nonlinear systems")
@@ -141,18 +149,15 @@ def _cmd_single(args) -> int:
                        b0_mode=args.b0_mode, m=1, tol_exponent=args.tol,
                        precision=args.precision, max_iter=args.max_iter,
                        rng_seed=args.seed)
-    p, opts, u_hat, b_hat, mode = seeded_start(cfg, 0)
-    seed_info = {"problem": p.name, "alpha": args.alpha, "beta": args.beta,
-                 "seed": args.seed}
+    p, opts, u_hat, b_hat, b0 = seeded_start(cfg, 0)
     if args.method == "bmp":
-        rec = bmp_run(p, u_hat, b_hat, mode, opts, seed_info)
+        rec = bmp_run(p, u_hat, b_hat, opts, b0)
     elif args.method == "bm":
-        rec = broyden_run(p, u_hat, b_hat, opts, seed_info)
+        rec = broyden_run(p, u_hat, b_hat, opts)
     elif args.method == "newton":
-        rec = newton_run(p, u_hat, opts, seed_info)
+        rec = newton_run(p, u_hat, opts)
     else:
-        rec = smp_run(p, u_hat, b_hat, args.c_const, args.order_alpha,
-                      opts, seed_info)
+        rec = smp_run(p, u_hat, b_hat, args.c_const, args.order_alpha, opts)
     rows = metrics_from_trace(rec, p)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

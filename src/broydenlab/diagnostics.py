@@ -171,14 +171,6 @@ def uli_min_sv(steps, k: int, selection, ctx=None):
     return singular_values(m, ctx)[0]
 
 
-def consecutive_uli_min_sv(steps, k: int, ctx=None):
-    """ULI probe with the default selection: the n consecutive steps from k."""
-    if not steps:
-        raise BadSelection("no steps supplied")
-    n = len(steps[0])
-    return uli_min_sv(steps, k, range(k, k + n), ctx)
-
-
 def nullspace_residual(B: Mat, phi: Vec):
     """||B phi||, the residual of phi against ker(B); phi should be unit."""
     return B.matvec(phi).norm()

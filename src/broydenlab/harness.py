@@ -31,8 +31,7 @@ import mpmath
 from .diagnostics import metrics_from_trace
 from .linalg import Mat, PrecisionContext, Vec, spectral_norm
 from .problems import Problem, get_problem
-from .solvers import (B0Mode, RunRecord, SolverOptions, Status, SUCCESS,
-                      bmp_run)
+from .solvers import RunRecord, SolverOptions, Status, SUCCESS, bmp_run
 
 
 class EmptyAcceptedSet(Exception):
@@ -68,7 +67,7 @@ class CounterRng:
 
     def uniform_unit(self, ctx: PrecisionContext):
         """Uniform scalar in [0, 1) with 128 random bits."""
-        return ctx.from_bits(self.bits()) / _TWO128
+        return ctx.real(self.bits()) / _TWO128
 
     def uniform_symmetric(self, ctx: PrecisionContext, scale):
         """Uniform scalar in [-scale, scale)."""
@@ -161,7 +160,10 @@ class AcceptanceCriteria:
                 if not isinstance(band, (list, tuple)) or len(band) != 2:
                     raise ValueError(f"{name} must be a (lo, hi) pair, got {band!r}")
                 lo, hi = (check_scale(name, x, allow_zero=True) for x in band)
-                if float(lo) > float(hi):
+                # with every digit of both ends: as doubles, 1e-400 and
+                # 1e-401 are both 0
+                exact = PrecisionContext(50 + len(lo) + len(hi))
+                if exact.real(lo) > exact.real(hi):
                     raise ValueError(f"{name} is empty: {band}")
                 object.__setattr__(self, name, (lo, hi))
 
@@ -210,28 +212,32 @@ def init_random(p: Problem, alpha, beta, rng: CounterRng,
     Draw order is fixed (u_hat entries, B_hat noise, B_0 noise, row-major)
     so a (seed, run index) pair always reproduces the same data.
     """
-    alpha = ctx.real(alpha)
-    beta = ctx.real(beta)
     n = p.n
     u_hat = Vec(tuple(rng.uniform_symmetric(ctx, alpha) for _ in range(n)), ctx)
     r_hat = ctx.mat([[rng.uniform_symmetric(ctx, 1) for _ in range(n)]
                      for _ in range(n)])
     noise = ctx.mat([[rng.uniform_symmetric(ctx, 1) for _ in range(n)]
                      for _ in range(n)])
-    jac = p.jac(u_hat)
+    return u_hat, perturbed(p.jac(u_hat), beta, r_hat), noise
+
+
+def perturbed(jac: Mat, beta, noise: Mat) -> Mat:
+    """jac + beta ||jac||_2 noise, or jac itself when beta = 0."""
+    ctx = jac.ctx
+    beta = ctx.real(beta)
     if beta == 0:
-        b_hat = jac
-    else:
-        scale = beta * spectral_norm(jac, ctx)
-        b_hat = jac + Mat(tuple(tuple(scale * x for x in row)
-                                for row in r_hat.rows), ctx)
-    return u_hat, b_hat, noise
+        return jac
+    scale = beta * spectral_norm(jac, ctx)
+    return jac + Mat(tuple(tuple(scale * x for x in row)
+                           for row in noise.rows), ctx)
 
 
 def seeded_start(cfg: SeriesConfig, run_index: int):
     """Problem, options and seeded starting data of one run of ``cfg``.
 
-    Returns (p, opts, u_hat, b_hat, mode) with the B0Mode of ``cfg.b0_mode``.
+    Returns (p, opts, u_hat, b_hat, b0), where ``b0`` is the B_0 rule of
+    :func:`solvers.bmp_run`: None for ``broyden-update``, otherwise
+    u0 -> F'(u0) perturbed by beta and the run's B_0 noise.
     """
     ctx = PrecisionContext(cfg.precision)
     p = get_problem(cfg.problem)
@@ -239,11 +245,9 @@ def seeded_start(cfg: SeriesConfig, run_index: int):
                          max_iter=cfg.max_iter)
     rng = CounterRng(cfg.rng_seed, run_index)
     u_hat, b_hat, noise = init_random(p, cfg.alpha, cfg.beta, rng, ctx)
-    if cfg.b0_mode == "jacobian":
-        mode = B0Mode.jacobian_at_u0(beta=cfg.beta, noise=noise)
-    else:
-        mode = B0Mode.broyden_update()
-    return p, opts, u_hat, b_hat, mode
+    b0 = None if cfg.b0_mode == "broyden-update" else (
+        lambda u0: perturbed(p.jac(u0), cfg.beta, noise))
+    return p, opts, u_hat, b_hat, b0
 
 
 def run_single(cfg: SeriesConfig, run_index: int):
@@ -252,11 +256,8 @@ def run_single(cfg: SeriesConfig, run_index: int):
     Returns the solver record together with its metrics rows over the final
     window K of ``cfg.window_rule``.
     """
-    p, opts, u_hat, b_hat, mode = seeded_start(cfg, run_index)
-    rec = bmp_run(p, u_hat, b_hat, mode, opts,
-                  seed_info={"problem": cfg.problem, "alpha": cfg.alpha,
-                             "beta": cfg.beta, "seed": cfg.rng_seed,
-                             "run_index": run_index})
+    p, opts, u_hat, b_hat, b0 = seeded_start(cfg, run_index)
+    rec = bmp_run(p, u_hat, b_hat, opts, b0)
     window = Window.from_kbar(rec.kbar, cfg.window_rule)
     rows = metrics_from_trace(rec, p, window.indices)
     return rec, rows

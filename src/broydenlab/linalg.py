@@ -92,14 +92,6 @@ class PrecisionContext:
         """10**exponent at working precision (exponent may be fractional)."""
         return self.mp.mpf(10) ** exponent
 
-    @property
-    def unit_roundoff(self):
-        return self.pow10(-self.decimal_digits)
-
-    def from_bits(self, value):
-        """Exact conversion of a (possibly large) Python int."""
-        return self.mp.mpf(value)
-
     def make(self, mpf_tuple):
         """Rebuild a scalar from its exact ``_mpf_`` tuple (worker transport)."""
         return self.mp.make_mpf(mpf_tuple)
@@ -139,10 +131,6 @@ class PrecisionContext:
         one, z = self.one, self.zero
         return Mat(tuple(tuple(one if i == j else z for j in range(n))
                          for i in range(n)), self)
-
-    def zero_mat(self, n: int) -> "Mat":
-        z = self.zero
-        return Mat(((z,) * n,) * n, self)
 
 
 class Vec:
@@ -260,9 +248,6 @@ class Mat:
             out.append(acc)
         return Vec(tuple(out), self.ctx)
 
-    def column(self, j: int) -> Vec:
-        return Vec(tuple(row[j] for row in self.rows), self.ctx)
-
     def max_abs(self):
         m = self.ctx.zero
         for row in self.rows:
@@ -271,18 +256,6 @@ class Mat:
                 if ax > m:
                     m = ax
         return m
-
-    def frobenius_norm(self):
-        acc = self.ctx.zero
-        for row in self.rows:
-            for x in row:
-                acc += x * x
-        return self.ctx.sqrt(acc)
-
-
-def outer(v: Vec, w: Vec) -> Mat:
-    """Rank-one matrix v w^T."""
-    return Mat(tuple(tuple(a * b for b in w.entries) for a in v.entries), v.ctx)
 
 
 def rank_one_update(B: Mat, v: Vec, w: Vec) -> Mat:

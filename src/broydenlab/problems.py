@@ -121,7 +121,6 @@ class Problem:
     f: Callable[[Vec], Vec]
     jac: Callable[[Vec], Mat]
     root_entries: tuple
-    has_a2: bool
     phi_entries: Optional[tuple]
     psi_entries: Optional[tuple]
     singularity_order: int
@@ -155,20 +154,20 @@ class Projectors:
 _REGISTRY = {
     "example1": Problem(
         name="example1", n=2, f=_f_example1, jac=_j_example1,
-        root_entries=(0, 0), has_a2=True,
+        root_entries=(0, 0),
         phi_entries=(0, 1), psi_entries=(0, 1), singularity_order=1),
     "example2": Problem(
         name="example2", n=3, f=_f_example2, jac=_j_example2,
-        root_entries=(0, 0, 0), has_a2=True,
+        root_entries=(0, 0, 0),
         # psi = (1,1,0) x (1,0,5), a cross product of the range basis
         phi_entries=(1, 0, 0), psi_entries=(5, -5, -1), singularity_order=1),
     "example3": Problem(
         name="example3", n=3, f=_f_example3, jac=_j_example3,
-        root_entries=(0, 0, 0), has_a2=False,
+        root_entries=(0, 0, 0),
         phi_entries=(1, 0, 0), psi_entries=(5, -5, -1), singularity_order=2),
     "example4": Problem(
         name="example4", n=3, f=_f_example4, jac=_j_example4,
-        root_entries=(0, 0, 0), has_a2=False,
+        root_entries=(0, 0, 0),
         phi_entries=None, psi_entries=None, singularity_order=0),
 }
 
@@ -194,25 +193,11 @@ def get_problem(name: str) -> Problem:
             name=name, n=1,
             f=functools.partial(_f_monomial, p),
             jac=functools.partial(_j_monomial, p),
-            root_entries=(0,), has_a2=(p == 2),
+            root_entries=(0,),
             phi_entries=(1,) if singular else None,
             psi_entries=(1,) if singular else None,
             singularity_order=p - 1)
     raise KeyError(f"unknown problem {name!r}")
-
-
-def eval_f(p: Problem, u: Vec) -> Vec:
-    """Residual F(u), evaluated exactly from the stored formula."""
-    if len(u) != p.n:
-        raise ValueError(f"{p.name} expects dimension {p.n}, got {len(u)}")
-    return p.f(u)
-
-
-def eval_jacobian(p: Problem, u: Vec) -> Mat:
-    """Analytic Jacobian F'(u)."""
-    if len(u) != p.n:
-        raise ValueError(f"{p.name} expects dimension {p.n}, got {len(u)}")
-    return p.jac(u)
 
 
 def projectors(p: Problem, ctx: PrecisionContext) -> Projectors:
@@ -255,7 +240,7 @@ def verify_a2(p: Problem, h, ctx: PrecisionContext) -> Vec:
 def fd_jacobian(p: Problem, u: Vec, ctx: PrecisionContext, h=None) -> Mat:
     """Central-difference Jacobian, default step 10**(-digits/3).
 
-    Independent of :func:`eval_jacobian`; used to cross-check the analytic
+    Independent of ``Problem.jac``; used to cross-check the analytic
     formulas.
     """
     if h is None:

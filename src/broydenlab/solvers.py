@@ -19,11 +19,11 @@ fixed precision context.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from .linalg import (Mat, PrecisionContext, SingularMatrix, Vec, lu_solve,
-                     rank_one_update, spectral_norm)
+                     rank_one_update)
 from .problems import Problem
 
 
@@ -92,47 +92,12 @@ class RunRecord:
     trace: list
     b_final: Optional[Mat]
     tol_exponent: int
-    precision_digits: int
-    method: str
-    seed_info: dict = field(default_factory=dict)
     #: first index k such that every transition B_k -> B_{k+1} in the trace
     #: is a genuine rank-one secant update; None when there are none.
     broyden_updates_from: Optional[int] = None
 
     def final_f_norm(self):
         return self.trace[-1].f_norm
-
-
-@dataclass(frozen=True)
-class B0Mode:
-    """Choice of the Broyden seed matrix B_0 inside ``bmp_run``.
-
-    * ``jacobian_at_u0(beta, noise)``: B_0 = F'(u0) + beta ||F'(u0)||_2 noise
-    * ``broyden_update()``:            B_0 = rank-one update of B_hat from
-                                       the Newton-like step (u_hat -> u0)
-    * ``given(M)``:                    B_0 = M
-    """
-
-    kind: str
-    beta: object = 0
-    noise: Optional[Mat] = None
-    matrix: Optional[Mat] = None
-
-    JACOBIAN = "jacobian"
-    BROYDEN_UPDATE = "broyden-update"
-    GIVEN = "given"
-
-    @classmethod
-    def jacobian_at_u0(cls, beta=0, noise: Optional[Mat] = None) -> "B0Mode":
-        return cls(kind=cls.JACOBIAN, beta=beta, noise=noise)
-
-    @classmethod
-    def broyden_update(cls) -> "B0Mode":
-        return cls(kind=cls.BROYDEN_UPDATE)
-
-    @classmethod
-    def given(cls, matrix: Mat) -> "B0Mode":
-        return cls(kind=cls.GIVEN, matrix=matrix)
 
 
 # -- shared bookkeeping --------------------------------------------------------
@@ -158,7 +123,7 @@ def _secant_update(B, s, f_next) -> Mat:
     return rank_one_update(B, f_next.scaled(1 / s.dot(s)), s)
 
 
-def _engine(p, u, B, opts, method, seed_info, step, update=None) -> RunRecord:
+def _engine(p, u, B, opts, step, update=None) -> RunRecord:
     """Iterate from (u, B) to a terminal status and record the run.
 
     ``step(k, u, fu, B) -> (s, u_next)`` proposes the next iterate and
@@ -198,9 +163,7 @@ def _engine(p, u, B, opts, method, seed_info, step, update=None) -> RunRecord:
             B = update(k, B, s, u_next, f_next)
         u, fu = u_next, f_next
     return RunRecord(status=status, kbar=k, trace=trace, b_final=B,
-                     tol_exponent=opts.tol_exponent,
-                     precision_digits=ctx.decimal_digits, method=method,
-                     seed_info=dict(seed_info or {}))
+                     tol_exponent=opts.tol_exponent)
 
 
 def _quasi_newton_step(ctx):
@@ -239,66 +202,48 @@ def _check_dims(p, u, b=None):
         raise ValueError("dimension mismatch")
 
 
-def broyden_run(p: Problem, u0: Vec, b0: Mat, opts: SolverOptions,
-                seed_info: Optional[dict] = None) -> RunRecord:
+def broyden_run(p: Problem, u0: Vec, b0: Mat, opts: SolverOptions) -> RunRecord:
     """Plain Broyden iteration from (u0, B0)."""
     _check_dims(p, u0, b0)
-    rec = _engine(p, u0, b0, opts, "bm", seed_info,
-                  _quasi_newton_step(opts.precision),
+    rec = _engine(p, u0, b0, opts, _quasi_newton_step(opts.precision),
                   lambda k, B, s, u_next, f_next: _secant_update(B, s, f_next))
     rec.broyden_updates_from = 0
     return rec
 
 
-def bmp_run(p: Problem, u_hat: Vec, b_hat: Mat, mode: B0Mode,
-            opts: SolverOptions, seed_info: Optional[dict] = None) -> RunRecord:
+def bmp_run(p: Problem, u_hat: Vec, b_hat: Mat, opts: SolverOptions,
+            b0: Optional[Callable[[Vec], Mat]] = None) -> RunRecord:
     """Broyden's method with a preceding Newton-like step.
 
-    The first step u0 = u_hat - B_hat^{-1} F(u_hat) is the engine's step 0;
-    the matrix update at k = 0 installs the B_0 selected by ``mode`` and every
-    later one is the secant update.  Entry 0 of the record holds
-    (u_hat, B_hat), entry 1 the Newton-like iterate u0 with B_0, and so on,
-    matching how single-run tables label the sequence.
+    The first step u0 = u_hat - B_hat^{-1} F(u_hat) is the engine's step 0.
+    The matrix update at k = 0 installs B_0 = ``b0(u0)``, or without ``b0``
+    the secant update of B_hat along that step; every later one is the
+    secant update.  Entry 0 of the record holds (u_hat, B_hat), entry 1 the
+    Newton-like iterate u0 with B_0, and so on, matching how single-run
+    tables label the sequence.
     """
     _check_dims(p, u_hat, b_hat)
-    ctx = opts.precision
-    info = dict(seed_info or {})
-    info.setdefault("b0_mode", mode.kind)
 
     def update(k, B, s, u_next, f_next):
-        if k > 0 or mode.kind == B0Mode.BROYDEN_UPDATE:
-            return _secant_update(B, s, f_next)
-        if mode.kind == B0Mode.GIVEN:
-            return mode.matrix
-        if mode.kind != B0Mode.JACOBIAN:
-            raise ValueError(f"unknown B0 mode {mode.kind!r}")
-        j0 = p.jac(u_next)
-        beta = ctx.real(mode.beta)
-        if beta == 0 or mode.noise is None:
-            return j0
-        scale = beta * spectral_norm(j0, ctx)
-        return j0 + Mat(tuple(tuple(scale * x for x in row)
-                              for row in mode.noise.rows), ctx)
+        return _secant_update(B, s, f_next) if k > 0 or b0 is None else b0(u_next)
 
-    rec = _engine(p, u_hat, b_hat, opts, "bmp", info, _quasi_newton_step(ctx),
+    rec = _engine(p, u_hat, b_hat, opts, _quasi_newton_step(opts.precision),
                   update)
     if rec.kbar > 0:
-        # B_0 came from the Newton-like step itself only in broyden-update mode
-        rec.broyden_updates_from = 0 if mode.kind == B0Mode.BROYDEN_UPDATE else 1
+        # B_0 came from the Newton-like step itself only without ``b0``
+        rec.broyden_updates_from = 0 if b0 is None else 1
     return rec
 
 
-def newton_run(p: Problem, u0: Vec, opts: SolverOptions,
-               seed_info: Optional[dict] = None) -> RunRecord:
+def newton_run(p: Problem, u0: Vec, opts: SolverOptions) -> RunRecord:
     """Newton's method with the Jacobian refreshed every step."""
     _check_dims(p, u0)
-    return _engine(p, u0, p.jac(u0), opts, "newton", seed_info,
-                   _quasi_newton_step(opts.precision),
+    return _engine(p, u0, p.jac(u0), opts, _quasi_newton_step(opts.precision),
                    lambda k, B, s, u_next, f_next: p.jac(u_next))
 
 
 def smp_run(p: Problem, u_hat: Vec, b_hat: Mat, c, alpha,
-            opts: SolverOptions, seed_info: Optional[dict] = None) -> RunRecord:
+            opts: SolverOptions) -> RunRecord:
     """Shamanskii-like acceleration behind a preceding Newton-like step.
 
     After u^{-1} = u_hat - B_hat^{-1} F(u_hat) and a Newton step to u^0, each
@@ -316,5 +261,4 @@ def smp_run(p: Problem, u_hat: Vec, b_hat: Mat, c, alpha,
     golden = (ctx.sqrt(ctx.real(5)) - 1) / 2
     if not (0 < alpha < golden):
         raise ValueError("alpha must lie in (0, (sqrt(5)-1)/2)")
-    return _engine(p, u_hat, None, opts, "smp", seed_info,
-                   _shamanskii_step(p, b_hat, c, alpha, ctx))
+    return _engine(p, u_hat, None, opts, _shamanskii_step(p, b_hat, c, alpha, ctx))

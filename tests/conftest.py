@@ -4,7 +4,7 @@ from broydenlab.diagnostics import metrics_from_trace
 from broydenlab.harness import CounterRng, init_random
 from broydenlab.linalg import PrecisionContext
 from broydenlab.problems import get_problem
-from broydenlab.solvers import B0Mode, SolverOptions, bmp_run
+from broydenlab.solvers import SolverOptions, bmp_run
 
 
 @pytest.fixture(scope="session")
@@ -29,9 +29,8 @@ def ex1_reference_run():
     ctx = PrecisionContext(350)
     p = get_problem("example1")
     rng = CounterRng(42, 0)
-    u_hat, b_hat, noise = init_random(p, "0.01", "0", rng, ctx)
+    u_hat, b_hat, _ = init_random(p, "0.01", "0", rng, ctx)
     opts = SolverOptions(precision=ctx, tol_exponent=100, max_iter=3000)
-    rec = bmp_run(p, u_hat, b_hat, B0Mode.jacobian_at_u0(beta="0", noise=noise),
-                  opts, seed_info={"seed": 42})
+    rec = bmp_run(p, u_hat, b_hat, opts, p.jac)
     rows = metrics_from_trace(rec, p)
     return p, rec, rows

@@ -31,7 +31,7 @@ def _j_sq_minus_1(u: Vec) -> Mat:
 def problem_sq_minus_1() -> Problem:
     """1-D F(u) = u**2 - 1 with the regular root u = 1."""
     return Problem(name="sq-minus-1", n=1, f=_f_sq_minus_1, jac=_j_sq_minus_1,
-                   root_entries=(1,), has_a2=False, phi_entries=None,
+                   root_entries=(1,), phi_entries=None,
                    psi_entries=None, singularity_order=0)
 
 
@@ -60,11 +60,16 @@ def problem_linear(a_rows, b_entries, root_entries) -> Problem:
     """Linear system A u = b with integer data and known root."""
     lin = _LinearMap(a_rows, b_entries)
     return Problem(name="linear", n=len(b_entries), f=lin.f, jac=lin.jac,
-                   root_entries=tuple(root_entries), has_a2=False,
-                   phi_entries=None, psi_entries=None, singularity_order=0)
+                   root_entries=tuple(root_entries), phi_entries=None,
+                   psi_entries=None, singularity_order=0)
 
 
 # -- independent oracles -------------------------------------------------------
+
+def outer(v: Vec, w: Vec) -> Mat:
+    """Rank-one matrix v w^T, entry by entry."""
+    return Mat(tuple(tuple(a * b for b in w.entries) for a in v.entries), v.ctx)
+
 
 def secant_iterates(f, u0, u1, ctx: PrecisionContext, count: int):
     """Classical secant recursion, kept independent of the solver module."""
@@ -141,7 +146,6 @@ def synthetic_record(ctx: PrecisionContext, us, f_norms, eps=None, svals=None,
         trace.append(entry)
     return RunRecord(status=Status.CONVERGED, kbar=kbar, trace=trace,
                      b_final=None, tol_exponent=tol_exponent,
-                     precision_digits=ctx.decimal_digits, method="bm",
                      broyden_updates_from=None)
 
 

@@ -28,8 +28,8 @@ from broydenlab.harness import (CounterRng, SeriesConfig, Window,
                                 cumulative_run, default_criteria, init_random)
 from broydenlab.linalg import PrecisionContext, Vec, singular_values
 from broydenlab.problems import get_problem, verify_a2
-from broydenlab.solvers import (B0Mode, SolverOptions, Status, bmp_run,
-                                broyden_run, smp_run)
+from broydenlab.solvers import (SolverOptions, Status, bmp_run, broyden_run,
+                                smp_run)
 
 
 def report(criterion, message):
@@ -124,7 +124,7 @@ def example3_run():
     rng = CounterRng(7, 0)
     u_hat, b_hat, _ = init_random(p, "0.1", "0", rng, ctx)
     opts = SolverOptions(precision=ctx, tol_exponent=100, max_iter=3000)
-    rec = bmp_run(p, u_hat, b_hat, B0Mode.broyden_update(), opts)
+    rec = bmp_run(p, u_hat, b_hat, opts)
     return p, rec, metrics_from_trace(rec, p)
 
 
@@ -147,10 +147,9 @@ def test_criterion_07_regular_root_superlinear():
     ctx = PrecisionContext(1100)
     p = get_problem("example4")
     rng = CounterRng(3, 0)
-    u_hat, b_hat, noise = init_random(p, "0.1", "0", rng, ctx)
+    u_hat, b_hat, _ = init_random(p, "0.1", "0", rng, ctx)
     opts = SolverOptions(precision=ctx, tol_exponent=100, max_iter=3000)
-    rec = bmp_run(p, u_hat, b_hat, B0Mode.jacobian_at_u0(beta="0", noise=noise),
-                  opts)
+    rec = bmp_run(p, u_hat, b_hat, opts, p.jac)
     rows = metrics_from_trace(rec, p)
     assert rec.status in (Status.CONVERGED, Status.EXACT_ROOT)
     assert rec.kbar <= 30
@@ -190,7 +189,7 @@ def test_criterion_09_accelerated_method():
     errs = [(e.u - root).norm() for e in rec_smp.trace]
     order = fitted_q_order(errs, points=6)
     assert order >= 1.4
-    rec_bmp = bmp_run(p, u_hat, b_hat, B0Mode.jacobian_at_u0(), opts)
+    rec_bmp = bmp_run(p, u_hat, b_hat, opts, p.jac)
     assert rec_smp.kbar < rec_bmp.kbar
     report(9, f"fitted order {order:.3f}, iterations {rec_smp.kbar} "
               f"vs {rec_bmp.kbar} for the quasi-Newton run")

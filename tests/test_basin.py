@@ -1,7 +1,7 @@
 import pytest
 
 from broydenlab.basin import (Classification, DimensionMismatch, GridSpec,
-                              blue_fraction, classify_point, csv_lines,
+                              blue_fraction, classify_point_detail, csv_lines,
                               render_basin)
 from broydenlab.harness import default_criteria
 from broydenlab.linalg import PrecisionContext
@@ -45,7 +45,7 @@ def test_grid_point_mapping():
 
 def test_classify_root_pixel_is_in_band(ex1, crit):
     ctx = PrecisionContext(160)
-    assert classify_point(ex1, ctx.zero_vec(2), crit, basin_opts()) \
+    assert classify_point_detail(ex1, ctx.zero_vec(2), crit, basin_opts())[0] \
         is Classification.IN_BAND
 
 
@@ -54,21 +54,22 @@ def test_classify_singular_jacobian_is_yellow(ex1, crit):
     # are binary-exact so the determinant vanishes exactly
     ctx = PrecisionContext(160)
     u = ctx.vec(["0.25", "-0.1875"])
-    assert classify_point(ex1, u, crit, basin_opts()) \
+    assert classify_point_detail(ex1, u, crit, basin_opts())[0] \
         is Classification.NO_CONVERGENCE
 
 
 def test_classify_nullspace_start_is_blue(ex1, crit):
     ctx = PrecisionContext(160)
     u = ctx.vec([0, "0.001"])
-    assert classify_point(ex1, u, crit, basin_opts()) is Classification.IN_BAND
+    assert classify_point_detail(ex1, u, crit, basin_opts())[0] \
+        is Classification.IN_BAND
 
 
 def test_classify_requires_dimension_two(crit):
     ctx = PrecisionContext(160)
     with pytest.raises(DimensionMismatch):
-        classify_point(get_problem("example2"), ctx.zero_vec(3), crit,
-                       basin_opts())
+        classify_point_detail(get_problem("example2"), ctx.zero_vec(3), crit,
+                              basin_opts())
 
 
 def test_ppm_format_resolution_three(ex1, crit):
@@ -113,7 +114,7 @@ def test_per_pixel_classification_matches_render(ex1, crit):
     for idx in (8, 0, 4, 2):
         row, col = divmod(idx, res)
         i, j = col, res - 1 - row
-        expect = classify_point(ex1, grid.point(i, j, ctx), crit, opts)
+        expect = classify_point_detail(ex1, grid.point(i, j, ctx), crit, opts)[0]
         assert results[idx].classification is expect
 
 

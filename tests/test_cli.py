@@ -197,6 +197,8 @@ def test_single_bad_scale_exits_2(tmp_path, capsys, extra):
      "criteria": {"q_bnd": ["0.9", "1.0"]}},
     {"problem": "example1", "alpha": "1e-5", "criteria": [0.9, 1.0]},
     {"problem": "example1", "alpha": "1e-5", "criteria": {"q_band": 0.9}},
+    {"problem": "example1", "alpha": "1e-5",
+     "criteria": {"q_band": ["1e-400", "1e-401"]}},
 ])
 def test_cumulative_malformed_config_exits_2(tmp_path, capsys, config):
     cfg_path = tmp_path / "series.json"
@@ -233,6 +235,18 @@ def test_workers_below_one_exit_2(tmp_path, capsys, monkeypatch, argv, name):
     _assert_refused(code, capsys, tmp_path, name)
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["single", "--alpha", "0.1"], "metrics.csv"),
+    (["cumulative", "--problem", "example1", "--alpha", "1e-5", "--m", "x"],
+     "summary.csv"),
+])
+def test_argparse_refusal_is_one_line(tmp_path, capsys, argv, name):
+    # argparse's own refusals (a missing required flag, a non-integer
+    # value) print no usage block
+    code = main(argv + ["--out", str(tmp_path)])
+    _assert_refused(code, capsys, tmp_path, name)
+
+
 @pytest.mark.parametrize("problem, line", [
     ("nope", "error: unknown problem 'nope'\n"),
     ("monomial:0", "error: monomial exponent must be >= 1\n"),
@@ -255,38 +269,45 @@ _PROBLEMS = st.one_of(st.just("example1"), st.sampled_from(
 _GOOD_SCALES = st.sampled_from(["0.01", "1e-5", "0.3", "0"])
 _SCALES = st.one_of(_GOOD_SCALES, _GOOD_SCALES,
                     st.sampled_from(["-1", "nan", "inf", "abc", "1e400"]))
-_TOLS = st.one_of(st.integers(20, 30), st.integers(-2, 60))
-_M = st.one_of(st.integers(1, 2), st.integers(-1, 2))
+_NOT_INT = st.sampled_from(["x", "2.5", ""])
+_TOLS = st.one_of(st.integers(20, 30), st.integers(-2, 60), _NOT_INT)
+_M = st.one_of(st.integers(1, 2), st.integers(-1, 2), _NOT_INT)
+_SEEDS = st.one_of(st.integers(0, 3), _NOT_INT)
 
 
 def _command(name, required, optional):
     """``name`` and ``--option value`` pairs for the required options and a
-    random subset of the optional ones."""
+    random subset of the optional ones; a value drawn as None leaves its
+    option out."""
     return st.fixed_dictionaries(required, optional=optional).map(
-        lambda d: [name] + [x for k, v in d.items() for x in (k, str(v))])
+        lambda d: [name] + [x for k, v in d.items() if v is not None
+                            for x in (k, str(v))])
 
 
 # precision, tolerance and iteration cap are always drawn, so no run falls
-# back to the 320-digit defaults
-_BOUNDED = {"--problem": _PROBLEMS, "--tol": _TOLS,
-            "--precision": st.integers(50, 80),
-            "--max-iter": st.one_of(st.integers(30, 60), st.integers(-1, 60))}
+# back to the 320-digit defaults; --problem may be missing
+_BOUNDED = {"--problem": st.one_of(_PROBLEMS, _PROBLEMS, st.none()),
+            "--tol": _TOLS,
+            "--precision": st.one_of(st.integers(50, 80), st.integers(50, 80),
+                                     _NOT_INT),
+            "--max-iter": st.one_of(st.integers(30, 60), st.integers(-1, 60),
+                                    _NOT_INT)}
 
 _SINGLE = _command(
     "single", _BOUNDED,
     {"--method": st.sampled_from(["bm", "bmp", "smp", "newton"]),
-     "--seed": st.integers(0, 3), "--alpha": _SCALES, "--beta": _SCALES,
+     "--seed": _SEEDS, "--alpha": _SCALES, "--beta": _SCALES,
      "--b0-mode": st.sampled_from(["jacobian", "broyden-update"]),
      "--C": _SCALES, "--order-alpha": _SCALES})
 
 _CUMULATIVE = _command(
     "cumulative", {**_BOUNDED, "--m": _M, "--alpha": _SCALES},
-    {"--seed": st.integers(0, 3), "--beta": _SCALES})
+    {"--seed": _SEEDS, "--beta": _SCALES})
 
 _BASIN = _command(
     "basin", {**_BOUNDED, "--grid-res": st.one_of(st.sampled_from([3, 5]),
-                                                   st.integers(-1, 5))},
-    {"--seed": st.integers(0, 3), "--half-width": _SCALES})
+                                                   st.integers(-1, 5), _NOT_INT)},
+    {"--seed": _SEEDS, "--half-width": _SCALES})
 
 _JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-2, 80),
                          _SCALES, st.lists(_SCALES, max_size=3))

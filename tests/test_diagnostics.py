@@ -1,10 +1,9 @@
 import pytest
 
 from helpers import lam_omega_rows, synthetic_record
-from broydenlab.diagnostics import (BadSelection, consecutive_uli_min_sv,
-                                    fitted_q_order, metrics_from_trace,
-                                    normalized_steps, nullspace_residual,
-                                    uli_min_sv)
+from broydenlab.diagnostics import (BadSelection, fitted_q_order,
+                                    metrics_from_trace, normalized_steps,
+                                    nullspace_residual, uli_min_sv)
 from broydenlab.harness import Window
 from broydenlab.linalg import Mat, PrecisionContext, Vec
 from broydenlab.problems import get_problem
@@ -176,7 +175,7 @@ def test_consecutive_min_sv_collapses_on_reference_run(ex1_reference_run):
     steps = normalized_steps(rec)
     window = Window.from_kbar(rec.kbar)
     for k in range(window.k0, len(steps) - 1):
-        assert consecutive_uli_min_sv(steps, k) <= 1e-10
+        assert uli_min_sv(steps, k, range(k, k + p.n)) <= 1e-10
 
 
 def test_min_sv_bounded_by_e_phi_norm(ex1_reference_run, ctx100):

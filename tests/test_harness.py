@@ -12,7 +12,7 @@ from broydenlab.harness import (AcceptanceCriteria, CounterRng,
                                 final_factors, init_random, parallel_map,
                                 pool_size, removal_reason, run_single,
                                 run_stats)
-from broydenlab.linalg import PrecisionContext
+from broydenlab.linalg import PrecisionContext, spectral_norm
 from broydenlab.problems import get_problem
 from broydenlab.solvers import Status
 
@@ -60,6 +60,23 @@ def test_init_random_entrywise_bounds():
         u_hat, _, noise = init_random(p, "0.01", "0.5", rng, ctx)
         assert all(abs(x) <= alpha for x in u_hat.entries)
         assert all(abs(x) <= 1 for row in noise.rows for x in row)
+
+
+def test_seeded_start_b0_rule(tiny_cfg):
+    p, opts, u_hat, _, b0 = harness.seeded_start(tiny_cfg, 0)
+    assert b0(u_hat) == p.jac(u_hat)
+    update = dataclasses.replace(tiny_cfg, b0_mode="broyden-update")
+    assert harness.seeded_start(update, 0)[4] is None
+    # B_0 = F'(u0) + beta ||F'(u0)||_2 R with the run's own B_0 noise R
+    cfg = dataclasses.replace(tiny_cfg, beta="1e-3")
+    p, opts, u_hat, _, b0 = harness.seeded_start(cfg, 0)
+    ctx = opts.precision
+    _, _, noise = init_random(p, cfg.alpha, cfg.beta, CounterRng(cfg.rng_seed, 0),
+                              ctx)
+    jac = p.jac(u_hat)
+    want = ctx.real("1e-3") * spectral_norm(jac) * spectral_norm(noise)
+    got = spectral_norm(b0(u_hat) - jac)
+    assert abs(got - want) <= ctx.pow10(-100) * want
 
 
 def test_window_hand_values():
@@ -143,6 +160,14 @@ def test_criteria_band_validation():
         AcceptanceCriteria(q_band=("0.9", "0.6"))
     with pytest.raises(ValueError):
         AcceptanceCriteria(big_q_band=(1, 0))
+    # both ends underflow a double to 0.0; as mpf the band is still empty
+    with pytest.raises(ValueError):
+        AcceptanceCriteria(q_band=("1e-400", "1e-401"))
+    # and both ends round to the same double
+    with pytest.raises(ValueError):
+        AcceptanceCriteria(q_band=("0.61800000000000000001", "0.618"))
+    assert AcceptanceCriteria(q_band=("1e-401", "1e-400")).q_band == \
+        ("1e-401", "1e-400")
 
 
 def test_default_criteria_bands():

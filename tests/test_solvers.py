@@ -4,7 +4,7 @@ from helpers import problem_linear, problem_sq_minus_1, secant_iterates
 from broydenlab.diagnostics import update_norm_identity_errors
 from broydenlab.linalg import Mat, PrecisionContext, Vec
 from broydenlab.problems import Problem, get_problem
-from broydenlab.solvers import (B0Mode, SolverOptions, Status, bmp_run,
+from broydenlab.solvers import (SolverOptions, Status, bmp_run,
                                 broyden_run, newton_run, smp_run)
 
 
@@ -64,8 +64,7 @@ def test_1d_broyden_coincides_with_secant_oracle(ctx100):
 def test_bmp_newton_halving_on_singular_root(ctx100):
     # 1-D F(u) = u^2, u_hat = 1, B_hat = F'(1) = 2: u0 = 1 - 1/2
     p = get_problem("monomial:2")
-    rec = bmp_run(p, ctx100.vec([1]), ctx100.mat([[2]]),
-                  B0Mode.broyden_update(), opts_for(ctx100))
+    rec = bmp_run(p, ctx100.vec([1]), ctx100.mat([[2]]), opts_for(ctx100))
     assert rec.trace[1].u == ctx100.vec(["0.5"])
 
 
@@ -74,8 +73,8 @@ def test_bmp_first_two_steps_are_newton_steps(ctx120):
     # reproduce exact Newton steps
     p = get_problem("example1")
     u_hat = ctx120.vec(["0.003", "-0.002"])
-    rec_bmp = bmp_run(p, u_hat, p.jac(u_hat), B0Mode.jacobian_at_u0(),
-                      opts_for(ctx120, tol=80, max_iter=400))
+    rec_bmp = bmp_run(p, u_hat, p.jac(u_hat),
+                      opts_for(ctx120, tol=80, max_iter=400), p.jac)
     rec_newton = newton_run(p, u_hat, opts_for(ctx120, tol=80, max_iter=3))
     for k in (1, 2):
         assert rec_bmp.trace[k].u == rec_newton.trace[k].u
@@ -83,8 +82,8 @@ def test_bmp_first_two_steps_are_newton_steps(ctx120):
 
 def test_bmp_exact_root_start_short_circuits(ctx100):
     p = get_problem("example1")
-    rec = bmp_run(p, ctx100.zero_vec(2), ctx100.identity(2),
-                  B0Mode.jacobian_at_u0(), opts_for(ctx100))
+    rec = bmp_run(p, ctx100.zero_vec(2), ctx100.identity(2), opts_for(ctx100),
+                  p.jac)
     assert rec.status is Status.EXACT_ROOT
     assert rec.kbar == 0
     assert rec.trace[0].s is None
@@ -93,7 +92,7 @@ def test_bmp_exact_root_start_short_circuits(ctx100):
 def test_bmp_singular_bhat_reports_status(ctx100):
     p = get_problem("example1")
     rec = bmp_run(p, ctx100.vec(["0.01", "0.01"]), ctx100.mat([[1, 1], [1, 1]]),
-                  B0Mode.jacobian_at_u0(), opts_for(ctx100))
+                  opts_for(ctx100), p.jac)
     assert rec.status is Status.SINGULAR_MATRIX
     assert rec.kbar == 0
 
@@ -102,7 +101,7 @@ def test_bmp_tail_equals_plain_broyden(ctx120):
     p = get_problem("example1")
     u_hat = ctx120.vec(["0.004", "0.006"])
     opts = opts_for(ctx120, tol=80, max_iter=500)
-    rec_bmp = bmp_run(p, u_hat, p.jac(u_hat), B0Mode.jacobian_at_u0(), opts)
+    rec_bmp = bmp_run(p, u_hat, p.jac(u_hat), opts, p.jac)
     u0 = rec_bmp.trace[1].u
     rec_bm = broyden_run(p, u0, p.jac(u0), opts)
     assert rec_bm.status == rec_bmp.status
@@ -116,7 +115,7 @@ def test_bmp_broyden_update_mode_satisfies_identity_from_start(ctx120):
     p = get_problem("example3")
     u_hat = ctx120.vec(["0.05", "-0.03", "0.02"])
     opts = opts_for(ctx120, tol=60, max_iter=400)
-    rec = bmp_run(p, u_hat, p.jac(u_hat), B0Mode.broyden_update(), opts)
+    rec = bmp_run(p, u_hat, p.jac(u_hat), opts)
     assert rec.status is Status.CONVERGED
     assert rec.broyden_updates_from == 0
     errors = update_norm_identity_errors(rec)
@@ -130,7 +129,7 @@ def test_update_norm_identity_invariant(ctx120):
     p = get_problem("example1")
     u_hat = ctx120.vec(["0.008", "0.005"])
     opts = opts_for(ctx120, tol=80, max_iter=500)
-    rec = bmp_run(p, u_hat, p.jac(u_hat), B0Mode.jacobian_at_u0(), opts)
+    rec = bmp_run(p, u_hat, p.jac(u_hat), opts, p.jac)
     assert rec.status is Status.CONVERGED
     errors = update_norm_identity_errors(rec)
     assert errors, "no updates recorded"
@@ -142,7 +141,7 @@ def test_secant_condition_after_every_update(ctx120):
     p = get_problem("example1")
     u_hat = ctx120.vec(["0.007", "-0.004"])
     opts = opts_for(ctx120, tol=60, max_iter=400)
-    rec = bmp_run(p, u_hat, p.jac(u_hat), B0Mode.jacobian_at_u0(), opts)
+    rec = bmp_run(p, u_hat, p.jac(u_hat), opts, p.jac)
     tol_fac = ctx120.pow10(-ctx120.decimal_digits + 20)
     from broydenlab.linalg import spectral_norm
     for k in range(1, rec.kbar):
@@ -160,7 +159,7 @@ def test_trace_satisfies_record_contract(ctx120):
     p = get_problem("example1")
     u_hat = ctx120.vec(["0.006", "0.003"])
     opts = opts_for(ctx120, tol=70, max_iter=500)
-    rec = bmp_run(p, u_hat, p.jac(u_hat), B0Mode.jacobian_at_u0(), opts)
+    rec = bmp_run(p, u_hat, p.jac(u_hat), opts, p.jac)
     assert rec.status is Status.CONVERGED
     assert len(rec.trace) == rec.kbar + 1
     slack = ctx120.pow10(-ctx120.decimal_digits + 10)
@@ -178,8 +177,8 @@ def test_determinism_bit_identical_traces(ctx120):
     p = get_problem("example2")
     u_hat = ctx120.vec(["0.01", "-0.02", "0.03"])
     opts = opts_for(ctx120, tol=60, max_iter=400)
-    rec1 = bmp_run(p, u_hat, p.jac(u_hat), B0Mode.jacobian_at_u0(), opts)
-    rec2 = bmp_run(p, u_hat, p.jac(u_hat), B0Mode.jacobian_at_u0(), opts)
+    rec1 = bmp_run(p, u_hat, p.jac(u_hat), opts, p.jac)
+    rec2 = bmp_run(p, u_hat, p.jac(u_hat), opts, p.jac)
     assert rec1.status == rec2.status and rec1.kbar == rec2.kbar
     for e1, e2 in zip(rec1.trace, rec2.trace):
         assert e1.u == e2.u and e1.f_norm == e2.f_norm and e1.eps == e2.eps
@@ -205,8 +204,8 @@ def test_divergence_guard(ctx100):
 def test_max_iter_status(ctx100):
     p = get_problem("example1")
     u_hat = ctx100.vec(["0.01", "0.02"])
-    rec = bmp_run(p, u_hat, p.jac(u_hat), B0Mode.jacobian_at_u0(),
-                  opts_for(ctx100, tol=60, max_iter=5))
+    rec = bmp_run(p, u_hat, p.jac(u_hat), opts_for(ctx100, tol=60, max_iter=5),
+                  p.jac)
     assert rec.status is Status.MAX_ITER
     assert rec.kbar == 5
     assert len(rec.trace) == 6
@@ -215,8 +214,8 @@ def test_max_iter_status(ctx100):
 def test_b0_mode_given(ctx100):
     p = problem_sq_minus_1()
     given = ctx100.mat([[3]])
-    rec = bmp_run(p, ctx100.vec([3]), ctx100.mat([[6]]), B0Mode.given(given),
-                  opts_for(ctx100))
+    rec = bmp_run(p, ctx100.vec([3]), ctx100.mat([[6]]), opts_for(ctx100),
+                  lambda u0: given)
     # Newton-like step: 3 - 8/6 = 5/3; then B_0 = 3 applies
     assert rec.trace[1].u[0] == ctx100.real(3) - ctx100.real(8) / 6
     s1 = rec.trace[1].s
@@ -291,7 +290,7 @@ def test_smp_zero_simplified_step_keeps_newton_iterate(ctx100):
         return base.f(u)
 
     doctored = Problem(name="doctored", n=1, f=f, jac=base.jac,
-                       root_entries=(0,), has_a2=False, phi_entries=None,
+                       root_entries=(0,), phi_entries=None,
                        psi_entries=None, singularity_order=2)
     rec = smp_run(doctored, u_hat, b_hat, 5, "0.25", opts_for(ctx, tol=60))
     assert rec.trace[3].u[0] == y_target
