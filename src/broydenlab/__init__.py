@@ -2,28 +2,28 @@
 
 from .linalg import (Mat, NoConvergence, PrecisionContext, SingularMatrix, Vec,
                      lu_solve, rank_one_update, singular_values, spectral_norm)
-from .problems import (MissingNullData, Problem, Projectors, get_problem,
-                       list_problems, projectors, verify_a2)
+from .problems import (MissingNullData, Problem, get_problem, list_problems,
+                       projectors, verify_a2)
 from .solvers import (RunRecord, SolverOptions, Status, bmp_run, broyden_run,
                       newton_run, smp_run)
 from .diagnostics import (BadSelection, MetricsRow, fitted_q_order,
                           metrics_from_trace, nullspace_residual, uli_min_sv)
 from .harness import (AcceptanceCriteria, CounterRng, CumulativeSummary,
-                      EmptyAcceptedSet, SeriesConfig, Window, aggregate,
-                      cumulative_run, default_criteria, init_random)
+                      EmptyAcceptedSet, SeriesConfig, Window, cumulative_run,
+                      default_criteria, init_random)
 from .basin import Classification, DimensionMismatch, GridSpec, render_basin
 
 __all__ = [
     "Mat", "NoConvergence", "PrecisionContext", "SingularMatrix", "Vec",
     "lu_solve", "rank_one_update", "singular_values", "spectral_norm",
-    "MissingNullData", "Problem", "Projectors", "get_problem",
-    "list_problems", "projectors", "verify_a2",
+    "MissingNullData", "Problem", "get_problem", "list_problems",
+    "projectors", "verify_a2",
     "RunRecord", "SolverOptions", "Status", "bmp_run", "broyden_run",
     "newton_run", "smp_run",
     "BadSelection", "MetricsRow", "fitted_q_order", "metrics_from_trace",
     "nullspace_residual", "uli_min_sv",
     "AcceptanceCriteria", "CounterRng", "CumulativeSummary",
-    "EmptyAcceptedSet", "SeriesConfig", "Window", "aggregate",
-    "cumulative_run", "default_criteria", "init_random",
+    "EmptyAcceptedSet", "SeriesConfig", "Window", "cumulative_run",
+    "default_criteria", "init_random",
     "Classification", "DimensionMismatch", "GridSpec", "render_basin",
 ]

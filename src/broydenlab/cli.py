@@ -116,17 +116,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fmt(x, full_digits=None):
-    if full_digits is not None:
-        return format_full(x, full_digits)
-    return format_metric(x)
-
-
 def _metrics_csv(rows, full_digits=None) -> str:
     lines = [METRICS_HEADER]
     for row in rows:
         lines.append(",".join([str(row.k)] + [
-            "-1" if x is None else _fmt(x, full_digits)
+            "-1" if x is None else format_metric(x) if full_digits is None
+            else format_full(x, full_digits)
             for x in (row.f_norm, row.err, row.r, row.q, row.eps, row.r_eps,
                       row.q_eps, row.delta, row.zeta, row.lambda1,
                       row.lambda2, row.e_norm)]))
@@ -213,7 +208,7 @@ def _cmd_basin(args) -> int:
     return 0
 
 
-def _cmd_list_problems() -> int:
+def _cmd_list_problems(args) -> int:
     for name in list_problems():
         p = get_problem(name)
         kind = ("regular root" if p.singularity_order == 0 else
@@ -247,6 +242,11 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+_COMMANDS = {"single": _cmd_single, "cumulative": _cmd_cumulative,
+             "basin": _cmd_basin, "list-problems": _cmd_list_problems,
+             "verify": _cmd_verify}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -254,17 +254,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "single":
-            return _cmd_single(args)
-        if args.command == "cumulative":
-            return _cmd_cumulative(args)
-        if args.command == "basin":
-            return _cmd_basin(args)
-        if args.command == "list-problems":
-            return _cmd_list_problems()
-        if args.command == "verify":
-            return _cmd_verify(args)
-        raise ValueError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except EmptyAcceptedSet as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import mpmath
+
 from .linalg import Mat, Vec, singular_values, spectral_norm
 from .problems import Problem
 from .solvers import RunRecord
@@ -134,11 +136,7 @@ def metrics_from_trace(rec: RunRecord, p: Problem,
 
 def normalized_steps(rec: RunRecord) -> list[Vec]:
     """Unit steps shat^k for every index that has a step."""
-    out = []
-    for entry in rec.trace:
-        if entry.s is not None:
-            out.append(entry.s.normalized())
-    return out
+    return [e.s.normalized() for e in rec.trace if e.s is not None]
 
 
 def uli_min_sv(steps, k: int, selection, ctx=None):
@@ -205,7 +203,9 @@ def fitted_q_order(errs, points: int = 6) -> float:
     slope estimates the q-order of convergence.  Plain float arithmetic is
     enough because only the logarithms enter.
     """
-    logs = [math_log(e) if e > 0 else None for e in errs]
+    # mpf logarithms stay finite for magnitudes below the double range
+    logs = [(float(mpmath.log(e)) if hasattr(e, "_mpf_") else math.log(e))
+            if e > 0 else None for e in errs]
     pairs = [(logs[i], logs[i + 1]) for i in range(len(logs) - 1)
              if logs[i] is not None and logs[i + 1] is not None]
     pairs = pairs[-points:]
@@ -221,11 +221,3 @@ def fitted_q_order(errs, points: int = 6) -> float:
         raise ValueError("degenerate regression: constant errors")
     cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     return cov / var
-
-
-def math_log(x) -> float:
-    """log of an mpf or float as a plain float (safe for tiny magnitudes)."""
-    if hasattr(x, "_mpf_"):
-        import mpmath
-        return float(mpmath.log(x))
-    return math.log(x)

@@ -416,17 +416,6 @@ def _reduce_stats(all_stats: list, ctx: PrecisionContext, removed: int,
         **{col.attr: fold(col) for col in SUMMARY_COLUMNS})
 
 
-def aggregate(accepted: list, removed: int = 0,
-              removal_reasons: Optional[dict] = None,
-              window_rule: str = "min") -> CumulativeSummary:
-    """Aggregate a list of accepted (RunRecord, metrics rows) pairs."""
-    if not accepted:
-        raise EmptyAcceptedSet(removed, dict(removal_reasons or {}))
-    ctx = accepted[0][0].trace[0].u.ctx
-    stats = [run_stats(rec, rows, window_rule) for rec, rows in accepted]
-    return _reduce_stats(stats, ctx, removed, dict(removal_reasons or {}))
-
-
 def pool_size(workers: int, tasks: int, cpus: Optional[int]) -> int:
     """Processes for ``tasks`` tasks: at most the requested ``workers``,
     the ``cpus`` available and one per task."""

@@ -183,7 +183,8 @@ class Vec:
         a = a._mpf_
         return ctx.raw_vec(mpf_mul(a, x._mpf_, prec, rnd) for x in self.entries)
 
-    def _raw_dot(self, other):
+    def raw_dot(self, other):
+        """The dot product as a raw ``_mpf_`` tuple, rounded as ``dot``."""
         prec, rnd = self.ctx.prec, self.ctx.rounding
         acc = fzero
         for a, b in zip(self.entries, other.entries):
@@ -191,12 +192,12 @@ class Vec:
         return acc
 
     def dot(self, other):
-        return self.ctx.make(self._raw_dot(other))
+        return self.ctx.make(self.raw_dot(other))
 
     def norm(self):
         """Euclidean norm."""
         ctx = self.ctx
-        return ctx.make(mpf_sqrt(self._raw_dot(self), ctx.prec, ctx.rounding))
+        return ctx.make(mpf_sqrt(self.raw_dot(self), ctx.prec, ctx.rounding))
 
     def normalized(self) -> "Vec":
         n = self.norm()
@@ -240,22 +241,19 @@ class Mat:
                          for ra, rb in zip(self.rows, other.rows)), self.ctx)
 
     def matvec(self, v: Vec) -> Vec:
-        out = []
-        for row in self.rows:
-            acc = self.ctx.zero
-            for a, x in zip(row, v.entries):
-                acc += a * x
-            out.append(acc)
-        return Vec(tuple(out), self.ctx)
+        return self.ctx.raw_vec(Vec(row, self.ctx).raw_dot(v) for row in self.rows)
 
     def max_abs(self):
-        m = self.ctx.zero
+        """Largest entry magnitude."""
+        ctx = self.ctx
+        prec, rnd = ctx.prec, ctx.rounding
+        m = fzero
         for row in self.rows:
             for x in row:
-                ax = abs(x)
-                if ax > m:
+                ax = mpf_abs(x._mpf_, prec, rnd)
+                if mpf_gt(ax, m):
                     m = ax
-        return m
+        return ctx.make(m)
 
 
 def rank_one_update(B: Mat, v: Vec, w: Vec) -> Mat:
@@ -334,11 +332,7 @@ def singular_values(A: Mat, ctx: PrecisionContext | None = None):
     rotations = 0
 
     def gram(p, q):
-        acc = ctx.zero
-        cp, cq = cols[p], cols[q]
-        for i in range(n):
-            acc += cp[i] * cq[i]
-        return acc
+        return Vec(cols[p], ctx).dot(Vec(cols[q], ctx))
 
     # columns below roundoff relative to the largest are deflated to zero;
     # without this, exactly rank-deficient matrices keep parallel columns
@@ -377,14 +371,7 @@ def singular_values(A: Mat, ctx: PrecisionContext | None = None):
         if not rotated:
             break
 
-    svals = []
-    for j in range(n):
-        acc = ctx.zero
-        for x in cols[j]:
-            acc += x * x
-        svals.append(ctx.sqrt(acc))
-    svals.sort()
-    return tuple(svals)
+    return tuple(sorted(Vec(col, ctx).norm() for col in cols))
 
 
 def spectral_norm(A: Mat, ctx: PrecisionContext | None = None):

@@ -15,6 +15,8 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from mpmath.libmp import from_int, mpf_add, mpf_div, mpf_mul, mpf_mul_int
+
 from .linalg import Mat, PrecisionContext, Vec
 
 
@@ -30,10 +32,19 @@ class MissingNullData(Exception):
 # example4 (n=3):  regular root, see _f_example4
 # monomial (n=1):  F(u) = (u1^p,)
 
+_TWO = from_int(2)
+
+
 def _f_example1(u: Vec) -> Vec:
-    u1, u2 = u.entries
-    sq = u2 * u2
-    return Vec((u1 + sq, u1 * u2 * 3 / 2 + sq + sq * u2), u.ctx)
+    # raw libmp in the operators' order: (u1 + sq, u1 * u2 * 3 / 2 + sq + sq * u2)
+    ctx = u.ctx
+    prec, rnd = ctx.prec, ctx.rounding
+    u1, u2 = (x._mpf_ for x in u.entries)
+    sq = mpf_mul(u2, u2, prec, rnd)
+    f2 = mpf_div(mpf_mul_int(mpf_mul(u1, u2, prec, rnd), 3, prec, rnd), _TWO, prec, rnd)
+    return ctx.raw_vec((mpf_add(u1, sq, prec, rnd),
+                        mpf_add(mpf_add(f2, sq, prec, rnd),
+                                mpf_mul(sq, u2, prec, rnd), prec, rnd)))
 
 
 def _j_example1(u: Vec) -> Mat:
@@ -143,14 +154,6 @@ class Problem:
         return self.phi_entries is not None and self.psi_entries is not None
 
 
-@dataclass(frozen=True)
-class Projectors:
-    """Oblique projector onto span{phi} parallel to range(F'(root)), and its complement."""
-
-    p_n: Mat
-    p_x: Mat
-
-
 _REGISTRY = {
     "example1": Problem(
         name="example1", n=2, f=_f_example1, jac=_j_example1,
@@ -200,16 +203,15 @@ def get_problem(name: str) -> Problem:
     raise KeyError(f"unknown problem {name!r}")
 
 
-def projectors(p: Problem, ctx: PrecisionContext) -> Projectors:
-    """P_N = phi psi^T / (psi^T phi) and P_X = I - P_N."""
+def projectors(p: Problem, ctx: PrecisionContext) -> Mat:
+    """P_N = phi psi^T / (psi^T phi), the oblique projector onto span{phi}
+    parallel to range(F'(root)); its complement is I - P_N."""
     if not p.has_null_data:
         raise MissingNullData(f"{p.name} has no phi/psi data")
     phi = p.phi(ctx)
     psi = p.psi(ctx)
     d = psi.dot(phi)
-    p_n = Mat(tuple(tuple(a * b / d for b in psi.entries) for a in phi.entries), ctx)
-    p_x = ctx.identity(p.n) - p_n
-    return Projectors(p_n=p_n, p_x=p_x)
+    return Mat(tuple(tuple(a * b / d for b in psi.entries) for a in phi.entries), ctx)
 
 
 def verify_a2(p: Problem, h, ctx: PrecisionContext) -> Vec:
@@ -224,7 +226,7 @@ def verify_a2(p: Problem, h, ctx: PrecisionContext) -> Vec:
     lo = ctx.pow10(-ctx.real(ctx.decimal_digits) / 2)
     if not (lo < h < ctx.pow10(-2)):
         raise ValueError("step h must lie in (10**(-digits/2), 10**-2)")
-    proj = projectors(p, ctx)
+    p_n = projectors(p, ctx)
     phi = p.phi(ctx)
     root = p.root(ctx)
     step = phi.scaled(h)
@@ -234,7 +236,7 @@ def verify_a2(p: Problem, h, ctx: PrecisionContext) -> Vec:
     second = Vec(tuple((a - 2 * b + c) / (h * h)
                        for a, b, c in zip(f_plus.entries, f_zero.entries,
                                           f_minus.entries)), ctx)
-    return proj.p_n.matvec(second)
+    return p_n.matvec(second)
 
 
 def fd_jacobian(p: Problem, u: Vec, ctx: PrecisionContext, h=None) -> Mat:

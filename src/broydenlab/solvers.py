@@ -19,8 +19,11 @@ fixed precision context.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+from mpmath.libmp import fzero, mpf_div, mpf_gt, mpf_le, mpf_mul, mpf_shift, mpf_sqrt
 
 from .linalg import (Mat, PrecisionContext, SingularMatrix, Vec, lu_solve,
                      rank_one_update)
@@ -48,7 +51,9 @@ class SolverOptions:
     test cannot stagnate at roundoff level.  ``divergence_guard`` aborts a
     run whose iterate norm explodes, as a bounded-time alternative to
     ``max_iter``.  ``record_spectra`` keeps B_k in every trace entry, so the
-    spectra of E_k = B_k - F'(root) can be computed later.
+    spectra of E_k = B_k - F'(root) can be computed later.  The engine
+    decides from the dot products F.F and s.s; the norms of F and of the
+    steps are taken only when a trace entry is read.
     """
 
     precision: PrecisionContext
@@ -70,17 +75,36 @@ class SolverOptions:
 class TraceEntry:
     """State at one displayed iteration index k.
 
-    ``s`` is the step u^{k+1} - u^k and ``eps`` the update norm
-    ||F(u^{k+1})|| / ||s^k||; both are None at the final index.  ``b`` is
-    the (immutable) matrix B_k when spectra are recorded (never for the
-    Shamanskii-like method, which carries no B).
+    ``s`` is the step u^{k+1} - u^k, None at the final index.  ``b`` is the
+    (immutable) matrix B_k when spectra are recorded (never for the
+    Shamanskii-like method, which carries no B).  ``ff``, ``ss`` and
+    ``ff_next`` are the raw dot products F(u^k).F(u^k), s^k.s^k and
+    F(u^{k+1}).F(u^{k+1}) (the last two only with a matrix).  ``f_norm`` =
+    ||F(u^k)|| and the update norm ``eps`` = ||F(u^{k+1})|| / ||s^k|| (None
+    without ``ss``) are taken on first read, bit-identical to ``Vec.norm``
+    and the mpf quotient.
     """
 
     u: Vec
-    f_norm: object
+    ff: Optional[tuple] = None
     s: Optional[Vec] = None
-    eps: Optional[object] = None
+    ss: Optional[tuple] = None
+    ff_next: Optional[tuple] = None
     b: Optional[Mat] = None
+
+    @functools.cached_property
+    def f_norm(self):
+        ctx = self.u.ctx
+        return ctx.make(mpf_sqrt(self.ff, ctx.prec, ctx.rounding))
+
+    @functools.cached_property
+    def eps(self):
+        if self.ss is None:
+            return None
+        ctx = self.u.ctx
+        prec, rnd = ctx.prec, ctx.rounding
+        return ctx.make(mpf_div(mpf_sqrt(self.ff_next, prec, rnd),
+                                mpf_sqrt(self.ss, prec, rnd), prec, rnd))
 
 
 @dataclass
@@ -102,46 +126,60 @@ class RunRecord:
 
 # -- shared bookkeeping --------------------------------------------------------
 
-def _check_terminal(f_norm, u, k, opts, tol, guard, guard2) -> Optional[Status]:
-    if f_norm == 0:
+def _limits(opts):
+    """Raw (tol, tol**2, guard, guard**2) of the stopping rules, squared exactly."""
+    ctx = opts.precision
+    tol = ctx.pow10(-opts.tol_exponent)._mpf_
+    guard = ctx.real(opts.divergence_guard)._mpf_
+    return tol, mpf_mul(tol, tol), guard, mpf_mul(guard, guard)
+
+
+def _check_terminal(entry, k, opts, limits) -> Optional[Status]:
+    # ||F|| == 0 and ||F|| <= tol, decided from ff = F.F: the correctly
+    # rounded square root is monotone and tol and 2 tol are representable,
+    # so ff <= tol**2 gives ||F|| <= tol and ff > 4 tol**2 gives
+    # ||F|| >= 2 tol.  Only in between is ||F|| taken.
+    tol, tol2, guard, guard2 = limits
+    ff = entry.ff
+    if ff == fzero:
         return Status.EXACT_ROOT
-    if f_norm <= tol:
+    if mpf_le(ff, tol2) or (mpf_le(ff, mpf_shift(tol2, 2))
+                            and mpf_le(entry.f_norm._mpf_, tol)):
         return Status.CONVERGED
-    # the correctly rounded square root of a value <= guard**2 (``guard2``,
-    # exact) cannot exceed guard, so the first test only skips a square root
-    if u.dot(u) > guard2 and u.norm() > guard:
+    # likewise, u.u <= guard**2 means ||u|| <= guard
+    u, ctx = entry.u, entry.u.ctx
+    uu = u.raw_dot(u)
+    if mpf_gt(uu, guard2) and mpf_gt(mpf_sqrt(uu, ctx.prec, ctx.rounding), guard):
         return Status.DIVERGED
     if k >= opts.max_iter:
         return Status.MAX_ITER
     return None
 
 
-def _secant_update(B, s, f_next) -> Mat:
+def _secant_update(B, s, ss, f_next) -> Mat:
     # B_k s = -F(u^k) from the solve, so y - B_k s collapses to F(u^{k+1});
     # using that form keeps ||B_{k+1} - B_k|| equal to eps_k to working
-    # precision instead of polluting it with the LU residual.
-    return rank_one_update(B, f_next.scaled(1 / s.dot(s)), s)
+    # precision instead of polluting it with the LU residual.  ss = s.s
+    return rank_one_update(B, f_next.scaled(1 / s.ctx.make(ss)), s)
 
 
 def _engine(p, u, B, opts, step, update=None) -> RunRecord:
     """Iterate from (u, B) to a terminal status and record the run.
 
     ``step(k, u, fu, B) -> (s, u_next)`` proposes the next iterate and
-    ``update(k, B, s, u_next, f_next) -> B_next`` carries the matrix.  Without
-    ``update`` there is no matrix: no B_k, no eps and no zero-step guard.
+    ``update(k, B, s, ss, u_next, f_next) -> B_next``, given ss = s.s,
+    carries the matrix.  Without ``update`` there is no matrix: no B_k, no
+    eps and no zero-step guard.
     """
-    ctx = opts.precision
-    tol = ctx.pow10(-opts.tol_exponent)
-    guard = ctx.real(opts.divergence_guard)
-    guard2 = ctx.mp.fmul(guard, guard, exact=True)
+    limits = _limits(opts)
     trace = []
     fu = p.f(u)
-    nf = fu.norm()
+    ff = fu.raw_dot(fu)
     while True:
         k = len(trace)
-        entry = TraceEntry(u=u, f_norm=nf, b=B if opts.record_spectra else None)
+        entry = TraceEntry(u=u, ff=ff, b=B if opts.record_spectra else None)
         trace.append(entry)
-        status = _check_terminal(nf, u, k, opts, tol, guard, guard2)
+        status = _check_terminal(entry, k, opts, limits)
         if status is not None:
             break
         try:
@@ -150,17 +188,17 @@ def _engine(p, u, B, opts, step, update=None) -> RunRecord:
             status = Status.SINGULAR_MATRIX
             break
         if update is not None:
-            ns = s.norm()
-            if ns == 0:
+            ss = s.raw_dot(s)
+            if ss == fzero:
                 # zero step with a nonzero residual: the update is undefined
                 status = Status.SINGULAR_MATRIX
                 break
         f_next = p.f(u_next)
-        nf = f_next.norm()
+        ff = f_next.raw_dot(f_next)
         entry.s = s
         if update is not None:
-            entry.eps = nf / ns
-            B = update(k, B, s, u_next, f_next)
+            entry.ss, entry.ff_next = ss, ff
+            B = update(k, B, s, ss, u_next, f_next)
         u, fu = u_next, f_next
     return RunRecord(status=status, kbar=k, trace=trace, b_final=B,
                      tol_exponent=opts.tol_exponent)
@@ -206,7 +244,7 @@ def broyden_run(p: Problem, u0: Vec, b0: Mat, opts: SolverOptions) -> RunRecord:
     """Plain Broyden iteration from (u0, B0)."""
     _check_dims(p, u0, b0)
     rec = _engine(p, u0, b0, opts, _quasi_newton_step(opts.precision),
-                  lambda k, B, s, u_next, f_next: _secant_update(B, s, f_next))
+                  lambda k, B, s, ss, u_next, f_next: _secant_update(B, s, ss, f_next))
     rec.broyden_updates_from = 0
     return rec
 
@@ -224,8 +262,8 @@ def bmp_run(p: Problem, u_hat: Vec, b_hat: Mat, opts: SolverOptions,
     """
     _check_dims(p, u_hat, b_hat)
 
-    def update(k, B, s, u_next, f_next):
-        return _secant_update(B, s, f_next) if k > 0 or b0 is None else b0(u_next)
+    def update(k, B, s, ss, u_next, f_next):
+        return _secant_update(B, s, ss, f_next) if k > 0 or b0 is None else b0(u_next)
 
     rec = _engine(p, u_hat, b_hat, opts, _quasi_newton_step(opts.precision),
                   update)
@@ -239,7 +277,7 @@ def newton_run(p: Problem, u0: Vec, opts: SolverOptions) -> RunRecord:
     """Newton's method with the Jacobian refreshed every step."""
     _check_dims(p, u0)
     return _engine(p, u0, p.jac(u0), opts, _quasi_newton_step(opts.precision),
-                   lambda k, B, s, u_next, f_next: p.jac(u_next))
+                   lambda k, B, s, ss, u_next, f_next: p.jac(u_next))
 
 
 def smp_run(p: Problem, u_hat: Vec, b_hat: Mat, c, alpha,

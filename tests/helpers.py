@@ -133,7 +133,8 @@ def synthetic_record(ctx: PrecisionContext, us, f_norms, eps=None, svals=None,
     kbar = len(us) - 1
     trace = []
     for k, u in enumerate(us):
-        entry = TraceEntry(u=u, f_norm=ctx.real(f_norms[k]))
+        entry = TraceEntry(u=u)
+        entry.f_norm = ctx.real(f_norms[k])
         if k < kbar:
             entry.s = us[k + 1] - u
             if eps is not None:
@@ -166,7 +167,7 @@ def lam_omega_rows(rec: RunRecord, p: Problem) -> list:
     floor = ctx.pow10(-rec.tol_exponent)
     coeffs = None
     if p.has_null_data:
-        p_x = projectors(p, ctx).p_x
+        p_x = ctx.identity(p.n) - projectors(p, ctx)
         psi = p.psi(ctx)
         d = psi.dot(p.phi(ctx))
         coeffs = [psi.dot(e.u - root) / d for e in trace]

@@ -8,10 +8,10 @@ from broydenlab import harness
 from broydenlab.diagnostics import MetricsRow
 from broydenlab.harness import (AcceptanceCriteria, CounterRng,
                                 EmptyAcceptedSet, SeriesConfig, Window,
-                                aggregate, cumulative_run, default_criteria,
-                                final_factors, init_random, parallel_map,
-                                pool_size, removal_reason, run_single,
-                                run_stats)
+                                _reduce_stats, cumulative_run,
+                                default_criteria, final_factors, init_random,
+                                parallel_map, pool_size, removal_reason,
+                                run_single, run_stats)
 from broydenlab.linalg import PrecisionContext, spectral_norm
 from broydenlab.problems import get_problem
 from broydenlab.solvers import Status
@@ -225,7 +225,7 @@ def test_final_factors_match_metrics_rows(tiny_cfg):
 
 def test_aggregate_singleton_collapses(tiny_cfg):
     rec, rows = run_single(tiny_cfg, 0)
-    summary = aggregate([(rec, rows)])
+    summary = _reduce_stats([run_stats(rec, rows)], rec.trace[0].u.ctx, 0, {})
     assert rows[-1].k == rec.kbar
     assert summary.accepted == 1 and summary.removed == 0
     assert summary.q_min <= summary.q_max
@@ -251,7 +251,8 @@ def test_aggregate_two_synthetic_records_hand_check(ctx100):
     rec_b = make(ctx100.real(4))
     rows_a = metrics_from_trace(rec_a, p)
     rows_b = metrics_from_trace(rec_b, p)
-    summary = aggregate([(rec_a, rows_a), (rec_b, rows_b)])
+    summary = _reduce_stats([run_stats(rec_a, rows_a), run_stats(rec_b, rows_b)],
+                            ctx100, 0, {})
     w = Window.from_kbar(30)
     assert w.k0 == 5
     # q is exactly 1/2 everywhere, so the collapse is exact
@@ -269,16 +270,17 @@ def test_aggregate_two_synthetic_records_hand_check(ctx100):
 
 
 def test_aggregate_order_independence(tiny_cfg):
-    pairs = [run_single(tiny_cfg, j) for j in range(3)]
-    s1 = aggregate(pairs)
-    s2 = aggregate(list(reversed(pairs)))
+    stats = [run_stats(*run_single(tiny_cfg, j)) for j in range(3)]
+    ctx = PrecisionContext(tiny_cfg.precision)
+    s1 = _reduce_stats(stats, ctx, 0, {})
+    s2 = _reduce_stats(list(reversed(stats)), ctx, 0, {})
     for f in dataclasses.fields(s1):
         assert getattr(s1, f.name) == getattr(s2, f.name)
 
 
-def test_aggregate_empty_raises():
+def test_aggregate_empty_raises(ctx100):
     with pytest.raises(EmptyAcceptedSet):
-        aggregate([], removed=4, removal_reasons={"timeout": 4})
+        _reduce_stats([], ctx100, 4, {"timeout": 4})
 
 
 def test_cumulative_run_reproducible(tiny_cfg):
@@ -336,3 +338,24 @@ def test_windowed_rows_equal_full_rows(tiny_cfg, rule):
         assert [row.k for row in rows] == list(window.indices)
         assert run_stats(rec, rows, rule) == run_stats(rec, full, rule)
     assert metrics_from_trace(rec, p, range(0)) == []
+
+
+def test_converged_run_that_is_not_q_linear():
+    # single --problem example1 --method bmp --alpha 0.01 --precision 350
+    # --seed 202000: a converged run that is not q-linear.  Over the final
+    # window K = 198..264 the r-factors stay in a narrow band while the
+    # q-factors leave the band around (sqrt(5)-1)/2, so the band rule
+    # removes it.
+    cfg = SeriesConfig(problem="example1", alpha="0.01", m=1,
+                       tol_exponent=100, precision=350, max_iter=3000,
+                       rng_seed=202000)
+    rec, rows = run_single(cfg, 0)
+    assert rec.status is Status.CONVERGED and rec.kbar == 264
+    assert [row.k for row in rows] == list(range(198, 265))
+    ctx = rec.trace[0].u.ctx
+    lo, hi = ctx.real("0.643"), ctx.real("0.656")
+    assert all(lo <= row.r <= hi for row in rows)
+    q_lo, q_hi = ctx.real("0.616"), ctx.real("0.620")
+    assert any(not (q_lo <= row.q <= q_hi) for row in rows)
+    p = get_problem("example1")
+    assert removal_reason(rec, p, default_criteria("example1")) == "band"

@@ -6,6 +6,8 @@ from broydenlab.harness import CounterRng
 from broydenlab.linalg import (Mat, PrecisionContext, SingularMatrix, Vec,
                                lu_solve, rank_one_update, singular_values,
                                spectral_norm)
+from broydenlab.problems import _f_example1
+from broydenlab.solvers import TraceEntry
 
 
 def test_context_validation():
@@ -198,7 +200,8 @@ def _operator_lu_solve(A, b, ctx):
     n = A.n
     rows = [list(r) for r in A.rows]
     x = list(b.entries)
-    threshold = ctx.pow10(-(ctx.decimal_digits - ctx.singular_pivot_guard)) * A.max_abs()
+    max_abs = max(abs(a) for r in A.rows for a in r)
+    threshold = ctx.pow10(-(ctx.decimal_digits - ctx.singular_pivot_guard)) * max_abs
     for k in range(n):
         piv = max(range(k, n), key=lambda i: (abs(rows[i][k]), -i))
         if rows[piv][k] == 0 or abs(rows[piv][k]) < threshold:
@@ -245,6 +248,25 @@ def test_kernels_bit_identical_to_mpf_operators():
         assert w.norm() == ctx.sqrt(w.dot(w))
         assert rank_one_update(B, v, w).rows == tuple(
             tuple(b + a * c for b, c in zip(row, w)) for row, a in zip(B.rows, v))
+        assert B.max_abs() == max(abs(x) for row in B.rows for x in row)
+        products = []
+        for row in B.rows:
+            acc = ctx.zero
+            for a, x in zip(row, v):
+                acc += a * x
+            products.append(acc)
+        assert B.matvec(v).entries == tuple(products)
+        if n == 2:
+            for u in (v, w):
+                u1, u2 = u
+                assert _f_example1(u).entries == (
+                    u1 + u2 * u2, u1 * u2 * 3 / 2 + u2 * u2 + u2 * u2 * u2)
+        # the trace entry's lazy norms against Vec.norm and the mpf quotient
+        entry = TraceEntry(u=v, ff=w.raw_dot(w), s=w, ss=w.raw_dot(w),
+                           ff_next=v.raw_dot(v))
+        assert entry.f_norm == w.norm()
+        if w.norm() != 0:
+            assert entry.eps == v.norm() / w.norm()
         want = _operator_lu_solve(B, v, ctx)
         if want is None:
             with pytest.raises(SingularMatrix):

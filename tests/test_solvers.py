@@ -1,10 +1,13 @@
 import pytest
+from mpmath.libmp import (fzero, mpf_add, mpf_le, mpf_lt, mpf_mul, mpf_pos,
+                          mpf_shift, mpf_sqrt)
 
 from helpers import problem_linear, problem_sq_minus_1, secant_iterates
 from broydenlab.diagnostics import update_norm_identity_errors
 from broydenlab.linalg import Mat, PrecisionContext, Vec
 from broydenlab.problems import Problem, get_problem
-from broydenlab.solvers import (SolverOptions, Status, bmp_run,
+from broydenlab.solvers import (SolverOptions, Status, TraceEntry,
+                                _check_terminal, _limits, bmp_run,
                                 broyden_run, newton_run, smp_run)
 
 
@@ -295,6 +298,43 @@ def test_smp_zero_simplified_step_keeps_newton_iterate(ctx100):
     rec = smp_run(doctored, u_hat, b_hat, 5, "0.25", opts_for(ctx, tol=60))
     assert rec.trace[3].u[0] == y_target
     assert rec.status is Status.EXACT_ROOT
+
+
+@pytest.mark.parametrize("digits,tol", [(160, 60), (350, 100), (120, 1)])
+def test_tolerance_decision_matches_rounded_norm(digits, tol):
+    # the engine decides ||F|| <= tol from F.F; at and around tol**2 and
+    # 4 tol**2 it must give the status of the rule on the rounded norm
+    ctx = PrecisionContext(digits)
+    prec, rnd = ctx.prec, ctx.rounding
+    opts = opts_for(ctx, tol=tol)
+    limits = _limits(opts)
+    t = ctx.pow10(-tol)._mpf_
+    t2 = mpf_mul(t, t)                      # tol**2, exact
+
+    def up(x, steps=1):
+        # ``steps`` representable values above x at working precision
+        for _ in range(steps):
+            x = mpf_add(x, (0, 1, x[2] + x[3] - 2 * prec, 1), prec, "u")
+        return x
+
+    t_up = up(t)
+    middle = ([up(mpf_pos(t2, prec, "u"), i) for i in range(6)]
+              + [mpf_mul(t_up, t_up, prec, rnd), mpf_shift(t2, 2),
+                 mpf_pos(mpf_shift(t2, 2), prec, "d")])
+    edges = [fzero, t2, mpf_pos(t2, prec, "d"),
+             up(mpf_pos(mpf_shift(t2, 2), prec, "u"))]
+    seen = set()
+    u = ctx.vec([0, 0])
+    for ff in edges + middle:
+        f_norm = ctx.make(mpf_sqrt(ff, prec, rnd))
+        want = (Status.EXACT_ROOT if f_norm == 0 else
+                Status.CONVERGED if f_norm <= ctx.make(t) else None)
+        assert _check_terminal(TraceEntry(u=u, ff=ff), 1, opts, limits) is want
+        if ff in middle:
+            assert mpf_lt(t2, ff) and mpf_le(ff, mpf_shift(t2, 2))
+            seen.add(want)
+    # the middle band holds both sides of "rounded norm = tol"
+    assert seen == {Status.CONVERGED, None}
 
 
 def test_smp_singular_jacobian_reports_status(ctx100):
