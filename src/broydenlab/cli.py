@@ -159,7 +159,7 @@ def _cmd_single(args) -> int:
     full = args.precision if args.full_precision else None
     (out / "metrics.csv").write_text(_metrics_csv(rows, full))
     print(f"{p.name} {args.method}: status={rec.status.value} kbar={rec.kbar} "
-          f"F_final={format_metric(rec.final_f_norm())}")
+          f"F_final={format_metric(rec.trace[-1].f_norm)}")
     return 0
 
 

@@ -15,38 +15,140 @@ plus the ascending singular values of E_k = B_k - F'(root), computed from
 the B_k that the trace keeps (``SolverOptions.record_spectra``).  Undefined
 entries carry the sentinel -1; delta additionally requires ||s^{k-1}|| < 1
 so the logarithm ratio keeps its sign.
+
+r, r_eps and delta (a power or two logarithms each) and the spectra are
+lazy: a row keeps their operands and evaluates them on first read.  A
+window's minimum or maximum of r, r_eps or delta needs only the rows that
+can hold it, which :func:`window_extreme` finds from float keys read off the
+operands' raw ``_mpf_`` tuples: ln(err_k) / k for r, ln(eps_{k-1}) / k for
+r_eps (the logarithms of the values) and ln ||F_k|| / ln ||s^{k-1}|| for
+delta.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import mpmath
 
-from .linalg import Mat, Vec, singular_values, spectral_norm
+from .linalg import Mat, PrecisionContext, Vec, singular_values, spectral_norm
 from .problems import Problem
 from .solvers import RunRecord
+
+#: A float key k stands for every exact value within KEY_MARGIN (1 + |k|)
+#: of it.  Proof: ``_ln`` reads ln|x| = ln(m) + (exp + bc) ln 2 with m the
+#: top 53 bits of the mantissa over 2**bc, in [1/2, 1); truncating m,
+#: math.log, the product and the sum each err by at most 2**-52 (1 +
+#: |ln|x||), so |_ln(x) - ln|x|| < 1e-15 (1 + |ln|x||).  The key ln(x)/k of
+#: r and r_eps then errs by less than 1e-15 (1 + |key|).  The key A/B of
+#: delta, taken only where |B| >= 1e-3, errs by less than 1e-15 ((1 + |A|)
+#: + |A/B| (1 + |B|)) / |B| < 3e-12 (1 + |delta|).  The exact values round
+#: to 2**-(prec-10) relative, below 1e-40 even at 50 digits.  So the margin
+#: covers every error 300 times over: a row whose key lies beyond the
+#: margins of the extreme key cannot hold the extremum, ties and near-ties
+#: are always evaluated, and the extremum is exact by construction.
+KEY_MARGIN = 1e-9
+_LN2 = math.log(2)
 
 
 class BadSelection(Exception):
     """Step-selection indices are out of range or not increasing."""
 
 
+def _ln(x) -> float:
+    """ln|x| of a finite nonzero mpf, from its raw tuple (sign, man, exp, bc)."""
+    _, man, exp, bc = x._mpf_
+    top = man >> (bc - 53) if bc > 53 else man << (53 - bc)
+    return math.log(math.ldexp(top, -53)) + (exp + bc) * _LN2
+
+
+def _slack(key: float) -> float:
+    return KEY_MARGIN * (1 + abs(key))
+
+
+class _Root(NamedTuple):
+    """x ** (1/k) for x > 0, keyed by its logarithm ln(x)/k."""
+
+    x: object
+    k: int
+
+    def value(self, ctx):
+        return ctx.power(self.x, ctx.one / self.k)
+
+    def key(self):
+        return _ln(self.x) / self.k
+
+
+class _LogRatio(NamedTuple):
+    """log a / log b for a > 0 and 0 < b < 1, keyed by the value itself;
+    no key where log b is near 0 or the value near the sentinel -1."""
+
+    a: object
+    b: object
+
+    def value(self, ctx):
+        return ctx.log(self.a) / ctx.log(self.b)
+
+    def key(self):
+        log_b = _ln(self.b)
+        key = _ln(self.a) / log_b if log_b <= -1e-3 else None
+        return None if key is None or abs(key + 1) <= _slack(key) else key
+
+
+class _Spectrum(NamedTuple):
+    """Ascending singular values of E_k = b - j_root.  No key: ||E_k||
+    varies by only 1e-78 to 1e-90 (relative) across a window, far below
+    what a float separates."""
+
+    b: Mat
+    j_root: Mat
+
+    def value(self, ctx):
+        return singular_values(self.b - self.j_root, ctx)
+
+    def key(self):
+        return None
+
+
+_LAZY = (_Root, _LogRatio, _Spectrum)
+
+
 @dataclass
 class MetricsRow:
+    """Diagnostics at one iteration index k (see the module docstring).
+
+    ``pending`` maps each lazy column (r, r_eps, delta, e_svals) to its
+    value, or to the operands it is evaluated from on first read; the value
+    then replaces the operands.
+    """
+
+    ctx: PrecisionContext
     k: int
     f_norm: object
     err: object
-    r: object
     q: object
     eps: object
-    r_eps: object
     q_eps: object
-    delta: object
     zeta: object
-    e_svals: Optional[tuple]
-    e_norm: object
+    pending: dict
+
+    def _read(self, attr):
+        op = self.pending[attr]
+        if isinstance(op, _LAZY):
+            op = self.pending[attr] = op.value(self.ctx)
+        return op
+
+    r = property(lambda self: self._read("r"))
+    r_eps = property(lambda self: self._read("r_eps"))
+    delta = property(lambda self: self._read("delta"))
+    #: ascending singular values of E_k; None when spectra were not recorded
+    e_svals = property(lambda self: self._read("e_svals"))
+
+    @property
+    def e_norm(self):
+        """||E_k||_2, or the sentinel -1."""
+        return self.e_svals[-1] if self.e_svals is not None else self.ctx.real(-1)
 
     @property
     def lambda1(self):
@@ -61,14 +163,41 @@ class MetricsRow:
         return self.e_svals[1]
 
 
+def window_extreme(pick: str, attr: str, rows):
+    """``min`` or ``max`` (``pick``) of column ``attr`` over ``rows``,
+    sentinels skipped; None when every value is the sentinel.
+
+    A lazy value that is still unread enters by its key, and only the rows
+    whose keys lie within the margins of the extreme key are evaluated.
+    """
+    sign = 1 if pick == "max" else -1
+    exact, keyed = [], []
+    for row in rows:
+        op = row.pending.get(attr)
+        key = op.key() if isinstance(op, _LAZY) else None
+        if key is None:
+            exact.append(row)
+        else:
+            keyed.append((sign * key, row))
+    if keyed:
+        # the largest (signed) value that some unread row certainly reaches
+        floor = max(key - _slack(key) for key, _ in keyed)
+        exact += [row for key, row in keyed if key + _slack(key) >= floor]
+    values = [v for v in (getattr(row, attr) for row in exact) if v != -1]
+    if not values:
+        return None
+    return max(values) if pick == "max" else min(values)
+
+
 def metrics_from_trace(rec: RunRecord, p: Problem,
                        indices: Optional[range] = None) -> list[MetricsRow]:
     """One MetricsRow per displayed iteration index of ``rec`` in ``indices``
     (default: every index).
 
-    Errors and step norms are computed from ``indices[0] - 1`` onward only,
-    and the spectra of E_k only for the rows built, from the B_k kept in the
-    trace.  zeta needs phi and is the sentinel for problems without it.
+    Errors and step norms are computed from ``indices[0] - 1`` onward only.
+    r, r_eps, delta and the spectra of E_k, from the B_k kept in the trace,
+    are left to the first read (see :class:`MetricsRow`).  zeta needs phi
+    and is the sentinel for problems without it.
     """
     trace = rec.trace
     if indices is None:
@@ -92,8 +221,7 @@ def metrics_from_trace(rec: RunRecord, p: Problem,
         r = sentinel
         q = sentinel
         if k >= 1:
-            inv_k = ctx.one / k
-            r = ctx.power(err, inv_k) if err > 0 else ctx.zero
+            r = _Root(err, k) if err > 0 else ctx.zero
             if errs[k - 1] > 0:
                 q = err / errs[k - 1]
 
@@ -103,7 +231,7 @@ def metrics_from_trace(rec: RunRecord, p: Problem,
         if k >= 1 and trace[k - 1].eps is not None:
             eps_prev = trace[k - 1].eps
             if eps_prev > 0:
-                r_eps = ctx.power(eps_prev, ctx.one / k)
+                r_eps = _Root(eps_prev, k)
             elif eps_prev == 0:
                 r_eps = ctx.zero
             if k >= 2 and trace[k - 2].eps is not None and trace[k - 2].eps > 0:
@@ -113,7 +241,7 @@ def metrics_from_trace(rec: RunRecord, p: Problem,
         if k >= 1 and step_norms[k - 1] is not None:
             ns_prev = step_norms[k - 1]
             if 0 < ns_prev < 1 and entry.f_norm > 0:
-                delta = ctx.log(entry.f_norm) / ctx.log(ns_prev)
+                delta = _LogRatio(entry.f_norm, ns_prev)
 
         zeta = sentinel
         if phi is not None and entry.s is not None and step_norms[k] > 0:
@@ -124,13 +252,13 @@ def metrics_from_trace(rec: RunRecord, p: Problem,
         if entry.b is not None:
             if j_root is None:
                 j_root = p.jac(root)
-            e_svals = singular_values(entry.b - j_root, ctx)
+            e_svals = _Spectrum(entry.b, j_root)
 
         rows.append(MetricsRow(
-            k=k, f_norm=entry.f_norm, err=err, r=r, q=q, eps=eps_prev,
-            r_eps=r_eps, q_eps=q_eps, delta=delta, zeta=zeta,
-            e_svals=e_svals,
-            e_norm=e_svals[-1] if e_svals is not None else sentinel))
+            ctx=ctx, k=k, f_norm=entry.f_norm, err=err, q=q, eps=eps_prev,
+            q_eps=q_eps, zeta=zeta,
+            pending={"r": r, "r_eps": r_eps, "delta": delta,
+                     "e_svals": e_svals}))
     return rows
 
 

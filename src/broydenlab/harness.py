@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Optional
 
 import mpmath
 
-from .diagnostics import metrics_from_trace
+from .diagnostics import metrics_from_trace, window_extreme
 from .linalg import Mat, PrecisionContext, Vec, spectral_norm
 from .problems import Problem, get_problem
 from .solvers import RunRecord, SolverOptions, Status, SUCCESS, bmp_run
@@ -373,7 +373,8 @@ def run_stats(rec: RunRecord, rows: list, window_rule: str = "min") -> RunStats:
     """The per-run statistics of one run's diagnostics.
 
     ``rows`` may cover every index or only the window K; rows are matched
-    by ``row.k``.
+    by ``row.k``.  A window extremum of a lazy column evaluates only the
+    rows that can hold it (:func:`diagnostics.window_extreme`).
     """
     window = Window.from_kbar(rec.kbar, window_rule)
     by_k = {row.k: row for row in rows}
@@ -381,11 +382,7 @@ def run_stats(rec: RunRecord, rows: list, window_rule: str = "min") -> RunStats:
     def stat(pick, attr):
         if pick == "final":
             return getattr(by_k[window.kbar], attr)
-        values = [v for v in (getattr(by_k[k], attr) for k in window.indices)
-                  if v != -1]
-        if not values:
-            return None
-        return min(values) if pick == "min" else max(values)
+        return window_extreme(pick, attr, [by_k[k] for k in window.indices])
 
     return RunStats({k: stat(*k) for k in _STATS})
 

@@ -13,9 +13,12 @@ results are bit-identical, without an object per intermediate scalar.
 """
 from __future__ import annotations
 
+import functools
+
 from mpmath import mp
-from mpmath.libmp import (fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_lt,
-                          mpf_mul, mpf_neg, mpf_sqrt, mpf_sub)
+from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div,
+                          mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg,
+                          mpf_sqrt, mpf_sub)
 
 
 class LinalgError(Exception):
@@ -41,7 +44,7 @@ class PrecisionContext:
     """
 
     __slots__ = ("decimal_digits", "singular_pivot_guard", "mp", "prec",
-                 "rounding", "pivot_scale")
+                 "rounding", "pivot_scale", "svd_tol")
 
     def __init__(self, decimal_digits: int, singular_pivot_guard: int = 20):
         decimal_digits = int(decimal_digits)
@@ -58,6 +61,8 @@ class PrecisionContext:
         self.prec, self.rounding = self.mp._prec_rounding
         #: relative pivot threshold of :func:`lu_solve`
         self.pivot_scale = self.pow10(-(decimal_digits - singular_pivot_guard))
+        #: relative off-diagonal tolerance of :func:`singular_values`
+        self.svd_tol = self.pow10(-decimal_digits + 10)
 
     def __repr__(self):
         return (f"PrecisionContext(decimal_digits={self.decimal_digits}, "
@@ -122,15 +127,6 @@ class PrecisionContext:
 
     def mat(self, rows) -> "Mat":
         return Mat(tuple(tuple(self.real(x) for x in row) for row in rows), self)
-
-    def zero_vec(self, n: int) -> "Vec":
-        z = self.zero
-        return Vec((z,) * n, self)
-
-    def identity(self, n: int) -> "Mat":
-        one, z = self.one, self.zero
-        return Mat(tuple(tuple(one if i == j else z for j in range(n))
-                         for i in range(n)), self)
 
 
 class Vec:
@@ -325,19 +321,30 @@ def singular_values(A: Mat, ctx: PrecisionContext | None = None):
     if ctx is None:
         ctx = A.ctx
     n = A.n
-    cols = [[A.rows[i][j] for i in range(n)] for j in range(n)]
-    tol = ctx.pow10(-ctx.decimal_digits + 10)
-    one = ctx.one
+    prec, rnd = ctx.prec, ctx.rounding
+    cols = [[A.rows[i][j]._mpf_ for i in range(n)] for j in range(n)]
+    tol = ctx.svd_tol._mpf_
     max_rotations = 60 * n * n
     rotations = 0
 
+    def mul(x, y):
+        return mpf_mul(x, y, prec, rnd)
+
     def gram(p, q):
-        return Vec(cols[p], ctx).dot(Vec(cols[q], ctx))
+        acc = fzero
+        for x, y in zip(cols[p], cols[q]):
+            acc = mpf_add(acc, mul(x, y), prec, rnd)
+        return acc
 
     # columns below roundoff relative to the largest are deflated to zero;
     # without this, exactly rank-deficient matrices keep parallel columns
     # whose pair criterion never clears (|c| = sqrt(a b) up to rounding)
-    floor2 = max(gram(j, j) for j in range(n)) * tol * tol
+    floor2 = fzero
+    for j in range(n):
+        g = gram(j, j)
+        if mpf_gt(g, floor2):
+            floor2 = g
+    floor2 = mul(mul(floor2, tol), tol)
 
     while True:
         rotated = False
@@ -345,33 +352,40 @@ def singular_values(A: Mat, ctx: PrecisionContext | None = None):
             for q in range(p + 1, n):
                 a = gram(p, p)
                 b = gram(q, q)
-                if a <= floor2 or b <= floor2:
+                if mpf_le(a, floor2) or mpf_le(b, floor2):
                     continue
                 c = gram(p, q)
-                if c == 0:
+                if c == fzero:
                     continue
-                if abs(c) <= tol * ctx.sqrt(a * b):
+                if mpf_le(mpf_abs(c, prec, rnd),
+                          mul(tol, mpf_sqrt(mul(a, b), prec, rnd))):
                     continue
                 rotations += 1
                 if rotations > max_rotations:
                     raise NoConvergence(
                         f"jacobi sweep budget exceeded ({max_rotations} rotations)")
-                tau = (b - a) / (2 * c)
-                t = one / (abs(tau) + ctx.sqrt(one + tau * tau))
-                if tau < 0:
-                    t = -t
-                cs = one / ctx.sqrt(one + t * t)
-                sn = t * cs
+                tau = mpf_div(mpf_sub(b, a, prec, rnd), mpf_mul_int(c, 2, prec, rnd),
+                              prec, rnd)
+                root = mpf_sqrt(mpf_add(fone, mul(tau, tau), prec, rnd), prec, rnd)
+                t = mpf_div(fone, mpf_add(mpf_abs(tau, prec, rnd), root, prec, rnd),
+                            prec, rnd)
+                if mpf_lt(tau, fzero):
+                    t = mpf_neg(t, prec, rnd)
+                cs = mpf_div(fone, mpf_sqrt(mpf_add(fone, mul(t, t), prec, rnd),
+                                            prec, rnd), prec, rnd)
+                sn = mul(t, cs)
                 cp, cq = cols[p], cols[q]
                 for i in range(n):
                     up, uq = cp[i], cq[i]
-                    cp[i] = cs * up - sn * uq
-                    cq[i] = sn * up + cs * uq
+                    cp[i] = mpf_sub(mul(cs, up), mul(sn, uq), prec, rnd)
+                    cq[i] = mpf_add(mul(sn, up), mul(cs, uq), prec, rnd)
                 rotated = True
         if not rotated:
             break
 
-    return tuple(sorted(Vec(col, ctx).norm() for col in cols))
+    norms = sorted((mpf_sqrt(gram(j, j), prec, rnd) for j in range(n)),
+                   key=functools.cmp_to_key(mpf_cmp))
+    return tuple(ctx.make(x) for x in norms)
 
 
 def spectral_norm(A: Mat, ctx: PrecisionContext | None = None):

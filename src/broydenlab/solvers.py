@@ -120,18 +120,17 @@ class RunRecord:
     #: is a genuine rank-one secant update; None when there are none.
     broyden_updates_from: Optional[int] = None
 
-    def final_f_norm(self):
-        return self.trace[-1].f_norm
-
 
 # -- shared bookkeeping --------------------------------------------------------
 
 def _limits(opts):
-    """Raw (tol, tol**2, guard, guard**2) of the stopping rules, squared exactly."""
+    """Raw (tol, tol**2, guard, guard**2) of the stopping rules, squared
+    exactly, and the largest g with 2**g <= guard**2."""
     ctx = opts.precision
     tol = ctx.pow10(-opts.tol_exponent)._mpf_
     guard = ctx.real(opts.divergence_guard)._mpf_
-    return tol, mpf_mul(tol, tol), guard, mpf_mul(guard, guard)
+    guard2 = mpf_mul(guard, guard)
+    return tol, mpf_mul(tol, tol), guard, guard2, guard2[2] + guard2[3] - 1
 
 
 def _check_terminal(entry, k, opts, limits) -> Optional[Status]:
@@ -139,18 +138,25 @@ def _check_terminal(entry, k, opts, limits) -> Optional[Status]:
     # rounded square root is monotone and tol and 2 tol are representable,
     # so ff <= tol**2 gives ||F|| <= tol and ff > 4 tol**2 gives
     # ||F|| >= 2 tol.  Only in between is ||F|| taken.
-    tol, tol2, guard, guard2 = limits
+    tol, tol2, guard, guard2, guard_bits = limits
     ff = entry.ff
     if ff == fzero:
         return Status.EXACT_ROOT
     if mpf_le(ff, tol2) or (mpf_le(ff, mpf_shift(tol2, 2))
                             and mpf_le(entry.f_norm._mpf_, tol)):
         return Status.CONVERGED
-    # likewise, u.u <= guard**2 means ||u|| <= guard
+    # likewise, u.u <= guard**2 means ||u|| <= guard.  A finite raw tuple
+    # has |x| < 2**(exp + bc), so entries below 2**e give a rounded u.u of at
+    # most n 2**(2 e) < 2**(2 e + bitlen(n)): the exponents alone can prove
+    # u.u <= guard**2 without the dot
     u, ctx = entry.u, entry.u.ctx
-    uu = u.raw_dot(u)
-    if mpf_gt(uu, guard2) and mpf_gt(mpf_sqrt(uu, ctx.prec, ctx.rounding), guard):
-        return Status.DIVERGED
+    raw = [x._mpf_ for x in u.entries]
+    finite = all(t[1] or t == fzero for t in raw)
+    if not finite or (2 * max(t[2] + t[3] for t in raw) + len(raw).bit_length()
+                      > guard_bits):
+        uu = u.raw_dot(u)
+        if mpf_gt(uu, guard2) and mpf_gt(mpf_sqrt(uu, ctx.prec, ctx.rounding), guard):
+            return Status.DIVERGED
     if k >= opts.max_iter:
         return Status.MAX_ITER
     return None

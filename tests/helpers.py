@@ -7,11 +7,10 @@ by hand.
 """
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import mpmath
 
 from broydenlab.diagnostics import metrics_from_trace
+from broydenlab.harness import _STATS, RunStats, Window
 from broydenlab.linalg import Mat, PrecisionContext, Vec
 from broydenlab.problems import Problem, projectors
 from broydenlab.solvers import RunRecord, Status, TraceEntry
@@ -62,6 +61,18 @@ def problem_linear(a_rows, b_entries, root_entries) -> Problem:
     return Problem(name="linear", n=len(b_entries), f=lin.f, jac=lin.jac,
                    root_entries=tuple(root_entries), phi_entries=None,
                    psi_entries=None, singularity_order=0)
+
+
+# -- constructors ----------------------------------------------------------------
+
+def zero_vec(ctx: PrecisionContext, n: int) -> Vec:
+    return Vec((ctx.zero,) * n, ctx)
+
+
+def identity(ctx: PrecisionContext, n: int) -> Mat:
+    one, z = ctx.one, ctx.zero
+    return Mat(tuple(tuple(one if i == j else z for j in range(n))
+                     for i in range(n)), ctx)
 
 
 # -- independent oracles -------------------------------------------------------
@@ -167,7 +178,7 @@ def lam_omega_rows(rec: RunRecord, p: Problem) -> list:
     floor = ctx.pow10(-rec.tol_exponent)
     coeffs = None
     if p.has_null_data:
-        p_x = ctx.identity(p.n) - projectors(p, ctx)
+        p_x = identity(ctx, p.n) - projectors(p, ctx)
         psi = p.psi(ctx)
         d = psi.dot(p.phi(ctx))
         coeffs = [psi.dot(e.u - root) / d for e in trace]
@@ -179,5 +190,24 @@ def lam_omega_rows(rec: RunRecord, p: Problem) -> list:
             omega = p_x.matvec(trace[k].u - root).norm() / (a_k * a_k)
             if k + 1 < len(trace):
                 lam = coeffs[k + 1] / a_k
-        out.append(SimpleNamespace(**vars(row), lam=lam, omega=omega))
+        row.lam, row.omega = lam, omega
+        out.append(row)
     return out
+
+
+def eager_stats_wire(rec: RunRecord, rows: list, window_rule: str = "min"):
+    """``run_stats(rec, rows, window_rule).to_wire()`` computed after
+    reading every column of every row: each window extremum is the min or
+    max over all of the window's values with the sentinel skipped."""
+    window = Window.from_kbar(rec.kbar, window_rule)
+    by_k = {row.k: row for row in rows}
+    values = {}
+    for pick, attr in _STATS:
+        column = [getattr(by_k[k], attr) for k in window.indices]
+        if pick == "final":
+            values[pick, attr] = column[-1]
+            continue
+        defined = [v for v in column if v != -1]
+        values[pick, attr] = ((min(defined) if pick == "min" else max(defined))
+                              if defined else None)
+    return RunStats(values).to_wire()

@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import zero_vec
 from broydenlab.basin import (Classification, DimensionMismatch, GridSpec,
                               blue_fraction, classify_point_detail, csv_lines,
                               render_basin)
@@ -45,7 +46,7 @@ def test_grid_point_mapping():
 
 def test_classify_root_pixel_is_in_band(ex1, crit):
     ctx = PrecisionContext(160)
-    assert classify_point_detail(ex1, ctx.zero_vec(2), crit, basin_opts())[0] \
+    assert classify_point_detail(ex1, zero_vec(ctx, 2), crit, basin_opts())[0] \
         is Classification.IN_BAND
 
 
@@ -68,7 +69,7 @@ def test_classify_nullspace_start_is_blue(ex1, crit):
 def test_classify_requires_dimension_two(crit):
     ctx = PrecisionContext(160)
     with pytest.raises(DimensionMismatch):
-        classify_point_detail(get_problem("example2"), ctx.zero_vec(3), crit,
+        classify_point_detail(get_problem("example2"), zero_vec(ctx, 3), crit,
                               basin_opts())
 
 

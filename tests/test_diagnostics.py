@@ -1,10 +1,11 @@
 import pytest
 
-from helpers import lam_omega_rows, synthetic_record
+from helpers import (eager_stats_wire, identity, lam_omega_rows,
+                     synthetic_record)
 from broydenlab.diagnostics import (BadSelection, fitted_q_order,
                                     metrics_from_trace, normalized_steps,
                                     nullspace_residual, uli_min_sv)
-from broydenlab.harness import Window
+from broydenlab.harness import Window, run_stats
 from broydenlab.linalg import Mat, PrecisionContext, Vec
 from broydenlab.problems import get_problem
 
@@ -45,6 +46,32 @@ def test_update_ratio_columns(ctx100, geometric_record):
     for k in range(2, 12):
         assert rows[k].eps == ctx100.real(1) / (2 ** (k - 1))
         assert rows[k].q_eps == half
+
+
+@pytest.mark.parametrize("rule", ["min", "max"])
+def test_window_stats_with_tied_keys(ctx100, geometric_record, rule):
+    # r is 1/2 at every index, so every r key ties and every row is read
+    p = get_problem("example1")
+    rows = metrics_from_trace(geometric_record, p)
+    wire = run_stats(geometric_record, rows, rule).to_wire()
+    k0 = Window.from_kbar(geometric_record.kbar, rule).k0
+    assert not any(isinstance(row.pending["r"], tuple) for row in rows[k0:])
+    assert wire == eager_stats_wire(geometric_record,
+                                    metrics_from_trace(geometric_record, p), rule)
+
+
+def test_window_stats_of_r_differing_in_last_bits(ctx100):
+    # err_k = 2^-k (1 + j_k 2^-(prec-8)): the r_k differ only in their last
+    # bits, below what any float key resolves
+    p = get_problem("example1")
+    tiny = ctx100.real(2) ** -(ctx100.prec - 8)
+    us = [ctx100.vec([0, (1 + (k * 7 % 5) * tiny) / 2 ** k]) for k in range(12)]
+    rec = synthetic_record(ctx100, us, [ctx100.pow10(-6)] * 12,
+                           eps=[ctx100.real(1) / 2 ** k for k in range(11)])
+    rows = metrics_from_trace(rec, p)
+    rs = [row.r for row in metrics_from_trace(rec, p)[1:]]
+    assert len(set(rs)) > 1 and max(rs) - min(rs) <= ctx100.pow10(-95)
+    assert run_stats(rec, rows).to_wire() == eager_stats_wire(rec, rows)
 
 
 def test_delta_definition(ctx100):
@@ -130,7 +157,7 @@ def test_uli_selection_validation(ctx100):
 def test_nullspace_residual_examples(ctx100):
     e1e1 = ctx100.mat([[1, 0], [0, 0]])
     assert nullspace_residual(e1e1, ctx100.vec([0, 1])) == 0
-    assert nullspace_residual(ctx100.identity(2), ctx100.vec([0, 1])) == 1
+    assert nullspace_residual(identity(ctx100, 2), ctx100.vec([0, 1])) == 1
 
 
 def test_fitted_q_order_exact_sequences(ctx100):

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from helpers import synthetic_record
+from helpers import eager_stats_wire, synthetic_record, zero_vec
 from broydenlab.diagnostics import metrics_from_trace
 from broydenlab import harness
 from broydenlab.diagnostics import MetricsRow
@@ -46,8 +46,8 @@ def test_init_random_beta_zero_gives_exact_jacobian(ctx100):
 def test_init_random_alpha_zero_is_degenerate(ctx100):
     p = get_problem("example1")
     u_hat, b_hat, _ = init_random(p, "0", "0", CounterRng(3, 0), ctx100)
-    assert u_hat == ctx100.zero_vec(2)
-    assert b_hat == p.jac(ctx100.zero_vec(2))
+    assert u_hat == zero_vec(ctx100, 2)
+    assert b_hat == p.jac(zero_vec(ctx100, 2))
 
 
 def test_init_random_entrywise_bounds():
@@ -332,12 +332,50 @@ def test_windowed_rows_equal_full_rows(tiny_cfg, rule):
         windowed = metrics_from_trace(rec, p, window.indices)
         assert [row.k for row in windowed] == list(window.indices)
         assert len(windowed) < len(full)
+        names = [f.name for f in dataclasses.fields(MetricsRow)] + [
+            "r", "r_eps", "delta", "e_svals", "e_norm"]
         for got, want in zip(windowed, full[window.k0:], strict=True):
-            for f in dataclasses.fields(MetricsRow):
-                assert getattr(got, f.name) == getattr(want, f.name)
+            for name in names:
+                assert getattr(got, name) == getattr(want, name)
         assert [row.k for row in rows] == list(window.indices)
         assert run_stats(rec, rows, rule) == run_stats(rec, full, rule)
     assert metrics_from_trace(rec, p, range(0)) == []
+
+
+@pytest.mark.parametrize("problem,alpha,rule", [
+    ("example1", "1e-5", "min"), ("example1", "0.01", "max"),
+    ("example2", "0.01", "min"), ("example3", "0.01", "min")])
+def test_lazy_window_stats_equal_eager_stats(problem, alpha, rule):
+    # window extrema from the candidate rows alone equal those over every
+    # value of every row, and evaluate r, r_eps and delta on a few rows only
+    cfg = SeriesConfig(problem=problem, alpha=alpha, m=3, tol_exponent=60,
+                       precision=130, max_iter=500, rng_seed=23,
+                       window_rule=rule)
+    for j in range(cfg.m):
+        rec, rows = run_single(cfg, j)
+        wire = run_stats(rec, rows, rule).to_wire()
+        read = sum(not isinstance(row.pending[name], tuple) for row in rows
+                   for name in ("r", "r_eps", "delta"))
+        assert read < len(rows)
+        assert wire == eager_stats_wire(rec, rows, rule)
+
+
+def test_removed_run_leaves_lazy_columns_unread(tiny_cfg, monkeypatch):
+    built = []
+
+    def recording_run_single(cfg, run_index):
+        rec, rows = run_single(cfg, run_index)
+        built.extend(rows)
+        return rec, rows
+
+    monkeypatch.setattr(harness, "run_single", recording_run_single)
+    crit = AcceptanceCriteria(u_cap="1e-200")
+    assert harness._worker_stats(tiny_cfg, crit, 0) == ("u-cap", None)
+    assert built
+    for row in built:
+        # unread columns still hold their operands
+        assert all(isinstance(row.pending[name], tuple)
+                   for name in ("r", "r_eps", "delta", "e_svals"))
 
 
 def test_converged_run_that_is_not_q_linear():

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import charpoly_singular_values, outer
+from helpers import charpoly_singular_values, identity, outer, zero_vec
 from broydenlab.harness import CounterRng
 from broydenlab.linalg import (Mat, PrecisionContext, SingularMatrix, Vec,
                                lu_solve, rank_one_update, singular_values,
@@ -44,7 +44,7 @@ def test_lu_zero_matrix_raises(ctx100):
 
 def test_lu_dimension_mismatch(ctx100):
     with pytest.raises(ValueError):
-        lu_solve(ctx100.identity(2), ctx100.vec([1, 2, 3]))
+        lu_solve(identity(ctx100, 2), ctx100.vec([1, 2, 3]))
 
 
 @settings(max_examples=25, deadline=None)
@@ -79,7 +79,7 @@ def test_lu_precision_bump_stability():
 
 
 def test_svd_identity(ctx100):
-    assert singular_values(ctx100.identity(2)) == (ctx100.one, ctx100.one)
+    assert singular_values(identity(ctx100, 2)) == (ctx100.one, ctx100.one)
 
 
 def test_svd_sign_invariance(ctx100):
@@ -149,13 +149,13 @@ def test_svd_exactly_rank_deficient_matrices(ctx100):
 
 
 def test_rank_one_update_examples(ctx100):
-    B = ctx100.identity(2)
+    B = identity(ctx100, 2)
     got = rank_one_update(B, ctx100.vec([1, 0]), ctx100.vec([0, 1]))
     assert got == ctx100.mat([[1, 1], [0, 1]])
     # input unmodified
-    assert B == ctx100.identity(2)
+    assert B == identity(ctx100, 2)
     # zero update leaves B unchanged
-    assert rank_one_update(B, ctx100.zero_vec(2), ctx100.vec([5, 7])) == B
+    assert rank_one_update(B, zero_vec(ctx100, 2), ctx100.vec([5, 7])) == B
 
 
 def test_rank_one_update_matches_direct_outer_product(ctx100):
@@ -169,7 +169,7 @@ def test_rank_one_update_matches_direct_outer_product(ctx100):
 
 def test_rank_one_update_dimension_mismatch(ctx100):
     with pytest.raises(ValueError):
-        rank_one_update(ctx100.identity(2), ctx100.vec([1, 2, 3]), ctx100.vec([1, 2]))
+        rank_one_update(identity(ctx100, 2), ctx100.vec([1, 2, 3]), ctx100.vec([1, 2]))
 
 
 def test_vectors_are_immutable_values(ctx100):
@@ -183,7 +183,7 @@ def test_vectors_are_immutable_values(ctx100):
 
 def test_normalize_zero_vector_raises(ctx100):
     with pytest.raises(ZeroDivisionError):
-        ctx100.zero_vec(2).normalized()
+        zero_vec(ctx100, 2).normalized()
 
 
 def test_context_independence_from_global_state():
@@ -220,6 +220,47 @@ def _operator_lu_solve(A, b, ctx):
             acc -= rows[i][j] * x[j]
         x[i] = acc / rows[i][i]
     return tuple(x)
+
+
+def _operator_singular_values(A, ctx):
+    # the one-sided Jacobi sweep in mpf operator arithmetic
+    n = A.n
+    cols = [[A.rows[i][j] for i in range(n)] for j in range(n)]
+    tol = ctx.pow10(-ctx.decimal_digits + 10)
+    one = ctx.one
+
+    def gram(p, q):
+        acc = ctx.zero
+        for a, b in zip(cols[p], cols[q]):
+            acc += a * b
+        return acc
+
+    floor2 = max(gram(j, j) for j in range(n)) * tol * tol
+    while True:
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                a, b = gram(p, p), gram(q, q)
+                if a <= floor2 or b <= floor2:
+                    continue
+                c = gram(p, q)
+                if c == 0 or abs(c) <= tol * ctx.sqrt(a * b):
+                    continue
+                tau = (b - a) / (2 * c)
+                t = one / (abs(tau) + ctx.sqrt(one + tau * tau))
+                if tau < 0:
+                    t = -t
+                cs = one / ctx.sqrt(one + t * t)
+                sn = t * cs
+                cp, cq = cols[p], cols[q]
+                for i in range(n):
+                    up, uq = cp[i], cq[i]
+                    cp[i] = cs * up - sn * uq
+                    cq[i] = sn * up + cs * uq
+                rotated = True
+        if not rotated:
+            break
+    return tuple(sorted(ctx.sqrt(gram(j, j)) for j in range(n)))
 
 
 def test_kernels_bit_identical_to_mpf_operators():
@@ -273,3 +314,27 @@ def test_kernels_bit_identical_to_mpf_operators():
                 lu_solve(B, v)
         else:
             assert lu_solve(B, v).entries == want
+        assert singular_values(B) == _operator_singular_values(B, ctx)
+    # singular_values at 60, 160 and 320 digits: random, exactly singular,
+    # rank-one (where the deflation floor retires the parallel columns) and
+    # zero matrices
+    for digits in (60, 160, 320):
+        ctx = PrecisionContext(digits)
+        rng = CounterRng(12, digits)
+        for trial in range(16):
+            n = 1 + trial % 4
+            rows = [[rng.uniform_symmetric(ctx, 1) for _ in range(n)]
+                    for _ in range(n)]
+            kind = trial // 4
+            if kind == 1 and n > 1:
+                rows[-1] = [3 * x for x in rows[0]]
+            elif kind == 2:
+                ints = [rng.bits() % 7 - 3 for _ in range(2 * n)]
+                rows = [[a * b for b in ints[:n]] for a in ints[n:]]
+            elif kind == 3:
+                rows = [[0] * n for _ in range(n)]
+            A = ctx.mat(rows)
+            svals = singular_values(A)
+            assert svals == _operator_singular_values(A, ctx)
+            if kind >= 2 and n > 1:
+                assert svals[-2] <= ctx.pow10(-digits + 15) * (svals[-1] + 1)

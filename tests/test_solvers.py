@@ -2,7 +2,8 @@ import pytest
 from mpmath.libmp import (fzero, mpf_add, mpf_le, mpf_lt, mpf_mul, mpf_pos,
                           mpf_shift, mpf_sqrt)
 
-from helpers import problem_linear, problem_sq_minus_1, secant_iterates
+from helpers import (identity, problem_linear, problem_sq_minus_1,
+                     secant_iterates, zero_vec)
 from broydenlab.diagnostics import update_norm_identity_errors
 from broydenlab.linalg import Mat, PrecisionContext, Vec
 from broydenlab.problems import Problem, get_problem
@@ -85,7 +86,7 @@ def test_bmp_first_two_steps_are_newton_steps(ctx120):
 
 def test_bmp_exact_root_start_short_circuits(ctx100):
     p = get_problem("example1")
-    rec = bmp_run(p, ctx100.zero_vec(2), ctx100.identity(2), opts_for(ctx100),
+    rec = bmp_run(p, zero_vec(ctx100, 2), identity(ctx100, 2), opts_for(ctx100),
                   p.jac)
     assert rec.status is Status.EXACT_ROOT
     assert rec.kbar == 0
@@ -173,7 +174,7 @@ def test_trace_satisfies_record_contract(ctx120):
         assert drift <= slack * max(ctx120.one, entry.u.norm())
         assert entry.eps == nxt.f_norm / entry.s.norm()
     assert rec.trace[rec.kbar].s is None and rec.trace[rec.kbar].eps is None
-    assert rec.final_f_norm() <= ctx120.pow10(-opts.tol_exponent)
+    assert rec.trace[-1].f_norm <= ctx120.pow10(-opts.tol_exponent)
 
 
 def test_determinism_bit_identical_traces(ctx120):
@@ -191,7 +192,7 @@ def test_determinism_bit_identical_traces(ctx120):
 def test_divergence_guard(ctx100):
     # iterate norm beyond the guard aborts before any solve is attempted
     p = get_problem("example1")
-    rec = broyden_run(p, ctx100.vec(["1e11", 0]), ctx100.identity(2),
+    rec = broyden_run(p, ctx100.vec(["1e11", 0]), identity(ctx100, 2),
                       opts_for(ctx100, max_iter=1000))
     assert rec.status is Status.DIVERGED
     assert rec.kbar == 0
@@ -256,7 +257,7 @@ def test_newton_quadratic_residual_decay_on_regular_problem():
 
 def test_smp_exact_root_start(ctx100):
     p = get_problem("example1")
-    rec = smp_run(p, ctx100.zero_vec(2), ctx100.identity(2), 1, "0.5",
+    rec = smp_run(p, zero_vec(ctx100, 2), identity(ctx100, 2), 1, "0.5",
                   opts_for(ctx100))
     assert rec.status is Status.EXACT_ROOT
     assert rec.kbar == 0
@@ -335,6 +336,32 @@ def test_tolerance_decision_matches_rounded_norm(digits, tol):
             seen.add(want)
     # the middle band holds both sides of "rounded norm = tol"
     assert seen == {Status.CONVERGED, None}
+
+
+@pytest.mark.parametrize("guard", [1e10, 1.5])
+def test_divergence_decision_at_the_guard(ctx100, guard):
+    # the guard rule is ||u|| > guard on the rounded norm.  Vectors of norm
+    # exactly guard, or just above it with entries below 2**(2 e) for the
+    # e where 2**(2 e) <= guard**2, are where a decision from the entries'
+    # exponents alone goes wrong
+    opts = opts_for(ctx100, divergence_guard=guard)
+    limits = _limits(opts)
+    g = ctx100.real(guard)
+    ulp = g * ctx100.real(2) ** -(ctx100.prec - 2)
+    big = ctx100.real(2) ** 32
+    six, eight = g * ctx100.real("0.6"), g * ctx100.real("0.8")
+    vectors = [[g, 0], [0, -g], [six, eight], [g + ulp, 0], [g - ulp, 0],
+               [g / 2, g / 2], [eight, eight], [six] * 4, [g / 2] * 4,
+               [big - 1, big - 1], [big / 2 - 1] * 4, [-(big - 1), 0],
+               [0, 0], ["1e300", 0], [g / 10**9, g / 10**9]]
+    seen = set()
+    for entries in vectors:
+        u = ctx100.vec(entries)
+        want = Status.DIVERGED if u.norm() > g else None
+        seen.add(want)
+        entry = TraceEntry(u=u, ff=ctx100.one._mpf_)
+        assert _check_terminal(entry, 1, opts, limits) is want
+    assert seen == {Status.DIVERGED, None}
 
 
 def test_smp_singular_jacobian_reports_status(ctx100):
