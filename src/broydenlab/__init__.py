@@ -6,8 +6,7 @@ from .problems import (MissingNullData, Problem, get_problem, list_problems,
                        projectors, verify_a2)
 from .solvers import (RunRecord, SolverOptions, Status, bmp_run, broyden_run,
                       newton_run, smp_run)
-from .diagnostics import (BadSelection, MetricsRow, fitted_q_order,
-                          metrics_from_trace, nullspace_residual, uli_min_sv)
+from .diagnostics import MetricsRow, metrics_from_trace
 from .harness import (AcceptanceCriteria, CounterRng, CumulativeSummary,
                       EmptyAcceptedSet, SeriesConfig, Window, cumulative_run,
                       default_criteria, init_random)
@@ -20,8 +19,7 @@ __all__ = [
     "projectors", "verify_a2",
     "RunRecord", "SolverOptions", "Status", "bmp_run", "broyden_run",
     "newton_run", "smp_run",
-    "BadSelection", "MetricsRow", "fitted_q_order", "metrics_from_trace",
-    "nullspace_residual", "uli_min_sv",
+    "MetricsRow", "metrics_from_trace",
     "AcceptanceCriteria", "CounterRng", "CumulativeSummary",
     "EmptyAcceptedSet", "SeriesConfig", "Window", "cumulative_run",
     "default_criteria", "init_random",

@@ -18,11 +18,12 @@ so the logarithm ratio keeps its sign.
 
 r, r_eps and delta (a power or two logarithms each) and the spectra are
 lazy: a row keeps their operands and evaluates them on first read.  A
-window's minimum or maximum of r, r_eps or delta needs only the rows that
-can hold it, which :func:`window_extreme` finds from float keys read off the
-operands' raw ``_mpf_`` tuples: ln(err_k) / k for r, ln(eps_{k-1}) / k for
-r_eps (the logarithms of the values) and ln ||F_k|| / ln ||s^{k-1}|| for
-delta.
+window's minimum or maximum of r, r_eps, delta or ||E_k|| needs only the
+rows that can hold it, which :func:`window_extreme` finds from keys of the
+operands: float keys read off the raw ``_mpf_`` tuples, ln(err_k) / k for r,
+ln(eps_{k-1}) / k for r_eps (the logarithms of the values) and
+ln ||F_k|| / ln ||s^{k-1}|| for delta, and for n = 2 the exact key
+4 ||E_k||**2 at working precision, one square root instead of a Jacobi SVD.
 """
 from __future__ import annotations
 
@@ -30,9 +31,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-import mpmath
+from mpmath.libmp import mpf_add, mpf_lt, mpf_mul, mpf_shift, mpf_sqrt, mpf_sub
 
-from .linalg import Mat, PrecisionContext, Vec, singular_values, spectral_norm
+from .linalg import Mat, PrecisionContext, singular_values
 from .problems import Problem
 from .solvers import RunRecord
 
@@ -48,12 +49,22 @@ from .solvers import RunRecord
 #: covers every error 300 times over: a row whose key lies beyond the
 #: margins of the extreme key cannot hold the extremum, ties and near-ties
 #: are always evaluated, and the extremum is exact by construction.
+#:
+#: An exact key K (an mpf, the 4 ||E_k||**2 of ``_Spectrum``) stands for
+#: every value within K 2**-(prec // 2), relative.  Proof: its eleven
+#: roundings of 2**-prec each, on nonnegative terms, leave it within about
+#: 16 2**-prec of the true 4 sigma_max**2 of the rounded E_k.  Jacobi's
+#: sigma_max**2 is the largest diagonal g of its final Gram matrix, whose
+#: off-diagonals are at most svd_tol sqrt(g_pp g_qq) (or, next to a deflated
+#: column, svd_tol g): by Gershgorin and the Rayleigh quotient the true
+#: value lies in [g, g (1 + (n - 1) svd_tol)], and the rotations' rounding
+#: adds O(rotations 2**-prec).  Both errors lie below 2**-(prec/2): by about
+#: 15 orders at the minimum of 50 digits (svd_tol = 1e-40 against 2**-83,
+#: about 1e-25) and by more than 100 orders at 320 digits.  So, as above,
+#: ties and near-ties are always evaluated.  A row whose spectrum is read
+#: already enters by the key of its exact value, with the same slack.
 KEY_MARGIN = 1e-9
 _LN2 = math.log(2)
-
-
-class BadSelection(Exception):
-    """Step-selection indices are out of range or not increasing."""
 
 
 def _ln(x) -> float:
@@ -65,6 +76,16 @@ def _ln(x) -> float:
 
 def _slack(key: float) -> float:
     return KEY_MARGIN * (1 + abs(key))
+
+
+def _span(key, sign: int, ctx: PrecisionContext):
+    """The interval of signed values that a float or an exact ``key`` stands
+    for (see KEY_MARGIN)."""
+    if isinstance(key, float):
+        slack = _slack(key)
+    else:
+        slack = ctx.mp.ldexp(key, -(ctx.prec // 2))
+    return sign * key - slack, sign * key + slack
 
 
 class _Root(NamedTuple):
@@ -97,9 +118,11 @@ class _LogRatio(NamedTuple):
 
 
 class _Spectrum(NamedTuple):
-    """Ascending singular values of E_k = b - j_root.  No key: ||E_k||
-    varies by only 1e-78 to 1e-90 (relative) across a window, far below
-    what a float separates."""
+    """Ascending singular values of E_k = b - j_root.  For n = 2, keyed by
+    4 ||E_k||**2 = p + m + 2 sqrt(p m), with p = (a-d)**2 + (b+c)**2 and
+    m = (a+d)**2 + (b-c)**2 for E_k = [[a, b], [c, d]]: the two norms are
+    sigma_max -+ sigma_min.  Every term is nonnegative, so nothing cancels
+    (see KEY_MARGIN).  No key for other n."""
 
     b: Mat
     j_root: Mat
@@ -108,7 +131,28 @@ class _Spectrum(NamedTuple):
         return singular_values(self.b - self.j_root, ctx)
 
     def key(self):
-        return None
+        if self.b.n != 2:
+            return None
+        ctx = self.b.ctx
+        prec, rnd = ctx.prec, ctx.rounding
+        (a, b), (c, d) = ([mpf_sub(x._mpf_, y._mpf_, prec, rnd)
+                           for x, y in zip(rb, rj)]
+                          for rb, rj in zip(self.b.rows, self.j_root.rows))
+
+        def norm2(x, y):
+            return mpf_add(mpf_mul(x, x, prec, rnd), mpf_mul(y, y, prec, rnd),
+                           prec, rnd)
+
+        p = norm2(mpf_sub(a, d, prec, rnd), mpf_add(b, c, prec, rnd))
+        m = norm2(mpf_add(a, d, prec, rnd), mpf_sub(b, c, prec, rnd))
+        root = mpf_sqrt(mpf_mul(p, m, prec, rnd), prec, rnd)
+        return ctx.make(mpf_add(mpf_add(p, m, prec, rnd), mpf_shift(root, 1),
+                                prec, rnd))
+
+    @staticmethod
+    def key_of(e_norm):
+        """The key of a read row, 4 ||E_k||**2."""
+        return 4 * e_norm * e_norm
 
 
 _LAZY = (_Root, _LogRatio, _Spectrum)
@@ -168,22 +212,29 @@ def window_extreme(pick: str, attr: str, rows):
     sentinels skipped; None when every value is the sentinel.
 
     A lazy value that is still unread enters by its key, and only the rows
-    whose keys lie within the margins of the extreme key are evaluated.
+    whose key intervals (:func:`_span`) reach the extreme one are
+    evaluated.  With exact keys, the rows read already bound the extreme
+    too, through the keys of their values.
     """
     sign = 1 if pick == "max" else -1
-    exact, keyed = [], []
+    exact, keyed, key_of = [], [], None
     for row in rows:
-        op = row.pending.get(attr)
+        op = row.pending.get("e_svals" if attr == "e_norm" else attr)
         key = op.key() if isinstance(op, _LAZY) else None
         if key is None:
             exact.append(row)
         else:
-            keyed.append((sign * key, row))
-    if keyed:
-        # the largest (signed) value that some unread row certainly reaches
-        floor = max(key - _slack(key) for key, _ in keyed)
-        exact += [row for key, row in keyed if key + _slack(key) >= floor]
+            keyed.append((_span(key, sign, row.ctx), row))
+            key_of = getattr(op, "key_of", None)
     values = [v for v in (getattr(row, attr) for row in exact) if v != -1]
+    if keyed:
+        # the largest (signed) value that some row certainly reaches
+        lows = [lo for (lo, _), _ in keyed]
+        if key_of is not None:
+            lows += [_span(key_of(v), sign, rows[0].ctx)[0] for v in values]
+        floor = max(lows)
+        values += [v for v in (getattr(row, attr) for (_, hi), row in keyed
+                               if hi >= floor) if v != -1]
     if not values:
         return None
     return max(values) if pick == "max" else min(values)
@@ -211,8 +262,7 @@ def metrics_from_trace(rec: RunRecord, p: Problem,
     lo = indices[0] - 1 if indices else 0
     errs = [(e.u - root).norm() if k >= lo else None
             for k, e in enumerate(trace)]
-    step_norms = [e.s.norm() if k >= lo and e.s is not None else None
-                  for k, e in enumerate(trace)]
+    step_norms = [e.s_norm if k >= lo else None for k, e in enumerate(trace)]
 
     rows = []
     for k in indices:
@@ -246,7 +296,10 @@ def metrics_from_trace(rec: RunRecord, p: Problem,
         zeta = sentinel
         if phi is not None and entry.s is not None and step_norms[k] > 0:
             shat = entry.s.scaled(1 / step_norms[k])
-            zeta = min((shat - phi).norm(), (shat + phi).norm())
+            # the smaller norm is the root of the smaller dot: sqrt is monotone
+            dots = [d.raw_dot(d) for d in (shat - phi, shat + phi)]
+            zeta = ctx.make(mpf_sqrt(dots[1] if mpf_lt(dots[1], dots[0])
+                                     else dots[0], ctx.prec, ctx.rounding))
 
         e_svals = None
         if entry.b is not None:
@@ -260,92 +313,3 @@ def metrics_from_trace(rec: RunRecord, p: Problem,
             pending={"r": r, "r_eps": r_eps, "delta": delta,
                      "e_svals": e_svals}))
     return rows
-
-
-def normalized_steps(rec: RunRecord) -> list[Vec]:
-    """Unit steps shat^k for every index that has a step."""
-    return [e.s.normalized() for e in rec.trace if e.s is not None]
-
-
-def uli_min_sv(steps, k: int, selection, ctx=None):
-    """Smallest singular value of the matrix of selected normalized steps.
-
-    ``selection`` must pick n strictly increasing indices >= k out of
-    ``steps``; uniform linear independence would require this value to stay
-    above a fixed bound along the iteration, which singular problems violate.
-    """
-    if not steps:
-        raise BadSelection("no steps supplied")
-    if ctx is None:
-        ctx = steps[0].ctx
-    n = len(steps[0])
-    selection = list(selection)
-    if len(selection) != n:
-        raise BadSelection(f"need exactly {n} indices, got {len(selection)}")
-    if any(i < k for i in selection):
-        raise BadSelection("selection indices must be >= k")
-    if any(b <= a for a, b in zip(selection, selection[1:])):
-        raise BadSelection("selection indices must be strictly increasing")
-    if any(i >= len(steps) for i in selection):
-        raise BadSelection("selection index out of range")
-    unit_tol = ctx.pow10(-ctx.decimal_digits + 15)
-    for i in selection:
-        if abs(steps[i].norm() - 1) > unit_tol:
-            raise ValueError(f"step {i} is not unit-norm")
-    cols = [steps[i] for i in selection]
-    m = Mat(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)), ctx)
-    return singular_values(m, ctx)[0]
-
-
-def nullspace_residual(B: Mat, phi: Vec):
-    """||B phi||, the residual of phi against ker(B); phi should be unit."""
-    return B.matvec(phi).norm()
-
-
-def update_norm_identity_errors(rec: RunRecord):
-    """Relative gaps |eps_k - ||B_{k+1} - B_k||| / eps_k over the recorded
-    Broyden updates.
-
-    Requires the trace to keep every B_k (``SolverOptions.record_spectra``,
-    the default).  The spectral norm of the update is recomputed by SVD, so
-    this checks the update-norm identity through an independent path.
-    """
-    if rec.broyden_updates_from is None:
-        return []
-    out = []
-    for k in range(rec.broyden_updates_from, rec.kbar):
-        entry, nxt = rec.trace[k], rec.trace[k + 1]
-        if entry.b is None or nxt.b is None or entry.eps is None:
-            raise ValueError("run was not recorded with record_spectra")
-        if entry.eps == 0:
-            continue
-        gap = abs(entry.eps - spectral_norm(nxt.b - entry.b))
-        out.append((k, gap / entry.eps))
-    return out
-
-
-def fitted_q_order(errs, points: int = 6) -> float:
-    """Least-squares slope of log err_{k+1} against log err_k.
-
-    Uses the last ``points`` consecutive pairs with positive errors; the
-    slope estimates the q-order of convergence.  Plain float arithmetic is
-    enough because only the logarithms enter.
-    """
-    # mpf logarithms stay finite for magnitudes below the double range
-    logs = [(float(mpmath.log(e)) if hasattr(e, "_mpf_") else math.log(e))
-            if e > 0 else None for e in errs]
-    pairs = [(logs[i], logs[i + 1]) for i in range(len(logs) - 1)
-             if logs[i] is not None and logs[i + 1] is not None]
-    pairs = pairs[-points:]
-    if len(pairs) < 2:
-        raise ValueError("need at least 2 positive error pairs")
-    xs = [a for a, _ in pairs]
-    ys = [b for _, b in pairs]
-    n = len(pairs)
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    var = sum((x - mean_x) ** 2 for x in xs)
-    if var == 0:
-        raise ValueError("degenerate regression: constant errors")
-    cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    return cov / var

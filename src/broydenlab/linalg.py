@@ -14,6 +14,7 @@ results are bit-identical, without an object per intermediate scalar.
 from __future__ import annotations
 
 import functools
+import math
 
 from mpmath import mp
 from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div,
@@ -228,13 +229,19 @@ class Mat:
     def __repr__(self):
         return "Mat(" + "; ".join(", ".join(str(x) for x in r) for r in self.rows) + ")"
 
+    def _entrywise(self, other, op):
+        ctx = self.ctx
+        prec, rnd = ctx.prec, ctx.rounding
+        make = ctx.mp.make_mpf
+        return Mat(tuple(tuple(make(op(a._mpf_, b._mpf_, prec, rnd))
+                               for a, b in zip(ra, rb))
+                         for ra, rb in zip(self.rows, other.rows)), ctx)
+
     def __add__(self, other):
-        return Mat(tuple(tuple(a + b for a, b in zip(ra, rb))
-                         for ra, rb in zip(self.rows, other.rows)), self.ctx)
+        return self._entrywise(other, mpf_add)
 
     def __sub__(self, other):
-        return Mat(tuple(tuple(a - b for a, b in zip(ra, rb))
-                         for ra, rb in zip(self.rows, other.rows)), self.ctx)
+        return self._entrywise(other, mpf_sub)
 
     def matvec(self, v: Vec) -> Vec:
         return self.ctx.raw_vec(Vec(row, self.ctx).raw_dot(v) for row in self.rows)
@@ -280,16 +287,27 @@ def lu_solve(A: Mat, b: Vec, ctx: PrecisionContext | None = None) -> Vec:
     prec, rnd = ctx.prec, ctx.rounding
     rows = [[a._mpf_ for a in r] for r in A.rows]
     x = [a._mpf_ for a in b.entries]
-    threshold = mpf_mul(ctx.pivot_scale._mpf_, A.max_abs()._mpf_, prec, rnd)
+    # the rounded threshold pivot_scale * max|A| is at most 2**bound, since
+    # |y| < 2**(exp + bc) for a raw tuple y: a pivot of at least 2**bound
+    # clears it unformed.  A non-finite entry (mantissa 0, not zero) forms it
+    ps = ctx.pivot_scale._mpf_
+    binades = [a[2] + a[3] for r in rows for a in r if a[1]]
+    bound = math.inf
+    if binades and all(a[1] or a == fzero for r in rows for a in r):
+        bound = ps[2] + ps[3] + max(binades)
+    threshold = None
     for k in range(n):
         piv, piv_mag = k, mpf_abs(rows[k][k], prec, rnd)
         for i in range(k + 1, n):
             mag = mpf_abs(rows[i][k], prec, rnd)
             if mpf_gt(mag, piv_mag):
                 piv, piv_mag = i, mag
-        if piv_mag == fzero or mpf_lt(piv_mag, threshold):
-            raise SingularMatrix(f"pivot {ctx.make(piv_mag)} below threshold "
-                                 f"{ctx.make(threshold)}")
+        if not piv_mag[1] or piv_mag[2] + piv_mag[3] - 1 < bound:
+            if threshold is None:
+                threshold = mpf_mul(ps, A.max_abs()._mpf_, prec, rnd)
+            if piv_mag == fzero or mpf_lt(piv_mag, threshold):
+                raise SingularMatrix(f"pivot {ctx.make(piv_mag)} below threshold "
+                                     f"{ctx.make(threshold)}")
         if piv != k:
             rows[k], rows[piv] = rows[piv], rows[k]
             x[k], x[piv] = x[piv], x[k]
@@ -336,29 +354,38 @@ def singular_values(A: Mat, ctx: PrecisionContext | None = None):
             acc = mpf_add(acc, mul(x, y), prec, rnd)
         return acc
 
+    # diagonal Gram entries, formed again only after their column rotates
+    diag = [gram(j, j) for j in range(n)]
     # columns below roundoff relative to the largest are deflated to zero;
     # without this, exactly rank-deficient matrices keep parallel columns
     # whose pair criterion never clears (|c| = sqrt(a b) up to rounding)
     floor2 = fzero
-    for j in range(n):
-        g = gram(j, j)
+    for g in diag:
         if mpf_gt(g, floor2):
             floor2 = g
     floor2 = mul(mul(floor2, tol), tol)
+    tol_binades = 2 * (tol[2] + tol[3])
 
     while True:
         rotated = False
         for p in range(n - 1):
             for q in range(p + 1, n):
-                a = gram(p, p)
-                b = gram(q, q)
+                a, b = diag[p], diag[q]
                 if mpf_le(a, floor2) or mpf_le(b, floor2):
                     continue
                 c = gram(p, q)
                 if c == fzero:
                     continue
-                if mpf_le(mpf_abs(c, prec, rnd),
-                          mul(tol, mpf_sqrt(mul(a, b), prec, rnd))):
+                # with |y| in [2**(e-1), 2**e) for e = exp + bc, the rounded
+                # tol sqrt(a b) lies in (2**((g-5)/2), 2**((g+1)/2)), g the
+                # binades of tol**2 a b: the exponents decide |c| against it
+                # unless 2 e(c) is within [g - 4, g + 2]
+                gap = 0
+                if a[1] and b[1]:
+                    gap = 2 * (c[2] + c[3]) - tol_binades - a[2] - a[3] - b[2] - b[3]
+                if gap <= -5 or (gap <= 2 and mpf_le(
+                        mpf_abs(c, prec, rnd),
+                        mul(tol, mpf_sqrt(mul(a, b), prec, rnd)))):
                     continue
                 rotations += 1
                 if rotations > max_rotations:
@@ -379,11 +406,12 @@ def singular_values(A: Mat, ctx: PrecisionContext | None = None):
                     up, uq = cp[i], cq[i]
                     cp[i] = mpf_sub(mul(cs, up), mul(sn, uq), prec, rnd)
                     cq[i] = mpf_add(mul(sn, up), mul(cs, uq), prec, rnd)
+                diag[p], diag[q] = gram(p, p), gram(q, q)
                 rotated = True
         if not rotated:
             break
 
-    norms = sorted((mpf_sqrt(gram(j, j), prec, rnd) for j in range(n)),
+    norms = sorted((mpf_sqrt(g, prec, rnd) for g in diag),
                    key=functools.cmp_to_key(mpf_cmp))
     return tuple(ctx.make(x) for x in norms)
 

@@ -81,8 +81,8 @@ class TraceEntry:
     ``ff_next`` are the raw dot products F(u^k).F(u^k), s^k.s^k and
     F(u^{k+1}).F(u^{k+1}) (the last two only with a matrix).  ``f_norm`` =
     ||F(u^k)|| and the update norm ``eps`` = ||F(u^{k+1})|| / ||s^k|| (None
-    without ``ss``) are taken on first read, bit-identical to ``Vec.norm``
-    and the mpf quotient.
+    without ``ss``) are taken on first read, and ``s_norm`` = ||s^k|| on
+    every read, bit-identical to ``Vec.norm`` and the mpf quotient.
     """
 
     u: Vec
@@ -97,6 +97,16 @@ class TraceEntry:
         ctx = self.u.ctx
         return ctx.make(mpf_sqrt(self.ff, ctx.prec, ctx.rounding))
 
+    @property
+    def s_norm(self):
+        """||s^k||, from ``ss`` where the engine kept it; None at kbar.  Not
+        cached: a cached copy per entry raised ``single``'s peak memory."""
+        if self.s is None:
+            return None
+        ctx = self.u.ctx
+        ss = self.s.raw_dot(self.s) if self.ss is None else self.ss
+        return ctx.make(mpf_sqrt(ss, ctx.prec, ctx.rounding))
+
     @functools.cached_property
     def eps(self):
         if self.ss is None:
@@ -104,7 +114,7 @@ class TraceEntry:
         ctx = self.u.ctx
         prec, rnd = ctx.prec, ctx.rounding
         return ctx.make(mpf_div(mpf_sqrt(self.ff_next, prec, rnd),
-                                mpf_sqrt(self.ss, prec, rnd), prec, rnd))
+                                self.s_norm._mpf_, prec, rnd))
 
 
 @dataclass

@@ -7,11 +7,14 @@ by hand.
 """
 from __future__ import annotations
 
+import math
+
 import mpmath
 
 from broydenlab.diagnostics import metrics_from_trace
 from broydenlab.harness import _STATS, RunStats, Window
-from broydenlab.linalg import Mat, PrecisionContext, Vec
+from broydenlab.linalg import (Mat, PrecisionContext, Vec, singular_values,
+                               spectral_norm)
 from broydenlab.problems import Problem, projectors
 from broydenlab.solvers import RunRecord, Status, TraceEntry
 
@@ -211,3 +214,98 @@ def eager_stats_wire(rec: RunRecord, rows: list, window_rule: str = "min"):
         values[pick, attr] = ((min(defined) if pick == "min" else max(defined))
                               if defined else None)
     return RunStats(values).to_wire()
+
+
+# -- step, nullspace and update-norm diagnostics of the acceptance criteria -----
+
+class BadSelection(Exception):
+    """Step-selection indices are out of range or not increasing."""
+
+
+def normalized_steps(rec: RunRecord) -> list[Vec]:
+    """Unit steps shat^k for every index that has a step."""
+    return [e.s.normalized() for e in rec.trace if e.s is not None]
+
+
+def uli_min_sv(steps, k: int, selection, ctx=None):
+    """Smallest singular value of the matrix of selected normalized steps.
+
+    ``selection`` must pick n strictly increasing indices >= k out of
+    ``steps``; uniform linear independence would require this value to stay
+    above a fixed bound along the iteration, which singular problems violate.
+    """
+    if not steps:
+        raise BadSelection("no steps supplied")
+    if ctx is None:
+        ctx = steps[0].ctx
+    n = len(steps[0])
+    selection = list(selection)
+    if len(selection) != n:
+        raise BadSelection(f"need exactly {n} indices, got {len(selection)}")
+    if any(i < k for i in selection):
+        raise BadSelection("selection indices must be >= k")
+    if any(b <= a for a, b in zip(selection, selection[1:])):
+        raise BadSelection("selection indices must be strictly increasing")
+    if any(i >= len(steps) for i in selection):
+        raise BadSelection("selection index out of range")
+    unit_tol = ctx.pow10(-ctx.decimal_digits + 15)
+    for i in selection:
+        if abs(steps[i].norm() - 1) > unit_tol:
+            raise ValueError(f"step {i} is not unit-norm")
+    cols = [steps[i] for i in selection]
+    m = Mat(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)), ctx)
+    return singular_values(m, ctx)[0]
+
+
+def nullspace_residual(B: Mat, phi: Vec):
+    """||B phi||, the residual of phi against ker(B); phi should be unit."""
+    return B.matvec(phi).norm()
+
+
+def update_norm_identity_errors(rec: RunRecord):
+    """Relative gaps |eps_k - ||B_{k+1} - B_k||| / eps_k over the recorded
+    Broyden updates.
+
+    Requires the trace to keep every B_k (``SolverOptions.record_spectra``,
+    the default).  The spectral norm of the update is recomputed by SVD, so
+    this checks the update-norm identity through an independent path.
+    """
+    if rec.broyden_updates_from is None:
+        return []
+    out = []
+    for k in range(rec.broyden_updates_from, rec.kbar):
+        entry, nxt = rec.trace[k], rec.trace[k + 1]
+        if entry.b is None or nxt.b is None or entry.eps is None:
+            raise ValueError("run was not recorded with record_spectra")
+        if entry.eps == 0:
+            continue
+        gap = abs(entry.eps - spectral_norm(nxt.b - entry.b))
+        out.append((k, gap / entry.eps))
+    return out
+
+
+def fitted_q_order(errs, points: int = 6) -> float:
+    """Least-squares slope of log err_{k+1} against log err_k.
+
+    Uses the last ``points`` consecutive pairs with positive errors; the
+    slope estimates the q-order of convergence.  Plain float arithmetic is
+    enough because only the logarithms enter.
+    """
+    # mpf logarithms stay finite for magnitudes below the double range
+    logs = [(float(mpmath.log(e)) if hasattr(e, "_mpf_") else math.log(e))
+            if e > 0 else None for e in errs]
+    pairs = [(logs[i], logs[i + 1]) for i in range(len(logs) - 1)
+             if logs[i] is not None and logs[i + 1] is not None]
+    pairs = pairs[-points:]
+    if len(pairs) < 2:
+        raise ValueError("need at least 2 positive error pairs")
+    xs = [a for a, _ in pairs]
+    ys = [b for _, b in pairs]
+    n = len(pairs)
+    mean_x = sum(xs) / n
+    mean_y = sum(ys) / n
+    var = sum((x - mean_x) ** 2 for x in xs)
+    if var == 0:
+        raise ValueError("degenerate regression: constant errors")
+    cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    return cov / var

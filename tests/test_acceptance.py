@@ -18,12 +18,12 @@ import time
 
 import pytest
 
-from helpers import charpoly_singular_values, problem_sq_minus_1, secant_iterates
+from helpers import (charpoly_singular_values, fitted_q_order, normalized_steps,
+                     nullspace_residual, problem_sq_minus_1, secant_iterates,
+                     uli_min_sv, update_norm_identity_errors)
 from broydenlab.basin import (Classification, GridSpec, blue_fraction,
                               render_basin)
-from broydenlab.diagnostics import (fitted_q_order, metrics_from_trace,
-                                    normalized_steps, nullspace_residual,
-                                    uli_min_sv, update_norm_identity_errors)
+from broydenlab.diagnostics import metrics_from_trace
 from broydenlab.harness import (CounterRng, SeriesConfig, Window,
                                 cumulative_run, default_criteria, init_random)
 from broydenlab.linalg import PrecisionContext, Vec, singular_values

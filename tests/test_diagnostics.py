@@ -1,10 +1,9 @@
 import pytest
 
-from helpers import (eager_stats_wire, identity, lam_omega_rows,
-                     synthetic_record)
-from broydenlab.diagnostics import (BadSelection, fitted_q_order,
-                                    metrics_from_trace, normalized_steps,
-                                    nullspace_residual, uli_min_sv)
+from helpers import (BadSelection, eager_stats_wire, fitted_q_order, identity,
+                     lam_omega_rows, normalized_steps, nullspace_residual,
+                     synthetic_record, uli_min_sv)
+from broydenlab.diagnostics import _Spectrum, metrics_from_trace
 from broydenlab.harness import Window, run_stats
 from broydenlab.linalg import Mat, PrecisionContext, Vec
 from broydenlab.problems import get_problem
@@ -71,6 +70,41 @@ def test_window_stats_of_r_differing_in_last_bits(ctx100):
     rows = metrics_from_trace(rec, p)
     rs = [row.r for row in metrics_from_trace(rec, p)[1:]]
     assert len(set(rs)) > 1 and max(rs) - min(rs) <= ctx100.pow10(-95)
+    assert run_stats(rec, rows).to_wire() == eager_stats_wire(rec, rows)
+
+
+def _spectrum_record(ctx, svals):
+    us = [ctx.vec([0, ctx.real(1) / 2 ** k]) for k in range(len(svals))]
+    return synthetic_record(ctx, us, [ctx.pow10(-6)] * len(svals),
+                            eps=[ctx.real(1) / 2 ** k for k in range(len(svals) - 1)],
+                            svals=svals)
+
+
+@pytest.mark.parametrize("rule", ["min", "max"])
+def test_window_stats_with_tied_spectra(ctx100, rule):
+    # the same E_k on every row: every key ties, so every window row's
+    # spectrum is evaluated and the wire is exact
+    rec = _spectrum_record(ctx100, [("0.75", "0.125")] * 12)
+    p = get_problem("example1")
+    rows = metrics_from_trace(rec, p)
+    wire = run_stats(rec, rows, rule).to_wire()
+    k0 = Window.from_kbar(rec.kbar, rule).k0
+    assert not any(isinstance(row.pending["e_svals"], _Spectrum)
+                   for row in rows[k0:])
+    assert wire == eager_stats_wire(rec, metrics_from_trace(rec, p), rule)
+
+
+def test_window_minimum_of_spectra_differing_by_ulps(ctx100):
+    # E_k = diag(1/2 + j_k ulp, 1/8): ||E_k|| differs in the last bits only,
+    # far below the keys' slack, and the minimum is still the exact one
+    ulp = ctx100.real(2) ** -(ctx100.prec - 2)
+    js = [(k * 7 + 3) % 5 for k in range(12)]
+    rec = _spectrum_record(ctx100, [(ctx100.real(1) / 2 + j * ulp, "0.125")
+                                    for j in js])
+    rows = metrics_from_trace(rec, get_problem("example1"))
+    window = Window.from_kbar(rec.kbar)
+    e_norm = run_stats(rec, rows).values["min", "e_norm"]
+    assert e_norm == ctx100.real(1) / 2 + min(js[window.k0:]) * ulp
     assert run_stats(rec, rows).to_wire() == eager_stats_wire(rec, rows)
 
 

@@ -1,0 +1,81 @@
+import importlib.util
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "fold_bench.py"
+_SPEC = importlib.util.spec_from_file_location("fold_bench", _PATH)
+fold_bench = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(fold_bench)
+
+METRICS = [{"name": "solves_per_s", "better": "higher"},
+           {"name": "solve_ms_p50", "better": "lower"}]
+
+
+def _write(out: Path, workload, seed, rate, ms, mtime, trace=0, failed=0):
+    out.mkdir(exist_ok=True)
+    path = out / f"{workload}-seed{seed}-trace{trace}.json"
+    path.write_text(json.dumps({
+        "correct": True, "attempted": 10, "failed": failed,
+        "metrics": {"solves_per_s": {"value": rate, "unit": "1/s"},
+                    "solve_ms_p50": {"value": ms, "unit": "ms"}}}))
+    os.utime(path, (mtime, mtime))
+
+
+def test_fold_made_up_runs(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    # three pairs; the change wins the rate twice and ties the time once
+    for i, (p, c) in enumerate([((4.0, 200.0), (6.0, 150.0)),
+                                ((5.0, 180.0), (4.5, 180.0)),
+                                ((6.0, 160.0), (9.0, 100.0))]):
+        first, second = (parent, change) if i % 2 == 0 else (change, parent)
+        _write(first, "cumulative", 900 + i, *(p if first is parent else c),
+               mtime=1000 + 10 * i)
+        _write(second, "cumulative", 900 + i, *(c if first is parent else p),
+               mtime=1005 + 10 * i)
+    # unpaired and traced runs are left out
+    _write(parent, "cumulative", 999, 1.0, 1.0, mtime=2000)
+    _write(change, "cumulative", 900, 1.0, 1.0, mtime=2000, trace=1)
+
+    folded = fold_bench.fold(fold_bench.load_runs(parent),
+                             fold_bench.load_runs(change), METRICS)
+    assert folded["seeds"] == {"cumulative": [900, 901, 902]}
+    block = folded["end_to_end"]["cumulative"]
+    assert block["parent"]["solves_per_s"] == {
+        "median": 5.0, "q1": 4.5, "q3": 5.5, "runs": [4.0, 5.0, 6.0]}
+    assert block["change"]["solve_ms_p50"] == {
+        "median": 150.0, "q1": 125.0, "q3": 165.0, "runs": [100.0, 150.0, 180.0]}
+    assert block["solves_per_s_change_better"] == "2 of 3"
+    assert block["solve_ms_p50_change_better"] == "2 of 3"
+    assert block["solves_per_s_change_over_parent_median"] == 1.2
+    assert [p["first"] for p in block["pairs_parent_change"]] == [
+        "parent", "change", "parent"]
+    assert block["pairs_parent_change"][1]["solves_per_s"] == [5.0, 4.5]
+    assert block["failed"] == {"parent": [0, 0, 0], "change": [0, 0, 0]}
+
+
+def test_fold_into_keeps_other_keys(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in (1, 2):
+        _write(parent, "basin", seed, 1.0 + seed, 10.0, mtime=100)
+        _write(change, "basin", seed, 2.0 + seed, 9.0, mtime=200)
+    bench = tmp_path / "BENCHMARK.json"
+    bench.write_text(json.dumps({"end_to_end": METRICS}))
+    into = tmp_path / "BENCH.json"
+    into.write_text(json.dumps({"pr": 8, "seeds": {"old": [0]}}))
+    assert fold_bench.main([str(parent), str(change), "--benchmark", str(bench),
+                            "--into", str(into)]) == 0
+    data = json.loads(into.read_text())
+    assert data["pr"] == 8 and data["seeds"] == {"basin": [1, 2]}
+    assert data["end_to_end"]["basin"]["solves_per_s_change_better"] == "2 of 2"
+
+
+def test_fold_needs_two_pairs(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    _write(parent, "single", 1, 1.0, 1.0, mtime=1)
+    _write(change, "single", 1, 1.0, 1.0, mtime=2)
+    with pytest.raises(ValueError):
+        fold_bench.fold(fold_bench.load_runs(parent),
+                        fold_bench.load_runs(change), METRICS)

@@ -5,7 +5,7 @@ import pytest
 from helpers import eager_stats_wire, synthetic_record, zero_vec
 from broydenlab.diagnostics import metrics_from_trace
 from broydenlab import harness
-from broydenlab.diagnostics import MetricsRow
+from broydenlab.diagnostics import MetricsRow, _Spectrum
 from broydenlab.harness import (AcceptanceCriteria, CounterRng,
                                 EmptyAcceptedSet, SeriesConfig, Window,
                                 _reduce_stats, cumulative_run,
@@ -347,16 +347,23 @@ def test_windowed_rows_equal_full_rows(tiny_cfg, rule):
     ("example2", "0.01", "min"), ("example3", "0.01", "min")])
 def test_lazy_window_stats_equal_eager_stats(problem, alpha, rule):
     # window extrema from the candidate rows alone equal those over every
-    # value of every row, and evaluate r, r_eps and delta on a few rows only
+    # value of every row, and evaluate r, r_eps and delta on a few rows only;
+    # an accepted example1 run (n = 2, keyed spectra) evaluates the final
+    # row's spectrum and at most one candidate's
     cfg = SeriesConfig(problem=problem, alpha=alpha, m=3, tol_exponent=60,
                        precision=130, max_iter=500, rng_seed=23,
                        window_rule=rule)
+    p, crit = get_problem(problem), default_criteria(problem)
     for j in range(cfg.m):
         rec, rows = run_single(cfg, j)
         wire = run_stats(rec, rows, rule).to_wire()
         read = sum(not isinstance(row.pending[name], tuple) for row in rows
                    for name in ("r", "r_eps", "delta"))
         assert read < len(rows)
+        spectra = sum(not isinstance(row.pending["e_svals"], _Spectrum)
+                      for row in rows)
+        if problem == "example1" and removal_reason(rec, p, crit) is None:
+            assert 1 <= spectra <= 2
         assert wire == eager_stats_wire(rec, rows, rule)
 
 

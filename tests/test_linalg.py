@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import charpoly_singular_values, identity, outer, zero_vec
+from broydenlab.diagnostics import _Spectrum
 from broydenlab.harness import CounterRng
 from broydenlab.linalg import (Mat, PrecisionContext, SingularMatrix, Vec,
                                lu_solve, rank_one_update, singular_values,
@@ -40,6 +41,39 @@ def test_lu_rank_one_matrix_raises(ctx100):
 def test_lu_zero_matrix_raises(ctx100):
     with pytest.raises(SingularMatrix):
         lu_solve(ctx100.mat([[0, 0], [0, 0]]), ctx100.vec([1, 0]))
+
+
+@pytest.mark.parametrize("digits,big", [(60, "3"), (160, "-1e5")])
+def test_pivot_decision_at_the_threshold(digits, big):
+    # the rule is |pivot| < pivot_scale * max|A| on the rounded threshold.
+    # Pivots at it, one ulp either side and in the binades next to 2**bound
+    # (bound = E(pivot_scale) + E(max|A|), E = exp + bc) must decide as that
+    # rule; deciding from the pivot's exponent alone gets some of them wrong
+    ctx = PrecisionContext(digits)
+    big = ctx.real(big)
+    threshold = ctx.pivot_scale * abs(big)
+    ulp = ctx.mp.ldexp(1, sum(threshold._mpf_[2:]) - ctx.prec)
+    bound = sum(ctx.pivot_scale._mpf_[2:]) + sum(big._mpf_[2:])
+    pivots = [threshold, threshold - ulp, threshold + ulp, -threshold,
+              ctx.mp.ldexp(1, bound - 1), ctx.mp.ldexp(1, bound),
+              ctx.mp.ldexp(1, bound - 2), threshold / 2, ctx.zero]
+    outcomes = []
+    for piv in pivots:
+        want = piv == 0 or abs(piv) < threshold
+        A = ctx.mat([[big, 0], [0, piv]])
+        try:
+            lu_solve(A, ctx.vec([1, 1]))
+            got = False
+        except SingularMatrix:
+            got = True
+        assert got == want
+        outcomes.append((want, piv == 0 or sum(abs(piv)._mpf_[2:]) - 1 < bound))
+    assert {want for want, _ in outcomes} == {True, False}
+    assert any(want != by_exponent for want, by_exponent in outcomes)
+    # an infinite entry makes the threshold infinite, and every finite
+    # pivot falls below it
+    with pytest.raises(SingularMatrix):
+        lu_solve(ctx.mat([[ctx.mp.inf, 0], [0, 1]]), ctx.vec([1, 1]))
 
 
 def test_lu_dimension_mismatch(ctx100):
@@ -263,6 +297,17 @@ def _operator_singular_values(A, ctx):
     return tuple(sorted(ctx.sqrt(gram(j, j)) for j in range(n)))
 
 
+def _assert_key_matches_jacobi(A, bits=None):
+    # the window key of a 2x2 E_k is Jacobi's 4 sigma_max**2 to within
+    # 2**-bits, relative (default prec - 8); an off-diagonal at the Jacobi
+    # tolerance stays within the window's slack 2**-(prec // 2)
+    ctx = A.ctx
+    key = _Spectrum(A, A - A).key()
+    want = 4 * singular_values(A)[-1] ** 2
+    bits = ctx.prec - 8 if bits is None else bits
+    assert abs(key - want) <= ctx.real(2) ** -bits * want
+
+
 def test_kernels_bit_identical_to_mpf_operators():
     ctx = PrecisionContext(160)
     rng = CounterRng(11, 0)
@@ -290,6 +335,11 @@ def test_kernels_bit_identical_to_mpf_operators():
         assert rank_one_update(B, v, w).rows == tuple(
             tuple(b + a * c for b, c in zip(row, w)) for row, a in zip(B.rows, v))
         assert B.max_abs() == max(abs(x) for row in B.rows for x in row)
+        C = rank_one_update(B, w, v)
+        assert (B + C).rows == tuple(tuple(a + b for a, b in zip(ra, rc))
+                                     for ra, rc in zip(B.rows, C.rows))
+        assert (B - C).rows == tuple(tuple(a - b for a, b in zip(ra, rc))
+                                     for ra, rc in zip(B.rows, C.rows))
         products = []
         for row in B.rows:
             acc = ctx.zero
@@ -315,11 +365,27 @@ def test_kernels_bit_identical_to_mpf_operators():
         else:
             assert lu_solve(B, v).entries == want
         assert singular_values(B) == _operator_singular_values(B, ctx)
+        if n == 2:
+            _assert_key_matches_jacobi(B)
     # singular_values at 60, 160 and 320 digits: random, exactly singular,
     # rank-one (where the deflation floor retires the parallel columns) and
-    # zero matrices
+    # zero matrices; then a column deflated from the start, pairs that never
+    # rotate (orthogonal, or off-diagonal far below the tolerance) and
+    # off-diagonals from a quarter to three times the tolerance, where the
+    # pair test's exponents leave the decision to the square root
     for digits in (60, 160, 320):
         ctx = PrecisionContext(digits)
+        tol, tiny = ctx.svd_tol, ctx.pow10(-digits)
+        near = [[[1, ctx.real(m) * tol], [0, d]] for m in ("0.25", "0.5", "0.75", "1",
+                                                 "1.5", "2", "3")
+                for d in ("1", "1.5", "1.4143")]
+        for rows in [[[1, tiny], [2, tiny]], [[1, 0, tiny], [0, 2, tiny], [1, 1, 0]],
+                     [[3, 0], [0, 5]], [[1, 1], [1, -1]], [[1, tiny], [0, 1]],
+                     [[2, 0, 0], [0, 1, tol / 4], [0, 0, 1]]] + near:
+            A = ctx.mat(rows)
+            assert singular_values(A) == _operator_singular_values(A, ctx)
+            if A.n == 2:
+                _assert_key_matches_jacobi(A, ctx.prec // 2)
         rng = CounterRng(12, digits)
         for trial in range(16):
             n = 1 + trial % 4
@@ -336,5 +402,7 @@ def test_kernels_bit_identical_to_mpf_operators():
             A = ctx.mat(rows)
             svals = singular_values(A)
             assert svals == _operator_singular_values(A, ctx)
+            if n == 2:
+                _assert_key_matches_jacobi(A)
             if kind >= 2 and n > 1:
                 assert svals[-2] <= ctx.pow10(-digits + 15) * (svals[-1] + 1)

@@ -3,8 +3,7 @@ from mpmath.libmp import (fzero, mpf_add, mpf_le, mpf_lt, mpf_mul, mpf_pos,
                           mpf_shift, mpf_sqrt)
 
 from helpers import (identity, problem_linear, problem_sq_minus_1,
-                     secant_iterates, zero_vec)
-from broydenlab.diagnostics import update_norm_identity_errors
+                     secant_iterates, update_norm_identity_errors, zero_vec)
 from broydenlab.linalg import Mat, PrecisionContext, Vec
 from broydenlab.problems import Problem, get_problem
 from broydenlab.solvers import (SolverOptions, Status, TraceEntry,

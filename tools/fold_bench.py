@@ -1,0 +1,112 @@
+"""Fold alternating parent/change benchmark runs into a BENCH_<PR>.json.
+
+Each side's ``.perfbench_out/`` directory holds one result file per untraced
+run, ``<workload>-seed<seed>-trace0.json``, as written by
+``perfbench/run.py``.  Runs of the two sides with the same workload and seed
+form a pair.  For every workload and every end-to-end metric of
+``BENCHMARK.json`` this prints, or writes into the ``end_to_end`` and
+``seeds`` keys of an existing JSON file, each side's median, inclusive
+quartiles and sorted runs, the pairs, how many pairs the change won (ties
+count for neither side) and the ratio of the medians.  The side that ran
+first in a pair is read from the files' modification times.
+
+    python3 tools/fold_bench.py PARENT_OUT CHANGE_OUT [--into BENCH_8.json]
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import re
+import statistics
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_NAME = re.compile(r"(?P<workload>[a-z_]+)-seed(?P<seed>\d+)-trace0\.json")
+
+
+def load_runs(out_dir: Path) -> dict:
+    """{(workload, seed): (result, mtime)} for the untraced runs in out_dir."""
+    runs = {}
+    for path in sorted(out_dir.iterdir()):
+        match = _NAME.fullmatch(path.name)
+        if match:
+            key = (match["workload"], int(match["seed"]))
+            runs[key] = (json.loads(path.read_text()), path.stat().st_mtime)
+    return runs
+
+
+def summary(values: list) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(statistics.median(values), 4), "q1": round(q1, 4),
+            "q3": round(q3, 4), "runs": sorted(round(v, 4) for v in values)}
+
+
+def fold(parent: dict, change: dict, metrics: list) -> dict:
+    """The ``seeds`` and ``end_to_end`` blocks of a BENCH_<PR>.json.
+
+    ``metrics`` are BENCHMARK.json's ``end_to_end`` entries (name, better).
+    Only pairs present on both sides enter; each workload needs two.
+    """
+    pairs = sorted(set(parent) & set(change))
+    workloads = sorted({w for w, _ in pairs})
+    seeds, blocks = {}, {}
+    for workload in workloads:
+        keys = [k for k in pairs if k[0] == workload]
+        if len(keys) < 2:
+            raise ValueError(f"{workload}: need at least 2 pairs, got {len(keys)}")
+        seeds[workload] = [seed for _, seed in keys]
+        sides = {"parent": [parent[k] for k in keys],
+                 "change": [change[k] for k in keys]}
+        block = {side: {m["name"]: summary([r["metrics"][m["name"]]["value"]
+                                             for r, _ in runs])
+                        for m in metrics}
+                 for side, runs in sides.items()}
+        for field in ("failed", "attempted", "correct"):
+            block[field] = {side: [r[field] for r, _ in runs]
+                            for side, runs in sides.items()}
+        block["pairs_parent_change"] = [
+            {"seed": seed,
+             "first": "parent" if p_time <= c_time else "change",
+             **{m["name"]: [round(p["metrics"][m["name"]]["value"], 4),
+                            round(c["metrics"][m["name"]]["value"], 4)]
+                for m in metrics}}
+            for (_, seed), (p, p_time), (c, c_time)
+            in zip(keys, sides["parent"], sides["change"])]
+        for m in metrics:
+            name, sign = m["name"], 1 if m["better"] == "higher" else -1
+            won = sum(sign * (c - p) > 0 for p, c in
+                      (pair[name] for pair in block["pairs_parent_change"]))
+            block[f"{name}_change_better"] = f"{won} of {len(keys)}"
+            medians = block["parent"][name]["median"], block["change"][name]["median"]
+            block[f"{name}_change_over_parent_median"] = (
+                round(medians[1] / medians[0], 3) if medians[0] else None)
+        blocks[workload] = block
+    return {"seeds": seeds, "end_to_end": blocks}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path, help="the parent's .perfbench_out")
+    ap.add_argument("change", type=Path, help="the change's .perfbench_out")
+    ap.add_argument("--benchmark", type=Path, default=ROOT / "BENCHMARK.json")
+    ap.add_argument("--into", type=Path,
+                    help="JSON file whose seeds and end_to_end keys to replace")
+    args = ap.parse_args(argv)
+    metrics = json.loads(args.benchmark.read_text())["end_to_end"]
+    try:
+        folded = fold(load_runs(args.parent), load_runs(args.change), metrics)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if args.into is None:
+        print(json.dumps(folded, indent=1))
+        return 0
+    data = json.loads(args.into.read_text()) if args.into.exists() else {}
+    data.update(folded)
+    args.into.write_text(json.dumps(data, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
