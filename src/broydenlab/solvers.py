@@ -99,8 +99,7 @@ class TraceEntry:
 
     @property
     def s_norm(self):
-        """||s^k||, from ``ss`` where the engine kept it; None at kbar.  Not
-        cached: a cached copy per entry raised ``single``'s peak memory."""
+        """||s^k|| (None at kbar), from ``ss``; uncached to keep traces small."""
         if self.s is None:
             return None
         ctx = self.u.ctx

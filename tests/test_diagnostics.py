@@ -96,15 +96,17 @@ def test_window_stats_with_tied_spectra(ctx100, rule):
 
 def test_window_minimum_of_spectra_differing_by_ulps(ctx100):
     # E_k = diag(1/2 + j_k ulp, 1/8): ||E_k|| differs in the last bits only,
-    # far below the keys' slack, and the minimum is still the exact one
-    ulp = ctx100.real(2) ** -(ctx100.prec - 2)
-    js = [(k * 7 + 3) % 5 for k in range(12)]
+    # far below the keys' slack, and the minimum is still the exact one,
+    # although the final row (read first) does not hold it
+    ulp = ctx100.real(2) ** -(ctx100.prec - 1)   # one ulp of B_k's 3/2
+    js = [(k * 7 + 1) % 5 for k in range(12)]
     rec = _spectrum_record(ctx100, [(ctx100.real(1) / 2 + j * ulp, "0.125")
                                     for j in js])
     rows = metrics_from_trace(rec, get_problem("example1"))
     window = Window.from_kbar(rec.kbar)
+    assert js[-1] > min(js[window.k0:]) == 0
     e_norm = run_stats(rec, rows).values["min", "e_norm"]
-    assert e_norm == ctx100.real(1) / 2 + min(js[window.k0:]) * ulp
+    assert e_norm == ctx100.real(1) / 2 and e_norm < rows[-1].e_norm
     assert run_stats(rec, rows).to_wire() == eager_stats_wire(rec, rows)
 
 
