@@ -18,9 +18,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from .diagnostics import metrics_from_trace
 from .formatting import format_metric
-from .harness import (AcceptanceCriteria, check_scale, final_factors,
-                      parallel_map, removal_reason)
+from .harness import (AcceptanceCriteria, check_scale, parallel_map,
+                      removal_reason)
 from .linalg import PrecisionContext, Vec
 from .problems import Problem, get_problem
 from .solvers import SolverOptions, bmp_run
@@ -101,18 +102,16 @@ def classify_point_detail(p: Problem, u_hat: Vec, crit: AcceptanceCriteria,
         # the root itself trivially converges
         return Classification.IN_BAND, 0, sentinel
     rec = bmp_run(p, u_hat, p.jac(u_hat), opts, p.jac)
-    cls = _CLASS_OF_REASON[removal_reason(rec, p, crit)]
+    final = metrics_from_trace(rec, p, range(rec.kbar, rec.kbar + 1))
+    cls = _CLASS_OF_REASON[removal_reason(rec, final, crit)]
     if cls is Classification.NO_CONVERGENCE:
         return cls, rec.kbar, sentinel
-    return cls, rec.kbar, final_factors(rec, p)[1]
+    return cls, rec.kbar, final[0].q
 
 
 def _classify_chunk(problem_name: str, grid: GridSpec, crit: AcceptanceCriteria,
-                    digits: int, tol_exponent: int, max_iter: int, pixels):
+                    opts: SolverOptions, pixels):
     p = get_problem(problem_name)
-    opts = SolverOptions(precision=PrecisionContext(digits),
-                         tol_exponent=tol_exponent, max_iter=max_iter,
-                         record_spectra=False)
     ctx = opts.precision
     out = []
     for i, j in pixels:
@@ -133,12 +132,10 @@ def render_basin(p: Problem, grid: GridSpec, crit: AcceptanceCriteria,
     """
     res = grid.resolution
     pixels = [(i, j) for j in range(res - 1, -1, -1) for i in range(res)]
-    digits = opts.precision.decimal_digits
     # one strided chunk per requested worker, reassembled in raster order
     chunks = max(1, min(workers, len(pixels)))
     parts = parallel_map(_classify_chunk,
-                         [(p.name, grid, crit, digits, opts.tol_exponent,
-                           opts.max_iter, pixels[c::chunks])
+                         [(p.name, grid, crit, opts, pixels[c::chunks])
                           for c in range(chunks)], workers)
     raw = [None] * len(pixels)
     for c, part in enumerate(parts):

@@ -23,7 +23,8 @@ rows that can hold it, which :func:`window_extreme` finds from keys of the
 operands: float keys read off the raw ``_mpf_`` tuples, ln(err_k) / k for r,
 ln(eps_{k-1}) / k for r_eps (the logarithms of the values) and
 ln ||F_k|| / ln ||s^{k-1}|| for delta, and for n = 2 the exact key
-4 ||E_k||**2 at working precision, one square root instead of a Jacobi SVD.
+4 ||E_k||**2 at working precision, one square root instead of a Jacobi SVD,
+which stands for every value within 4 svd_tol of it (relative).
 """
 from __future__ import annotations
 
@@ -50,19 +51,18 @@ from .solvers import RunRecord
 #: margins of the extreme key cannot hold the extremum, ties and near-ties
 #: are always evaluated, and the extremum is exact by construction.
 #:
-#: An exact key K (an mpf, the 4 ||E_k||**2 of ``_Spectrum``) stands for
-#: every value within K 2**-(prec // 2), relative.  Proof: its eleven
-#: roundings of 2**-prec each, on nonnegative terms, leave it within about
-#: 16 2**-prec of the true 4 sigma_max**2 of the rounded E_k.  Jacobi's
-#: sigma_max**2 is the largest diagonal g of its final Gram matrix, whose
-#: off-diagonals are at most svd_tol sqrt(g_pp g_qq) (or, next to a deflated
-#: column, svd_tol g): by Gershgorin and the Rayleigh quotient the true
-#: value lies in [g, g (1 + (n - 1) svd_tol)], and the rotations' rounding
-#: adds O(rotations 2**-prec).  Both errors lie below 2**-(prec/2): by about
-#: 15 orders at the minimum of 50 digits (svd_tol = 1e-40 against 2**-83,
-#: about 1e-25) and by more than 100 orders at 320 digits.  So, as above,
-#: ties and near-ties are always evaluated.  A row whose spectrum is read
-#: already enters by the key of its exact value, with the same slack.
+#: An exact key K (an mpf, the 4 ||E_k||**2 of ``_Spectrum``, n = 2) stands
+#: for every value within 4 svd_tol K.  Proof: its eleven roundings of
+#: 2**-prec each, on nonnegative terms, leave it within about 16 2**-prec of
+#: the true 4 sigma_max**2 of the rounded E_k.  Jacobi's sigma_max**2 is the
+#: largest diagonal g of its final Gram matrix, whose off-diagonals are at
+#: most svd_tol sqrt(g_pp g_qq) (or, next to a deflated column, svd_tol g):
+#: by Gershgorin and the Rayleigh quotient the true value lies in
+#: [g, g (1 + (n - 1) svd_tol)], and the rotations' rounding adds
+#: O(rotations 2**-prec).  svd_tol = 10**(10 - digits) is about 10**11
+#: 2**-prec, so for n = 2 the key lies within about 1.0 svd_tol of
+#: Jacobi's 4 sigma_max**2, and the slack covers that four times over.
+#: So, as above, ties and near-ties are always evaluated.
 KEY_MARGIN = 1e-9
 _LN2 = math.log(2)
 
@@ -81,10 +81,7 @@ def _slack(key: float) -> float:
 def _span(key, sign: int, ctx: PrecisionContext):
     """The interval of signed values that a float or an exact ``key`` stands
     for (see KEY_MARGIN)."""
-    if isinstance(key, float):
-        slack = _slack(key)
-    else:
-        slack = ctx.mp.ldexp(key, -(ctx.prec // 2))
+    slack = _slack(key) if isinstance(key, float) else 4 * ctx.svd_tol * key
     return sign * key - slack, sign * key + slack
 
 
@@ -128,7 +125,7 @@ class _Spectrum(NamedTuple):
     j_root: Mat
 
     def value(self, ctx):
-        return singular_values(self.b - self.j_root, ctx)
+        return singular_values(self.b - self.j_root)
 
     def key(self):
         if self.b.n != 2:
@@ -148,11 +145,6 @@ class _Spectrum(NamedTuple):
         root = mpf_sqrt(mpf_mul(p, m, prec, rnd), prec, rnd)
         return ctx.make(mpf_add(mpf_add(p, m, prec, rnd), mpf_shift(root, 1),
                                 prec, rnd))
-
-    @staticmethod
-    def key_of(e_norm):
-        """The key of a read row, 4 ||E_k||**2."""
-        return 4 * e_norm * e_norm
 
 
 _LAZY = (_Root, _LogRatio, _Spectrum)
@@ -213,11 +205,10 @@ def window_extreme(pick: str, attr: str, rows):
 
     A lazy value that is still unread enters by its key, and only the rows
     whose key intervals (:func:`_span`) reach the extreme one are
-    evaluated.  With exact keys, the rows read already bound the extreme
-    too, through the keys of their values.
+    evaluated; a value without a key, or read already, is taken as it is.
     """
     sign = 1 if pick == "max" else -1
-    exact, keyed, key_of = [], [], None
+    exact, keyed = [], []
     for row in rows:
         op = row.pending.get("e_svals" if attr == "e_norm" else attr)
         key = op.key() if isinstance(op, _LAZY) else None
@@ -225,16 +216,11 @@ def window_extreme(pick: str, attr: str, rows):
             exact.append(row)
         else:
             keyed.append((_span(key, sign, row.ctx), row))
-            key_of = getattr(op, "key_of", None)
-    values = [v for v in (getattr(row, attr) for row in exact) if v != -1]
     if keyed:
         # the largest (signed) value that some row certainly reaches
-        lows = [lo for (lo, _), _ in keyed]
-        if key_of is not None:
-            lows += [_span(key_of(v), sign, rows[0].ctx)[0] for v in values]
-        floor = max(lows)
-        values += [v for v in (getattr(row, attr) for (_, hi), row in keyed
-                               if hi >= floor) if v != -1]
+        floor = max(lo for (lo, _), _ in keyed)
+        exact += [row for (_, hi), row in keyed if hi >= floor]
+    values = [v for v in (getattr(row, attr) for row in exact) if v != -1]
     if not values:
         return None
     return max(values) if pick == "max" else min(values)

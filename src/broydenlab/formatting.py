@@ -10,30 +10,30 @@ from __future__ import annotations
 import mpmath.libmp as libmp
 
 
-def format_sci(x, sig: int = 6) -> str:
-    """Scientific notation with ``sig`` significant digits, e.g. 2.50000e-06."""
+def format_sci(x) -> str:
+    """Scientific notation with six significant digits, e.g. 2.50000e-06."""
     if x == 0:
-        return "0." + "0" * (sig - 1) + "e+00"
+        return "0.00000e+00"
     if hasattr(x, "_mpf_"):
         raw = x._mpf_
     else:
         from mpmath import mpf
         raw = mpf(x)._mpf_
-    s = libmp.to_str(raw, sig, strip_zeros=False, min_fixed=1, max_fixed=0)
+    s = libmp.to_str(raw, 6, strip_zeros=False, min_fixed=1, max_fixed=0)
     if "e" in s:
         mant, exp = s.split("e")
     else:
         mant, exp = s, "0"
     if "." not in mant:
-        mant += "." + "0" * (sig - 1)
+        mant += ".00000"
     return f"{mant}e{int(exp):+03d}"
 
 
-def format_metric(x, sig: int = 6) -> str:
+def format_metric(x) -> str:
     """Like :func:`format_sci` but the sentinel -1 stays literal."""
     if x == -1:
         return "-1"
-    return format_sci(x, sig)
+    return format_sci(x)
 
 
 def format_full(x, digits: int) -> str:

@@ -227,7 +227,7 @@ def perturbed(jac: Mat, beta, noise: Mat) -> Mat:
     beta = ctx.real(beta)
     if beta == 0:
         return jac
-    scale = beta * spectral_norm(jac, ctx)
+    scale = beta * spectral_norm(jac)
     return jac + Mat(tuple(tuple(scale * x for x in row)
                            for row in noise.rows), ctx)
 
@@ -263,40 +263,25 @@ def run_single(cfg: SeriesConfig, run_index: int):
     return rec, rows
 
 
-def final_factors(rec: RunRecord, p: Problem):
-    """(err, q, Q) at the final index kbar, read from the last three trace
-    entries; q and Q are the sentinel -1 where undefined, as in
-    :func:`metrics_from_trace`."""
-    trace = rec.trace
-    ctx = trace[0].u.ctx
-    sentinel = ctx.real(-1)
-    root = p.root(ctx)
-    errs = [(e.u - root).norm() for e in trace[-2:]]
-    q = sentinel
-    if len(errs) == 2 and errs[0] > 0:
-        q = errs[1] / errs[0]
-    big_q = sentinel
-    if rec.kbar >= 2:
-        eps_prev, eps_prev2 = trace[-2].eps, trace[-3].eps
-        if eps_prev is not None and eps_prev2 is not None and eps_prev2 > 0:
-            big_q = eps_prev / eps_prev2
-    return errs[-1], q, big_q
-
-
-def removal_reason(rec: RunRecord, p: Problem,
+def removal_reason(rec: RunRecord, rows: list,
                    crit: AcceptanceCriteria) -> Optional[str]:
-    """None when the run is accepted, otherwise the removal category."""
+    """None when the run is accepted, otherwise the removal category.
+
+    ``rows`` are metrics rows of ``rec`` ending at kbar; only the final
+    row's err, q and Q are read, and only once the status and kbar >= 2
+    have passed (for kbar = 0 the window K is empty).
+    """
     if rec.status is Status.MAX_ITER:
         return "timeout"
     if rec.status not in SUCCESS:
         return "no-convergence"
     if rec.kbar < 2:
         return "degenerate"
-    ctx = rec.trace[0].u.ctx
-    err, q, big_q = final_factors(rec, p)
-    if err > ctx.real(crit.u_cap):
+    final = rows[-1]
+    ctx = final.ctx
+    if final.err > ctx.real(crit.u_cap):
         return "u-cap"
-    for band, value in ((crit.q_band, q), (crit.big_q_band, big_q)):
+    for band, value in ((crit.q_band, final.q), (crit.big_q_band, final.q_eps)):
         if band is None:
             continue
         lo, hi = ctx.real(band[0]), ctx.real(band[1])
@@ -351,40 +336,20 @@ SUMMARY_COLUMNS = tuple(SummaryColumn(*c) for c in (
 _STATS = tuple(dict.fromkeys(c.stat for c in SUMMARY_COLUMNS))
 
 
-@dataclass
-class RunStats:
-    """Per-run statistics of one accepted run, keyed like ``_STATS``
-    (None where nothing was defined)."""
+def run_stats(rows: list) -> tuple:
+    """The per-run statistics of one run's rows over its window K (final row
+    last), in ``_STATS`` order and exact transport form: an mpf as its
+    ``_mpf_`` tuple, None where nothing was defined.
 
-    values: dict
-
-    def to_wire(self):
-        """Exact transport form (mpf -> mantissa/exponent tuples)."""
-        return tuple(getattr(self.values[k], "_mpf_", self.values[k])
-                     for k in _STATS)
-
-    @classmethod
-    def from_wire(cls, wire, ctx: PrecisionContext) -> "RunStats":
-        return cls({k: ctx.make(t) if isinstance(t, tuple) else t
-                    for k, t in zip(_STATS, wire)})
-
-
-def run_stats(rec: RunRecord, rows: list, window_rule: str = "min") -> RunStats:
-    """The per-run statistics of one run's diagnostics.
-
-    ``rows`` may cover every index or only the window K; rows are matched
-    by ``row.k``.  A window extremum of a lazy column evaluates only the
-    rows that can hold it (:func:`diagnostics.window_extreme`).
+    A window extremum of a lazy column evaluates only the rows that can
+    hold it (:func:`diagnostics.window_extreme`).  The extrema come first,
+    so that the final row's spectrum enters by its key too.
     """
-    window = Window.from_kbar(rec.kbar, window_rule)
-    by_k = {row.k: row for row in rows}
-
-    def stat(pick, attr):
-        if pick == "final":
-            return getattr(by_k[window.kbar], attr)
-        return window_extreme(pick, attr, [by_k[k] for k in window.indices])
-
-    return RunStats({k: stat(*k) for k in _STATS})
+    values = {stat: window_extreme(*stat, rows) for stat in _STATS
+              if stat[0] != "final"}
+    values.update({stat: getattr(rows[-1], stat[1]) for stat in _STATS
+                   if stat[0] == "final"})
+    return tuple(getattr(values[s], "_mpf_", values[s]) for s in _STATS)
 
 
 CumulativeSummary = dataclasses.make_dataclass(
@@ -399,13 +364,15 @@ CumulativeSummary = dataclasses.make_dataclass(
 
 def _reduce_stats(all_stats: list, ctx: PrecisionContext, removed: int,
                   reasons: dict) -> CumulativeSummary:
+    """Fold the accepted runs' :func:`run_stats` tuples column by column."""
     if not all_stats:
         raise EmptyAcceptedSet(removed, reasons)
     sentinel = ctx.real(-1)
 
     def fold(col):
-        values = [s.values[col.stat] for s in all_stats
-                  if s.values[col.stat] is not None]
+        i = _STATS.index(col.stat)
+        values = [ctx.make(s[i]) if isinstance(s[i], tuple) else s[i]
+                  for s in all_stats if s[i] is not None]
         return col.fold(values) if values else sentinel
 
     return CumulativeSummary(
@@ -438,10 +405,8 @@ def parallel_map(fn, tasks, workers: int) -> list:
 
 def _worker_stats(cfg: SeriesConfig, crit: AcceptanceCriteria, run_index: int):
     rec, rows = run_single(cfg, run_index)
-    reason = removal_reason(rec, get_problem(cfg.problem), crit)
-    if reason is not None:
-        return reason, None
-    return None, run_stats(rec, rows, cfg.window_rule).to_wire()
+    reason = removal_reason(rec, rows, crit)
+    return reason, None if reason is not None else run_stats(rows)
 
 
 def cumulative_run(cfg: SeriesConfig, crit: Optional[AcceptanceCriteria] = None,
@@ -463,6 +428,6 @@ def cumulative_run(cfg: SeriesConfig, crit: Optional[AcceptanceCriteria] = None,
         if reason is not None:
             reasons[reason] = reasons.get(reason, 0) + 1
         else:
-            stats.append(RunStats.from_wire(wire, ctx))
+            stats.append(wire)
     removed = sum(reasons.values())
     return _reduce_stats(stats, ctx, removed, reasons)

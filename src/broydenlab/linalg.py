@@ -35,50 +35,43 @@ class NoConvergence(LinalgError):
 
 
 class PrecisionContext:
-    """Working precision plus the pivot-breakdown guard.
+    """Working precision.
 
     ``decimal_digits`` is the number of decimal digits carried by every
-    scalar created through this context.  ``singular_pivot_guard`` is the
-    number of digits of headroom before an LU pivot is declared zero:
-    a pivot smaller than ``10**-(decimal_digits - guard)`` times the largest
-    matrix entry triggers :class:`SingularMatrix`.
+    scalar created through this context.  An LU pivot smaller than
+    ``10**-(decimal_digits - 20)`` times the largest matrix entry (20 digits
+    of headroom) triggers :class:`SingularMatrix`.
     """
 
-    __slots__ = ("decimal_digits", "singular_pivot_guard", "mp", "prec",
-                 "rounding", "pivot_scale", "svd_tol")
+    __slots__ = ("decimal_digits", "mp", "prec", "rounding", "pivot_scale",
+                 "svd_tol")
 
-    def __init__(self, decimal_digits: int, singular_pivot_guard: int = 20):
+    def __init__(self, decimal_digits: int):
         decimal_digits = int(decimal_digits)
-        singular_pivot_guard = int(singular_pivot_guard)
         if decimal_digits < 50:
             raise ValueError("decimal_digits must be at least 50")
-        if not 0 < singular_pivot_guard < decimal_digits:
-            raise ValueError("singular_pivot_guard must lie in (0, decimal_digits)")
         self.decimal_digits = decimal_digits
-        self.singular_pivot_guard = singular_pivot_guard
         self.mp = mp.clone()
         self.mp.dps = decimal_digits
         #: binary precision and rounding mode the mpf operators pass to libmp
         self.prec, self.rounding = self.mp._prec_rounding
         #: relative pivot threshold of :func:`lu_solve`
-        self.pivot_scale = self.pow10(-(decimal_digits - singular_pivot_guard))
+        self.pivot_scale = self.pow10(-(decimal_digits - 20))
         #: relative off-diagonal tolerance of :func:`singular_values`
         self.svd_tol = self.pow10(-decimal_digits + 10)
 
     def __repr__(self):
-        return (f"PrecisionContext(decimal_digits={self.decimal_digits}, "
-                f"singular_pivot_guard={self.singular_pivot_guard})")
+        return f"PrecisionContext(decimal_digits={self.decimal_digits})"
 
     def __eq__(self, other):
         return (isinstance(other, PrecisionContext)
-                and self.decimal_digits == other.decimal_digits
-                and self.singular_pivot_guard == other.singular_pivot_guard)
+                and self.decimal_digits == other.decimal_digits)
 
     def __hash__(self):
-        return hash((self.decimal_digits, self.singular_pivot_guard))
+        return hash(self.decimal_digits)
 
     def __reduce__(self):
-        return (PrecisionContext, (self.decimal_digits, self.singular_pivot_guard))
+        return (PrecisionContext, (self.decimal_digits,))
 
     # -- scalar constructors ------------------------------------------------
 
@@ -272,15 +265,14 @@ def rank_one_update(B: Mat, v: Vec, w: Vec) -> Mat:
                      for row, a in zip(B.rows, v.entries)), ctx)
 
 
-def lu_solve(A: Mat, b: Vec, ctx: PrecisionContext | None = None) -> Vec:
+def lu_solve(A: Mat, b: Vec) -> Vec:
     """Solve A x = b by LU with partial pivoting.
 
     Raises :class:`SingularMatrix` when a pivot falls below
-    ``10**-(decimal_digits - singular_pivot_guard)`` relative to the largest
-    entry of A, which is how quasi-Newton breakdown surfaces to the solvers.
+    ``10**-(decimal_digits - 20)`` relative to the largest entry of A,
+    which is how quasi-Newton breakdown surfaces to the solvers.
     """
-    if ctx is None:
-        ctx = A.ctx
+    ctx = A.ctx
     n = A.n
     if len(b) != n:
         raise ValueError("dimension mismatch in lu_solve")
@@ -328,7 +320,7 @@ def lu_solve(A: Mat, b: Vec, ctx: PrecisionContext | None = None) -> Vec:
     return ctx.raw_vec(x)
 
 
-def singular_values(A: Mat, ctx: PrecisionContext | None = None):
+def singular_values(A: Mat):
     """All singular values of A in ascending order, by one-sided Jacobi.
 
     Columns are rotated until every off-diagonal Gram entry is below
@@ -336,8 +328,7 @@ def singular_values(A: Mat, ctx: PrecisionContext | None = None):
     :class:`NoConvergence` after ``60 n**2`` rotations, which only happens
     when the precision context is misconfigured.
     """
-    if ctx is None:
-        ctx = A.ctx
+    ctx = A.ctx
     n = A.n
     prec, rnd = ctx.prec, ctx.rounding
     cols = [[A.rows[i][j]._mpf_ for i in range(n)] for j in range(n)]
@@ -416,6 +407,6 @@ def singular_values(A: Mat, ctx: PrecisionContext | None = None):
     return tuple(ctx.make(x) for x in norms)
 
 
-def spectral_norm(A: Mat, ctx: PrecisionContext | None = None):
+def spectral_norm(A: Mat):
     """Largest singular value."""
-    return singular_values(A, ctx)[-1]
+    return singular_values(A)[-1]

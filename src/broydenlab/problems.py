@@ -239,16 +239,13 @@ def verify_a2(p: Problem, h, ctx: PrecisionContext) -> Vec:
     return p_n.matvec(second)
 
 
-def fd_jacobian(p: Problem, u: Vec, ctx: PrecisionContext, h=None) -> Mat:
-    """Central-difference Jacobian, default step 10**(-digits/3).
+def fd_jacobian(p: Problem, u: Vec, ctx: PrecisionContext) -> Mat:
+    """Central-difference Jacobian with step 10**(-digits/3).
 
     Independent of ``Problem.jac``; used to cross-check the analytic
     formulas.
     """
-    if h is None:
-        h = ctx.pow10(-ctx.real(ctx.decimal_digits) / 3)
-    else:
-        h = ctx.real(h)
+    h = ctx.pow10(-ctx.real(ctx.decimal_digits) / 3)
     n = p.n
     cols = []
     for j in range(n):

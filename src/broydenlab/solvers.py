@@ -219,12 +219,10 @@ def _engine(p, u, B, opts, step, update=None) -> RunRecord:
                      tol_exponent=opts.tol_exponent)
 
 
-def _quasi_newton_step(ctx):
+def _quasi_newton_step(k, u, fu, B):
     """Step rule s = -B^{-1} F(u) shared by every method carrying a matrix."""
-    def step(k, u, fu, B):
-        s = lu_solve(B, -fu, ctx)
-        return s, u + s
-    return step
+    s = lu_solve(B, -fu)
+    return s, u + s
 
 
 def _shamanskii_step(p, b_hat, c, alpha, ctx):
@@ -232,13 +230,13 @@ def _shamanskii_step(p, b_hat, c, alpha, ctx):
     corrected Shamanskii-like step."""
     def step(k, u, fu, B):
         if k == 0:
-            u_next = u + lu_solve(b_hat, -fu, ctx)
+            u_next = u + lu_solve(b_hat, -fu)
         elif k == 1:
-            u_next = u + lu_solve(p.jac(u), -fu, ctx)
+            u_next = u + lu_solve(p.jac(u), -fu)
         else:
             j = p.jac(u)
-            y = u + lu_solve(j, -fu, ctx)
-            z = lu_solve(j, p.f(y), ctx)
+            y = u + lu_solve(j, -fu)
+            z = lu_solve(j, p.f(y))
             nz = z.norm()
             if nz == 0:
                 u_next = y
@@ -258,7 +256,7 @@ def _check_dims(p, u, b=None):
 def broyden_run(p: Problem, u0: Vec, b0: Mat, opts: SolverOptions) -> RunRecord:
     """Plain Broyden iteration from (u0, B0)."""
     _check_dims(p, u0, b0)
-    rec = _engine(p, u0, b0, opts, _quasi_newton_step(opts.precision),
+    rec = _engine(p, u0, b0, opts, _quasi_newton_step,
                   lambda k, B, s, ss, u_next, f_next: _secant_update(B, s, ss, f_next))
     rec.broyden_updates_from = 0
     return rec
@@ -280,8 +278,7 @@ def bmp_run(p: Problem, u_hat: Vec, b_hat: Mat, opts: SolverOptions,
     def update(k, B, s, ss, u_next, f_next):
         return _secant_update(B, s, ss, f_next) if k > 0 or b0 is None else b0(u_next)
 
-    rec = _engine(p, u_hat, b_hat, opts, _quasi_newton_step(opts.precision),
-                  update)
+    rec = _engine(p, u_hat, b_hat, opts, _quasi_newton_step, update)
     if rec.kbar > 0:
         # B_0 came from the Newton-like step itself only without ``b0``
         rec.broyden_updates_from = 0 if b0 is None else 1
@@ -291,7 +288,7 @@ def bmp_run(p: Problem, u_hat: Vec, b_hat: Mat, opts: SolverOptions,
 def newton_run(p: Problem, u0: Vec, opts: SolverOptions) -> RunRecord:
     """Newton's method with the Jacobian refreshed every step."""
     _check_dims(p, u0)
-    return _engine(p, u0, p.jac(u0), opts, _quasi_newton_step(opts.precision),
+    return _engine(p, u0, p.jac(u0), opts, _quasi_newton_step,
                    lambda k, B, s, ss, u_next, f_next: p.jac(u_next))
 
 

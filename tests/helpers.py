@@ -12,7 +12,7 @@ import math
 import mpmath
 
 from broydenlab.diagnostics import metrics_from_trace
-from broydenlab.harness import _STATS, RunStats, Window
+from broydenlab.harness import _STATS, Window
 from broydenlab.linalg import (Mat, PrecisionContext, Vec, singular_values,
                                spectral_norm)
 from broydenlab.problems import Problem, projectors
@@ -199,7 +199,7 @@ def lam_omega_rows(rec: RunRecord, p: Problem) -> list:
 
 
 def eager_stats_wire(rec: RunRecord, rows: list, window_rule: str = "min"):
-    """``run_stats(rec, rows, window_rule).to_wire()`` computed after
+    """``run_stats`` of the window rows of ``rows``, computed after
     reading every column of every row: each window extremum is the min or
     max over all of the window's values with the sentinel skipped."""
     window = Window.from_kbar(rec.kbar, window_rule)
@@ -213,7 +213,7 @@ def eager_stats_wire(rec: RunRecord, rows: list, window_rule: str = "min"):
         defined = [v for v in column if v != -1]
         values[pick, attr] = ((min(defined) if pick == "min" else max(defined))
                               if defined else None)
-    return RunStats(values).to_wire()
+    return tuple(getattr(values[s], "_mpf_", values[s]) for s in _STATS)
 
 
 # -- step, nullspace and update-norm diagnostics of the acceptance criteria -----
@@ -254,7 +254,7 @@ def uli_min_sv(steps, k: int, selection, ctx=None):
             raise ValueError(f"step {i} is not unit-norm")
     cols = [steps[i] for i in selection]
     m = Mat(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)), ctx)
-    return singular_values(m, ctx)[0]
+    return singular_values(m)[0]
 
 
 def nullspace_residual(B: Mat, phi: Vec):

@@ -133,3 +133,22 @@ def test_blue_fraction_density_trend_small_grid(ex1, crit):
 def test_grid_spec_rejects_bad_half_width(half_width):
     with pytest.raises(ValueError):
         GridSpec(half_width=half_width, resolution=3)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_render_keeps_the_callers_divergence_guard(ex1, crit, workers):
+    # a guard below the grid's radius stops every start but the root at
+    # once: the render must classify each pixel with the caller's options
+    opts = SolverOptions(precision=PrecisionContext(80), tol_exponent=40,
+                         max_iter=300, divergence_guard=1e-4,
+                         record_spectra=False)
+    grid = GridSpec(half_width="0.001", resolution=3)
+    _, results = render_basin(ex1, grid, crit, opts, workers=workers)
+    for idx, result in enumerate(results):
+        row, i = divmod(idx, 3)
+        u_hat = grid.point(i, 2 - row, opts.precision)
+        assert result.classification is \
+            classify_point_detail(ex1, u_hat, crit, opts)[0]
+    # pixel (0, 0) sits in the bottom-left corner
+    assert results[6].classification is Classification.NO_CONVERGENCE
+    assert [r.classification for r in results].count(Classification.IN_BAND) == 1

@@ -10,8 +10,8 @@ _SPEC = importlib.util.spec_from_file_location("fold_bench", _PATH)
 fold_bench = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(fold_bench)
 
-METRICS = [{"name": "solves_per_s", "better": "higher"},
-           {"name": "solve_ms_p50", "better": "lower"}]
+METRICS = [{"name": "solves_per_s", "better": "higher", "bound": 0.25},
+           {"name": "solve_ms_p50", "better": "lower", "bound": 0.25}]
 
 
 def _write(out: Path, workload, seed, rate, ms, mtime, trace=0, failed=0):
@@ -54,6 +54,7 @@ def test_fold_made_up_runs(tmp_path):
         "parent", "change", "parent"]
     assert block["pairs_parent_change"][1]["solves_per_s"] == [5.0, 4.5]
     assert block["failed"] == {"parent": [0, 0, 0], "change": [0, 0, 0]}
+    assert block["solves_per_s_verdict"] == block["solve_ms_p50_verdict"] == "within"
 
 
 def test_fold_into_keeps_other_keys(tmp_path):
@@ -79,3 +80,35 @@ def test_fold_needs_two_pairs(tmp_path):
     with pytest.raises(ValueError):
         fold_bench.fold(fold_bench.load_runs(parent),
                         fold_bench.load_runs(change), METRICS)
+
+
+@pytest.mark.parametrize("parent,change,better,want", [
+    # a median 29% below the parent's, whose spread is narrow
+    ([10.0, 10.5, 11.0], [7.0, 7.5, 8.0], "higher", "worse"),
+    ([100.0, 100.0, 100.0], [120.0, 130.0, 140.0], "lower", "worse"),
+    # 10% below, narrow spread
+    ([10.0, 10.5, 11.0], [9.0, 9.5, 10.0], "higher", "within"),
+    # the parent's quartiles (7, 13) span more than the bound of 2.5
+    ([4.0, 10.0, 16.0], [9.0, 10.0, 11.0], "higher", "unresolved"),
+    ([4.0, 10.0, 16.0], [3.0, 4.0, 5.0], "lower", "unresolved"),
+    # a wide spread, but every change run beats every parent run
+    ([4.0, 10.0, 16.0], [17.0, 18.0, 19.0], "higher", "within"),
+    # worse by more than the bound wins over a wide spread
+    ([4.0, 10.0, 16.0], [5.0, 6.0, 7.0], "higher", "worse"),
+])
+def test_verdict(parent, change, better, want):
+    got = fold_bench.verdict(fold_bench.summary(parent), fold_bench.summary(change),
+                             better, 0.25)
+    assert got == want
+
+
+def test_main_prints_verdicts(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in (1, 2, 3):
+        _write(parent, "single", seed, 10.0 + seed / 10, 100.0, mtime=100)
+        _write(change, "single", seed, 7.0 + seed / 10, 100.0, mtime=200)
+    bench = tmp_path / "BENCHMARK.json"
+    bench.write_text(json.dumps({"end_to_end": METRICS}))
+    assert fold_bench.main([str(parent), str(change), "--benchmark", str(bench)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["single solves_per_s: worse", "single solve_ms_p50: within"]

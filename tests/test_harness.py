@@ -9,7 +9,7 @@ from broydenlab.diagnostics import MetricsRow, _Spectrum
 from broydenlab.harness import (AcceptanceCriteria, CounterRng,
                                 EmptyAcceptedSet, SeriesConfig, Window,
                                 _reduce_stats, cumulative_run,
-                                default_criteria, final_factors, init_random,
+                                default_criteria, init_random,
                                 parallel_map, pool_size, removal_reason,
                                 run_single, run_stats)
 from broydenlab.linalg import PrecisionContext, spectral_norm
@@ -198,34 +198,23 @@ def test_single_run_reproducible(tiny_cfg):
 
 
 def test_removal_reason_categories(tiny_cfg):
-    rec, _ = run_single(tiny_cfg, 0)
-    p = get_problem(tiny_cfg.problem)
+    rec, rows = run_single(tiny_cfg, 0)
     assert rec.status is Status.CONVERGED
     crit = default_criteria("example1")
-    assert removal_reason(rec, p, crit) is None
+    assert removal_reason(rec, rows, crit) is None
     tight_band = AcceptanceCriteria(q_band=("0.9", "0.95"))
-    assert removal_reason(rec, p, tight_band) == "band"
+    assert removal_reason(rec, rows, tight_band) == "band"
     tiny_cap = AcceptanceCriteria(u_cap="1e-200")
-    assert removal_reason(rec, p, tiny_cap) == "u-cap"
+    assert removal_reason(rec, rows, tiny_cap) == "u-cap"
     short = dataclasses.replace(rec, status=Status.MAX_ITER)
-    assert removal_reason(short, p, crit) == "timeout"
+    assert removal_reason(short, rows, crit) == "timeout"
     broken = dataclasses.replace(rec, status=Status.SINGULAR_MATRIX)
-    assert removal_reason(broken, p, crit) == "no-convergence"
-
-
-def test_final_factors_match_metrics_rows(tiny_cfg):
-    # the acceptance rule reads the trace, the summary reads the rows: both
-    # must see the same final err, q and Q
-    rec, rows = run_single(tiny_cfg, 1)
-    final = rows[-1]
-    assert final.k == rec.kbar
-    assert final_factors(rec, get_problem(tiny_cfg.problem)) == \
-        (final.err, final.q, final.q_eps)
+    assert removal_reason(broken, rows, crit) == "no-convergence"
 
 
 def test_aggregate_singleton_collapses(tiny_cfg):
     rec, rows = run_single(tiny_cfg, 0)
-    summary = _reduce_stats([run_stats(rec, rows)], rec.trace[0].u.ctx, 0, {})
+    summary = _reduce_stats([run_stats(rows)], rec.trace[0].u.ctx, 0, {})
     assert rows[-1].k == rec.kbar
     assert summary.accepted == 1 and summary.removed == 0
     assert summary.q_min <= summary.q_max
@@ -251,9 +240,9 @@ def test_aggregate_two_synthetic_records_hand_check(ctx100):
     rec_b = make(ctx100.real(4))
     rows_a = metrics_from_trace(rec_a, p)
     rows_b = metrics_from_trace(rec_b, p)
-    summary = _reduce_stats([run_stats(rec_a, rows_a), run_stats(rec_b, rows_b)],
-                            ctx100, 0, {})
     w = Window.from_kbar(30)
+    summary = _reduce_stats([run_stats(rows_a[w.k0:]), run_stats(rows_b[w.k0:])],
+                            ctx100, 0, {})
     assert w.k0 == 5
     # q is exactly 1/2 everywhere, so the collapse is exact
     assert summary.q_min == summary.q_max == ctx100.real(1) / 2
@@ -270,7 +259,7 @@ def test_aggregate_two_synthetic_records_hand_check(ctx100):
 
 
 def test_aggregate_order_independence(tiny_cfg):
-    stats = [run_stats(*run_single(tiny_cfg, j)) for j in range(3)]
+    stats = [run_stats(run_single(tiny_cfg, j)[1]) for j in range(3)]
     ctx = PrecisionContext(tiny_cfg.precision)
     s1 = _reduce_stats(stats, ctx, 0, {})
     s2 = _reduce_stats(list(reversed(stats)), ctx, 0, {})
@@ -338,7 +327,7 @@ def test_windowed_rows_equal_full_rows(tiny_cfg, rule):
             for name in names:
                 assert getattr(got, name) == getattr(want, name)
         assert [row.k for row in rows] == list(window.indices)
-        assert run_stats(rec, rows, rule) == run_stats(rec, full, rule)
+        assert run_stats(rows) == run_stats(full[window.k0:])
     assert metrics_from_trace(rec, p, range(0)) == []
 
 
@@ -353,16 +342,16 @@ def test_lazy_window_stats_equal_eager_stats(problem, alpha, rule):
     cfg = SeriesConfig(problem=problem, alpha=alpha, m=3, tol_exponent=60,
                        precision=130, max_iter=500, rng_seed=23,
                        window_rule=rule)
-    p, crit = get_problem(problem), default_criteria(problem)
+    crit = default_criteria(problem)
     for j in range(cfg.m):
         rec, rows = run_single(cfg, j)
-        wire = run_stats(rec, rows, rule).to_wire()
+        wire = run_stats(rows)
         read = sum(not isinstance(row.pending[name], tuple) for row in rows
                    for name in ("r", "r_eps", "delta"))
         assert read < len(rows)
         spectra = sum(not isinstance(row.pending["e_svals"], _Spectrum)
                       for row in rows)
-        if problem == "example1" and removal_reason(rec, p, crit) is None:
+        if problem == "example1" and removal_reason(rec, rows, crit) is None:
             assert 1 <= spectra <= 2
         assert wire == eager_stats_wire(rec, rows, rule)
 
@@ -402,5 +391,52 @@ def test_converged_run_that_is_not_q_linear():
     assert all(lo <= row.r <= hi for row in rows)
     q_lo, q_hi = ctx.real("0.616"), ctx.real("0.620")
     assert any(not (q_lo <= row.q <= q_hi) for row in rows)
-    p = get_problem("example1")
-    assert removal_reason(rec, p, default_criteria("example1")) == "band"
+    assert removal_reason(rec, rows, default_criteria("example1")) == "band"
+
+
+def test_removal_reason_reads_only_the_final_row():
+    # the rule gives the same reason on a run's window rows K as on its one
+    # row at kbar: accepted and removed example1/2/3 runs, the start that is
+    # not q-linear, a timeout and a run that stops at kbar = 0 (empty K)
+    base = SeriesConfig(problem="example1", alpha="1e-5", m=1, tol_exponent=60,
+                        precision=130, max_iter=500, rng_seed=23)
+    cases = [base] + [dataclasses.replace(base, problem=name, alpha="0.01",
+                                          rng_seed=seed)
+                      for name in ("example1", "example2", "example3")
+                      for seed in (23, 24)] + [
+        SeriesConfig(problem="example1", alpha="0.01", m=1, tol_exponent=100,
+                     precision=350, max_iter=3000, rng_seed=202000),
+        dataclasses.replace(base, max_iter=3),
+        dataclasses.replace(base, alpha="1e-200")]
+    reasons = []
+    for cfg in cases:
+        rec, rows = run_single(cfg, 0)
+        p, crit = get_problem(cfg.problem), default_criteria(cfg.problem)
+        final = metrics_from_trace(rec, p, range(rec.kbar, rec.kbar + 1))
+        reason = removal_reason(rec, rows, crit)
+        assert removal_reason(rec, final, crit) == reason
+        reasons.append(reason)
+    assert {None, "band", "timeout", "degenerate"} <= set(reasons)
+    assert rec.kbar == 0 and rows == []
+
+
+def test_broyden_update_series_evaluates_few_spectra():
+    # at 160 digits ||E_k|| varies across a window by about 2**-(prec // 2);
+    # the slack 4 svd_tol still separates the rows.  The final columns are
+    # read after the window extrema, so the final row's spectrum enters by
+    # its key too: an accepted run evaluates at most two spectra, most runs
+    # only the final row's
+    cfg = SeriesConfig(problem="example1", alpha="1e-5", b0_mode="broyden-update",
+                       m=8, precision=160, rng_seed=0)
+    crit = default_criteria("example1")
+    counts = []
+    for j in range(cfg.m):
+        rec, rows = run_single(cfg, j)
+        if removal_reason(rec, rows, crit) is not None:
+            continue
+        wire = run_stats(rows)
+        counts.append(sum(not isinstance(row.pending["e_svals"], _Spectrum)
+                          for row in rows))
+        assert wire == eager_stats_wire(rec, rows)
+    assert len(counts) >= 6
+    assert max(counts) <= 2 and sum(counts) < 2 * len(counts)

@@ -7,10 +7,12 @@ form a pair.  For every workload and every end-to-end metric of
 ``BENCHMARK.json`` this prints, or writes into the ``end_to_end`` and
 ``seeds`` keys of an existing JSON file, each side's median, inclusive
 quartiles and sorted runs, the pairs, how many pairs the change won (ties
-count for neither side) and the ratio of the medians.  The side that ran
-first in a pair is read from the files' modification times.
+count for neither side), the ratio of the medians and a verdict against the
+metric's ``bound`` (see :func:`verdict`), which is also printed on stderr,
+one line per workload and metric.  The side that ran first in a pair is
+read from the files' modification times.
 
-    python3 tools/fold_bench.py PARENT_OUT CHANGE_OUT [--into BENCH_8.json]
+    python3 tools/fold_bench.py PARENT_OUT CHANGE_OUT [--into BENCH_10.json]
 """
 from __future__ import annotations
 
@@ -42,10 +44,33 @@ def summary(values: list) -> dict:
             "q3": round(q3, 4), "runs": sorted(round(v, 4) for v in values)}
 
 
+def verdict(parent: dict, change: dict, better: str, bound: float) -> str:
+    """How the change's runs compare with the parent's on one metric, given
+    each side's :func:`summary`, which direction is ``better`` and the
+    relative ``bound``:
+
+    * ``worse``: the change's median is worse than the parent's by more
+      than ``bound`` times the parent's median;
+    * ``unresolved``: the parent's quartile spread is wider than that, and
+      not every change run beats every parent run;
+    * ``within``: every other case.
+    """
+    sign = 1 if better == "higher" else -1
+    allowed = bound * abs(parent["median"])
+    if sign * (change["median"] - parent["median"]) < -allowed:
+        return "worse"
+    beats_all = all(sign * (c - p) > 0
+                    for c in change["runs"] for p in parent["runs"])
+    if parent["q3"] - parent["q1"] > allowed and not beats_all:
+        return "unresolved"
+    return "within"
+
+
 def fold(parent: dict, change: dict, metrics: list) -> dict:
     """The ``seeds`` and ``end_to_end`` blocks of a BENCH_<PR>.json.
 
-    ``metrics`` are BENCHMARK.json's ``end_to_end`` entries (name, better).
+    ``metrics`` are BENCHMARK.json's ``end_to_end`` entries (name, better,
+    bound).
     Only pairs present on both sides enter; each workload needs two.
     """
     pairs = sorted(set(parent) & set(change))
@@ -81,6 +106,9 @@ def fold(parent: dict, change: dict, metrics: list) -> dict:
             medians = block["parent"][name]["median"], block["change"][name]["median"]
             block[f"{name}_change_over_parent_median"] = (
                 round(medians[1] / medians[0], 3) if medians[0] else None)
+            block[f"{name}_verdict"] = verdict(
+                block["parent"][name], block["change"][name], m["better"],
+                m["bound"])
         blocks[workload] = block
     return {"seeds": seeds, "end_to_end": blocks}
 
@@ -99,6 +127,10 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    for workload, block in folded["end_to_end"].items():
+        for m in metrics:
+            print(f"{workload} {m['name']}: {block[m['name'] + '_verdict']}",
+                  file=sys.stderr)
     if args.into is None:
         print(json.dumps(folded, indent=1))
         return 0
