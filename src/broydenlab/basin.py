@@ -110,16 +110,14 @@ def classify_point_detail(p: Problem, u_hat: Vec, crit: AcceptanceCriteria,
 
 
 def _classify_chunk(problem_name: str, grid: GridSpec, crit: AcceptanceCriteria,
-                    opts: SolverOptions, pixels):
+                    opts: SolverOptions, pixels) -> list[PixelResult]:
     p = get_problem(problem_name)
-    ctx = opts.precision
     out = []
     for i, j in pixels:
-        u_hat = grid.point(i, j, ctx)
+        u_hat = grid.point(i, j, opts.precision)
         cls, kbar, q_final = classify_point_detail(p, u_hat, crit, opts)
-        out.append((i, j, cls.value, kbar,
-                    format_metric(q_final),
-                    format_metric(u_hat[0]), format_metric(u_hat[1])))
+        out.append(PixelResult(format_metric(u_hat[0]), format_metric(u_hat[1]),
+                               cls, kbar, format_metric(q_final)))
     return out
 
 
@@ -137,19 +135,11 @@ def render_basin(p: Problem, grid: GridSpec, crit: AcceptanceCriteria,
     parts = parallel_map(_classify_chunk,
                          [(p.name, grid, crit, opts, pixels[c::chunks])
                           for c in range(chunks)], workers)
-    raw = [None] * len(pixels)
+    results = [None] * len(pixels)
     for c, part in enumerate(parts):
-        raw[c::chunks] = part
-
-    header = f"P6\n{res} {res}\n255\n".encode("ascii")
-    body = bytearray()
-    results = []
-    for i, j, cls_value, kbar, q_str, x_str, y_str in raw:
-        cls = Classification(cls_value)
-        body.extend(COLORS[cls])
-        results.append(PixelResult(x=x_str, y=y_str, classification=cls,
-                                   kbar=kbar, q_final=q_str))
-    return header + bytes(body), results
+        results[c::chunks] = part
+    body = bytes(x for r in results for x in COLORS[r.classification])
+    return f"P6\n{res} {res}\n255\n".encode("ascii") + body, results
 
 
 def csv_lines(results) -> list[str]:

@@ -9,6 +9,9 @@ Subcommands:
 * ``list-problems``  show the registry
 * ``verify``         second-derivative and finite-difference checks
 
+``single`` and ``cumulative`` build one SeriesConfig from the series flags
+given (:data:`SERIES_FLAGS`) or from ``cumulative --config FILE``, not both.
+
 Exit codes: 0 success, 1 a failed ``verify`` check, 2 configuration error
 or refused input (one ``error:`` line, nothing written), 3 empty accepted
 set in a cumulative run.
@@ -16,27 +19,48 @@ set in a cumulative run.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .basin import (DimensionMismatch, GridSpec, blue_fraction, csv_lines,
                     render_basin)
 from .diagnostics import metrics_from_trace
 from .formatting import format_full, format_metric
-from .harness import (SUMMARY_COLUMNS, AcceptanceCriteria, CounterRng,
-                      CumulativeSummary, EmptyAcceptedSet, SeriesConfig,
+from .harness import (B0_MODES, SUMMARY_COLUMNS, AcceptanceCriteria,
+                      CounterRng, EmptyAcceptedSet, SeriesConfig,
                       cumulative_run, default_criteria, seeded_start)
 from .linalg import LinalgError, PrecisionContext
 from .problems import (MissingNullData, fd_jacobian_deviation, get_problem,
                        list_problems, verify_a2)
 from .solvers import SolverOptions, bmp_run, broyden_run, newton_run, smp_run
 
-METRICS_HEADER = ("k,F_norm,u_norm,r,q,eps,R,Q,delta,zeta,"
-                  "Lambda1,Lambda2,E_norm")
+#: (flag, SeriesConfig field, help) of ``single`` and ``cumulative``; the
+#: field gives the flag's type and metavar, and ``single`` has no ``--m``
+SERIES_FLAGS = (
+    ("--problem", "problem", None),
+    ("--alpha", "alpha", "half-width of the random start box"),
+    ("--beta", "beta", "relative scale of the matrix perturbation"),
+    ("--b0-mode", "b0_mode", f"B_0 rule, one of {', '.join(B0_MODES)}"),
+    ("--m", "m", "number of runs"),
+    ("--tol", "tol_exponent", "stop at ||F|| <= 10**-TOL_EXPONENT"),
+    ("--precision", "precision", "working precision in decimal digits"),
+    ("--max-iter", "max_iter", None), ("--seed", "rng_seed", None))
 
-SUMMARY_HEADER = ",".join(["problem,alpha,beta,b0_mode,m,seed",
-                           *(c.csv for c in SUMMARY_COLUMNS), "rem"])
+#: metrics.csv's columns: (csv name, MetricsRow attribute)
+METRICS_COLUMNS = (
+    ("k", "k"), ("F_norm", "f_norm"), ("u_norm", "err"), ("r", "r"),
+    ("q", "q"), ("eps", "eps"), ("R", "r_eps"), ("Q", "q_eps"),
+    ("delta", "delta"), ("zeta", "zeta"), ("Lambda1", "lambda1"),
+    ("Lambda2", "lambda2"), ("E_norm", "e_norm"))
+#: summary.csv's columns: (csv name, SeriesConfig or CumulativeSummary field)
+SUMMARY_CSV = (("problem", "problem"), ("alpha", "alpha"), ("beta", "beta"),
+               ("b0_mode", "b0_mode"), ("m", "m"), ("seed", "rng_seed"),
+               *((c.csv, c.attr) for c in SUMMARY_COLUMNS), ("rem", "removed"))
+METRICS_HEADER, SUMMARY_HEADER = (",".join(name for name, _ in columns)
+                                  for columns in (METRICS_COLUMNS, SUMMARY_CSV))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,26 +78,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "methods on singular nonlinear systems")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--problem", required=True)
-        p.add_argument("--tol", type=int, default=100,
-                       help="stop at ||F|| <= 10**-TOL")
-        p.add_argument("--precision", type=int, default=320,
-                       help="working precision in decimal digits")
-        p.add_argument("--max-iter", type=int, default=3000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=".", help="output directory")
+    types = {f.name: f.type for f in dataclasses.fields(SeriesConfig)}
+
+    def series(p, skip=()):
+        for flag, field, text in SERIES_FLAGS:
+            if flag not in skip:
+                p.add_argument(flag, dest=field, default=argparse.SUPPRESS,
+                               type=int if types[field] == "int" else str,
+                               help=text)
 
     p_single = sub.add_parser("single", help="one seeded run")
-    common(p_single)
+    series(p_single, skip=("--m",))
     p_single.add_argument("--method", choices=("bm", "bmp", "smp", "newton"),
                           default="bmp")
-    p_single.add_argument("--alpha", default="0.01",
-                          help="half-width of the random start box")
-    p_single.add_argument("--beta", default="0",
-                          help="relative scale of the matrix perturbation")
-    p_single.add_argument("--b0-mode", choices=("jacobian", "broyden-update"),
-                          default="jacobian")
     p_single.add_argument("--C", dest="c_const", default="1",
                           help="correction constant of the accelerated method")
     p_single.add_argument("--order-alpha", default="0.5",
@@ -82,19 +99,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="dump every working digit instead of 6")
 
     p_cum = sub.add_parser("cumulative", help="m seeded runs, aggregated")
-    p_cum.add_argument("--config", help="JSON file mirroring SeriesConfig")
-    p_cum.add_argument("--problem")
-    p_cum.add_argument("--alpha")
-    p_cum.add_argument("--beta", default="0")
-    p_cum.add_argument("--b0-mode", choices=("jacobian", "broyden-update"),
-                       default="jacobian")
-    p_cum.add_argument("--m", type=int, default=200)
-    p_cum.add_argument("--tol", type=int, default=100)
-    p_cum.add_argument("--precision", type=int, default=320)
-    p_cum.add_argument("--max-iter", type=int, default=500)
-    p_cum.add_argument("--seed", type=int, default=0)
+    p_cum.add_argument("--config",
+                       help="JSON file mirroring SeriesConfig, in place of "
+                            "the series flags")
+    series(p_cum)
     p_cum.add_argument("--workers", type=int, default=1)
-    p_cum.add_argument("--out", default=".")
 
     p_basin = sub.add_parser("basin", help="rasterize the convergence domain")
     p_basin.add_argument("--problem", required=True)
@@ -103,9 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_basin.add_argument("--tol", type=int, default=60)
     p_basin.add_argument("--precision", type=int, default=160)
     p_basin.add_argument("--max-iter", type=int, default=300)
-    p_basin.add_argument("--seed", type=int, default=0)
     p_basin.add_argument("--workers", type=int, default=1)
-    p_basin.add_argument("--out", default=".")
+    for p in (p_single, p_cum, p_basin):
+        p.add_argument("--out", default=".", help="output directory")
 
     sub.add_parser("list-problems", help="show the registry")
 
@@ -116,34 +125,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _metrics_csv(rows, full_digits=None) -> str:
-    lines = [METRICS_HEADER]
-    for row in rows:
-        lines.append(",".join([str(row.k)] + [
-            "-1" if x is None else format_metric(x) if full_digits is None
-            else format_full(x, full_digits)
-            for x in (row.f_norm, row.err, row.r, row.q, row.eps, row.r_eps,
-                      row.q_eps, row.delta, row.zeta, row.lambda1,
-                      row.lambda2, row.e_norm)]))
+def _series(args, defaults: dict):
+    """The SeriesConfig of --config, or of the flags given over ``defaults``,
+    and the config's criteria (None: the problem's default criteria)."""
+    given = {field: getattr(args, field) for _, field, _ in SERIES_FLAGS
+             if hasattr(args, field)}
+    data, crit = {**defaults, **given}, None
+    if getattr(args, "config", None) is not None:
+        if given:
+            flags = [flag for flag, field, _ in SERIES_FLAGS if field in given]
+            raise ValueError(f"--config excludes {', '.join(flags)}")
+        data = json.loads(Path(args.config).read_text())
+        crit = data.pop("criteria", None) if isinstance(data, dict) else None
+    cfg = SeriesConfig.from_mapping(data)
+    return cfg, None if crit is None else AcceptanceCriteria.from_mapping(crit)
+
+
+def _cell(x, full_digits=None) -> str:
+    """None as -1, an int or str as it is, an mpf to 6 or full_digits digits."""
+    if x is None:
+        return "-1"
+    if isinstance(x, (int, str)):
+        return str(x)
+    return format_metric(x) if full_digits is None else format_full(x, full_digits)
+
+
+def _csv(columns, rows, full_digits=None) -> str:
+    """The columns' csv names, then a line of each row's attributes."""
+    lines = [",".join(name for name, _ in columns)] + [
+        ",".join(_cell(getattr(row, attr), full_digits) for _, attr in columns)
+        for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def summary_csv_row(cfg: SeriesConfig, summary: CumulativeSummary) -> str:
-    values = [cfg.problem, cfg.alpha, cfg.beta, cfg.b0_mode,
-              str(cfg.m), str(cfg.rng_seed)]
-    for col in SUMMARY_COLUMNS:
-        value = getattr(summary, col.attr)
-        values.append(str(value) if isinstance(value, int)
-                      else format_metric(value))
-    values.append(str(summary.removed))
-    return ",".join(values)
+def _write(out, files: dict) -> None:
+    """Create the directory ``out`` and write each named file, text or bytes."""
+    Path(out).mkdir(parents=True, exist_ok=True)
+    for name, data in files.items():
+        write = Path.write_bytes if isinstance(data, bytes) else Path.write_text
+        write(Path(out) / name, data)
 
 
 def _cmd_single(args) -> int:
-    cfg = SeriesConfig(problem=args.problem, alpha=args.alpha, beta=args.beta,
-                       b0_mode=args.b0_mode, m=1, tol_exponent=args.tol,
-                       precision=args.precision, max_iter=args.max_iter,
-                       rng_seed=args.seed)
+    cfg, _ = _series(args, {"alpha": "0.01", "max_iter": 3000, "m": 1})
     p, opts, u_hat, b_hat, b0 = seeded_start(cfg, 0)
     if args.method == "bmp":
         rec = bmp_run(p, u_hat, b_hat, opts, b0)
@@ -154,37 +178,18 @@ def _cmd_single(args) -> int:
     else:
         rec = smp_run(p, u_hat, b_hat, args.c_const, args.order_alpha, opts)
     rows = metrics_from_trace(rec, p)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    full = args.precision if args.full_precision else None
-    (out / "metrics.csv").write_text(_metrics_csv(rows, full))
+    full = cfg.precision if args.full_precision else None
+    _write(args.out, {"metrics.csv": _csv(METRICS_COLUMNS, rows, full)})
     print(f"{p.name} {args.method}: status={rec.status.value} kbar={rec.kbar} "
           f"F_final={format_metric(rec.trace[-1].f_norm)}")
     return 0
 
 
 def _cmd_cumulative(args) -> int:
-    if args.config:
-        data = json.loads(Path(args.config).read_text())
-        crit_spec = data.pop("criteria", None) if isinstance(data, dict) else None
-        cfg = SeriesConfig.from_mapping(data)
-        if crit_spec is not None:
-            crit = AcceptanceCriteria.from_mapping(crit_spec)
-        else:
-            crit = default_criteria(cfg.problem)
-    else:
-        if not args.problem or args.alpha is None:
-            raise ValueError("cumulative needs --config or --problem/--alpha")
-        cfg = SeriesConfig(problem=args.problem, alpha=args.alpha,
-                           beta=args.beta, b0_mode=args.b0_mode, m=args.m,
-                           tol_exponent=args.tol, precision=args.precision,
-                           max_iter=args.max_iter, rng_seed=args.seed)
-        crit = default_criteria(cfg.problem)
+    cfg, crit = _series(args, {})
     summary = cumulative_run(cfg, crit, workers=args.workers)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    text = SUMMARY_HEADER + "\n" + summary_csv_row(cfg, summary) + "\n"
-    (out / "summary.csv").write_text(text)
+    row = SimpleNamespace(**vars(cfg), **vars(summary))
+    _write(args.out, {"summary.csv": _csv(SUMMARY_CSV, [row])})
     print(f"{cfg.problem}: accepted={summary.accepted} rem={summary.removed} "
           f"({summary.removal_reasons}) it=[{summary.it_min},{summary.it_max}] "
           f"q=[{format_metric(summary.q_min)},{format_metric(summary.q_max)}]")
@@ -194,15 +199,13 @@ def _cmd_cumulative(args) -> int:
 def _cmd_basin(args) -> int:
     p = get_problem(args.problem)
     grid = GridSpec(half_width=args.half_width, resolution=args.grid_res)
-    crit = default_criteria(p.name)
     opts = SolverOptions(precision=PrecisionContext(args.precision),
                          tol_exponent=args.tol, max_iter=args.max_iter,
                          record_spectra=False)
-    image, results = render_basin(p, grid, crit, opts, workers=args.workers)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "basin.ppm").write_bytes(image)
-    (out / "basin.csv").write_text("\n".join(csv_lines(results)) + "\n")
+    image, results = render_basin(p, grid, default_criteria(p.name), opts,
+                                  workers=args.workers)
+    _write(args.out, {"basin.ppm": image,
+                      "basin.csv": "\n".join(csv_lines(results)) + "\n"})
     print(f"{p.name} basin: resolution={args.grid_res} "
           f"half_width={args.half_width} blue_fraction={blue_fraction(results):.4f}")
     return 0

@@ -28,9 +28,10 @@ which stands for every value within 4 svd_tol of it (relative).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from mpmath.libmp import mpf_add, mpf_lt, mpf_mul, mpf_shift, mpf_sqrt, mpf_sub
 
@@ -115,17 +116,17 @@ class _LogRatio(NamedTuple):
 
 
 class _Spectrum(NamedTuple):
-    """Ascending singular values of E_k = b - j_root.  For n = 2, keyed by
-    4 ||E_k||**2 = p + m + 2 sqrt(p m), with p = (a-d)**2 + (b+c)**2 and
-    m = (a+d)**2 + (b-c)**2 for E_k = [[a, b], [c, d]]: the two norms are
-    sigma_max -+ sigma_min.  Every term is nonnegative, so nothing cancels
-    (see KEY_MARGIN).  No key for other n."""
+    """Ascending singular values of E_k = b - j_root(), where j_root forms
+    F'(root) on first call.  For n = 2, keyed by 4 ||E_k||**2 = p + m +
+    2 sqrt(p m), with p = (a-d)**2 + (b+c)**2 and m = (a+d)**2 + (b-c)**2
+    for E_k = [[a, b], [c, d]]: the two norms are sigma_max -+ sigma_min.
+    Every term is nonnegative, so nothing cancels (see KEY_MARGIN)."""
 
     b: Mat
-    j_root: Mat
+    j_root: Callable[[], Mat]
 
     def value(self, ctx):
-        return singular_values(self.b - self.j_root)
+        return singular_values(self.b - self.j_root())
 
     def key(self):
         if self.b.n != 2:
@@ -134,7 +135,7 @@ class _Spectrum(NamedTuple):
         prec, rnd = ctx.prec, ctx.rounding
         (a, b), (c, d) = ([mpf_sub(x._mpf_, y._mpf_, prec, rnd)
                            for x, y in zip(rb, rj)]
-                          for rb, rj in zip(self.b.rows, self.j_root.rows))
+                          for rb, rj in zip(self.b.rows, self.j_root().rows))
 
         def norm2(x, y):
             return mpf_add(mpf_mul(x, x, prec, rnd), mpf_mul(y, y, prec, rnd),
@@ -243,7 +244,7 @@ def metrics_from_trace(rec: RunRecord, p: Problem,
     sentinel = ctx.real(-1)
     root = p.root(ctx)
     phi = p.phi(ctx) if p.has_null_data else None
-    j_root = None
+    j_root = functools.cache(lambda: p.jac(root))
 
     lo = indices[0] - 1 if indices else 0
     errs = [(e.u - root).norm() if k >= lo else None
@@ -287,12 +288,7 @@ def metrics_from_trace(rec: RunRecord, p: Problem,
             zeta = ctx.make(mpf_sqrt(dots[1] if mpf_lt(dots[1], dots[0])
                                      else dots[0], ctx.prec, ctx.rounding))
 
-        e_svals = None
-        if entry.b is not None:
-            if j_root is None:
-                j_root = p.jac(root)
-            e_svals = _Spectrum(entry.b, j_root)
-
+        e_svals = None if entry.b is None else _Spectrum(entry.b, j_root)
         rows.append(MetricsRow(
             ctx=ctx, k=k, f_norm=entry.f_norm, err=err, q=q, eps=eps_prev,
             q_eps=q_eps, zeta=zeta,

@@ -33,6 +33,8 @@ from .linalg import Mat, PrecisionContext, Vec, spectral_norm
 from .problems import Problem, get_problem
 from .solvers import RunRecord, SolverOptions, Status, SUCCESS, bmp_run
 
+B0_MODES = ("jacobian", "broyden-update")  # B_0 = F'(u_0) or a secant update
+
 
 class EmptyAcceptedSet(Exception):
     """Every single run of a cumulative run was removed."""
@@ -99,7 +101,7 @@ class SeriesConfig:
     problem: str
     alpha: str
     beta: str = "0"
-    b0_mode: str = "jacobian"           # "jacobian" or "broyden-update"
+    b0_mode: str = "jacobian"           # one of B0_MODES
     m: int = 200
     tol_exponent: int = 100
     precision: int = 320
@@ -118,7 +120,7 @@ class SeriesConfig:
         object.__setattr__(self, "alpha", check_scale("alpha", self.alpha))
         object.__setattr__(self, "beta",
                            check_scale("beta", self.beta, allow_zero=True))
-        if self.b0_mode not in ("jacobian", "broyden-update"):
+        if self.b0_mode not in B0_MODES:
             raise ValueError(f"unknown b0_mode {self.b0_mode!r}")
         if self.m < 1:
             raise ValueError("m must be >= 1")
@@ -127,16 +129,21 @@ class SeriesConfig:
 
     @classmethod
     def from_mapping(cls, data: dict) -> "SeriesConfig":
-        _check_keys("config", data, [f.name for f in dataclasses.fields(cls)])
+        fields = dataclasses.fields(cls)
+        _check_keys("config", data, [f.name for f in fields],
+                    [f.name for f in fields if f.default is dataclasses.MISSING])
         return cls(**data)
 
 
-def _check_keys(what: str, data, known):
+def _check_keys(what: str, data, known, required=()):
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object, got {data!r}")
     unknown = set(data) - set(known)
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = [name for name in required if name not in data]
+    if missing:
+        raise ValueError(f"missing {what} keys: {missing}")
 
 
 @dataclass(frozen=True)
@@ -236,8 +243,8 @@ def seeded_start(cfg: SeriesConfig, run_index: int):
     """Problem, options and seeded starting data of one run of ``cfg``.
 
     Returns (p, opts, u_hat, b_hat, b0), where ``b0`` is the B_0 rule of
-    :func:`solvers.bmp_run`: None for ``broyden-update``, otherwise
-    u0 -> F'(u0) perturbed by beta and the run's B_0 noise.
+    :func:`solvers.bmp_run`: u0 -> F'(u0) perturbed by beta and the run's
+    B_0 noise for the ``jacobian`` mode, otherwise None.
     """
     ctx = PrecisionContext(cfg.precision)
     p = get_problem(cfg.problem)
@@ -245,8 +252,8 @@ def seeded_start(cfg: SeriesConfig, run_index: int):
                          max_iter=cfg.max_iter)
     rng = CounterRng(cfg.rng_seed, run_index)
     u_hat, b_hat, noise = init_random(p, cfg.alpha, cfg.beta, rng, ctx)
-    b0 = None if cfg.b0_mode == "broyden-update" else (
-        lambda u0: perturbed(p.jac(u0), cfg.beta, noise))
+    b0 = (lambda u0: perturbed(p.jac(u0), cfg.beta, noise)) \
+        if cfg.b0_mode == "jacobian" else None
     return p, opts, u_hat, b_hat, b0
 
 

@@ -189,12 +189,6 @@ class Vec:
         ctx = self.ctx
         return ctx.make(mpf_sqrt(self.raw_dot(self), ctx.prec, ctx.rounding))
 
-    def normalized(self) -> "Vec":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("cannot normalize a zero vector")
-        return self.scaled(1 / n)
-
 
 class Mat:
     """Immutable square matrix of context-bound scalars, row-major."""

@@ -72,6 +72,14 @@ def zero_vec(ctx: PrecisionContext, n: int) -> Vec:
     return Vec((ctx.zero,) * n, ctx)
 
 
+def normalized(v: Vec) -> Vec:
+    """v / ||v||; a zero vector raises ZeroDivisionError."""
+    n = v.norm()
+    if n == 0:
+        raise ZeroDivisionError("cannot normalize a zero vector")
+    return v.scaled(1 / n)
+
+
 def identity(ctx: PrecisionContext, n: int) -> Mat:
     one, z = ctx.one, ctx.zero
     return Mat(tuple(tuple(one if i == j else z for j in range(n))
@@ -224,7 +232,7 @@ class BadSelection(Exception):
 
 def normalized_steps(rec: RunRecord) -> list[Vec]:
     """Unit steps shat^k for every index that has a step."""
-    return [e.s.normalized() for e in rec.trace if e.s is not None]
+    return [normalized(e.s) for e in rec.trace if e.s is not None]
 
 
 def uli_min_sv(steps, k: int, selection, ctx=None):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from helpers import zero_vec
@@ -152,3 +154,22 @@ def test_render_keeps_the_callers_divergence_guard(ex1, crit, workers):
     # pixel (0, 0) sits in the bottom-left corner
     assert results[6].classification is Classification.NO_CONVERGENCE
     assert [r.classification for r in results].count(Classification.IN_BAND) == 1
+
+
+def test_point_detail_jac_calls_do_not_depend_on_record_spectra(ex1, crit):
+    # a pixel's one metrics row reads no spectrum, so keeping B_k in the
+    # trace forms no F'(root)
+    grid = GridSpec(half_width="0.001", resolution=3)
+    counts = []
+    for record_spectra in (True, False):
+        calls = []
+        p = dataclasses.replace(
+            ex1, jac=lambda u: calls.append(u) or ex1.jac(u))
+        opts = SolverOptions(precision=PrecisionContext(160), tol_exponent=60,
+                             max_iter=300, record_spectra=record_spectra)
+        for i in range(3):
+            for j in range(3):
+                classify_point_detail(p, grid.point(i, j, opts.precision),
+                                      crit, opts)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mpf
 
-from broydenlab.cli import METRICS_HEADER, SUMMARY_HEADER, main
+from broydenlab.cli import _COMMANDS, METRICS_HEADER, SUMMARY_HEADER, main
 from broydenlab.harness import Window
 
 
@@ -161,6 +161,7 @@ def _assert_refused(code, capsys, tmp_path, name):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / name).exists()
+    return err
 
 
 def test_basin_dimension_mismatch_exits_2(tmp_path, capsys):
@@ -199,12 +200,36 @@ def test_single_bad_scale_exits_2(tmp_path, capsys, extra):
     {"problem": "example1", "alpha": "1e-5", "criteria": {"q_band": 0.9}},
     {"problem": "example1", "alpha": "1e-5",
      "criteria": {"q_band": ["1e-400", "1e-401"]}},
+    {"problem": "example1", "m": 1},
+    {"alpha": "1e-5", "m": 1},
 ])
 def test_cumulative_malformed_config_exits_2(tmp_path, capsys, config):
     cfg_path = tmp_path / "series.json"
     cfg_path.write_text(json.dumps(config))
     code = main(["cumulative", "--config", str(cfg_path), "--out", str(tmp_path)])
     _assert_refused(code, capsys, tmp_path, "summary.csv")
+
+
+@pytest.mark.parametrize("flags", [["--m", "2"], ["--tol", "30", "--seed", "1"],
+                                   ["--problem", "example1"]])
+def test_cumulative_config_refuses_series_flags(tmp_path, capsys, flags):
+    cfg_path = tmp_path / "series.json"
+    cfg_path.write_text(json.dumps({"problem": "example1", "alpha": "1e-5",
+                                    "m": 1, "precision": 60,
+                                    "tol_exponent": 30}))
+    code = main(["cumulative", "--config", str(cfg_path), *flags,
+                 "--workers", "1", "--out", str(tmp_path)])
+    err = _assert_refused(code, capsys, tmp_path, "summary.csv")
+    # the message names every series flag given, and nothing else
+    assert err == f"error: --config excludes {', '.join(flags[::2])}\n"
+
+
+@pytest.mark.parametrize("command", [[]] + [[name] for name in _COMMANDS])
+def test_help_of_every_command(capsys, command):
+    assert main(command + ["--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: broydenlab")
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_cumulative_config_beta_defaults_to_zero(tmp_path):
@@ -239,10 +264,13 @@ def test_workers_below_one_exit_2(tmp_path, capsys, monkeypatch, argv, name):
     (["single", "--alpha", "0.1"], "metrics.csv"),
     (["cumulative", "--problem", "example1", "--alpha", "1e-5", "--m", "x"],
      "summary.csv"),
+    # the basin draws no random numbers
+    (["basin", "--problem", "example1", "--grid-res", "3", "--seed", "1"],
+     "basin.ppm"),
 ])
 def test_argparse_refusal_is_one_line(tmp_path, capsys, argv, name):
-    # argparse's own refusals (a missing required flag, a non-integer
-    # value) print no usage block
+    # refusals of a missing required flag, a non-integer value or an
+    # unknown flag print no usage block
     code = main(argv + ["--out", str(tmp_path)])
     _assert_refused(code, capsys, tmp_path, name)
 
@@ -307,38 +335,47 @@ _CUMULATIVE = _command(
 _BASIN = _command(
     "basin", {**_BOUNDED, "--grid-res": st.one_of(st.sampled_from([3, 5]),
                                                    st.integers(-1, 5), _NOT_INT)},
-    {"--seed": _SEEDS, "--half-width": _SCALES})
+    {"--half-width": _SCALES})
 
 _JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-2, 80),
                          _SCALES, st.lists(_SCALES, max_size=3))
+# problem and alpha are required keys, but may be missing here
 _CONFIG = st.fixed_dictionaries(
-    {"problem": _PROBLEMS, "alpha": _SCALES, "tol_exponent": _TOLS,
-     "precision": st.integers(50, 80), "max_iter": _BOUNDED["--max-iter"],
-     "m": _M},
-    optional={"beta": _SCALES, "rng_seed": st.integers(0, 3),
+    {"tol_exponent": _TOLS, "precision": st.integers(50, 80),
+     "max_iter": _BOUNDED["--max-iter"], "m": _M},
+    optional={"problem": _PROBLEMS, "alpha": _SCALES,
+              "beta": _SCALES, "rng_seed": st.integers(0, 3),
               "b0_mode": st.sampled_from(["jacobian", "broyden-update", "x"]),
               "window_rule": st.sampled_from(["min", "max", "x"]),
               "criteria": st.dictionaries(
                   st.sampled_from(["u_cap", "q_band", "Q_band", "q_bnd"]),
                   _JSON_VALUES, max_size=3),
               "bogus": _JSON_VALUES})
+# a config together with a series flag, which it excludes
+_CONFIG_AND_FLAG = st.tuples(
+    _CONFIG, st.sampled_from(["--problem", "--alpha", "--m", "--tol", "--seed"]),
+    st.one_of(_SCALES, _M))
 
 
 @settings(max_examples=40, deadline=None)
-@given(command=st.one_of(_SINGLE, _CUMULATIVE, _BASIN, _CONFIG))
+@given(command=st.one_of(_SINGLE, _CUMULATIVE, _BASIN, _CONFIG,
+                         _CONFIG_AND_FLAG))
 def test_cli_random_input_never_crashes(tmp_path_factory, command):
     # any command line that argparse accepts, and any JSON config, ends in
-    # a documented exit code with at most one line on stderr
+    # a documented exit code with at most one line on stderr; a config with
+    # a series flag is refused
     out = tmp_path_factory.mktemp("out")
     argv = command
-    if isinstance(command, dict):
+    if not isinstance(command, list):
+        data, *flag = command if isinstance(command, tuple) else (command,)
         config = out / "series.json"
-        config.write_text(json.dumps(command))
-        argv = ["cumulative", "--config", str(config)]
+        config.write_text(json.dumps(data))
+        argv = ["cumulative", "--config", str(config), *map(str, flag)]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
         code = main(argv + ["--out", str(out)])
-    assert code in (0, 2, 3), (argv, err.getvalue())
+    expected = (2,) if isinstance(command, tuple) else (0, 2, 3)
+    assert code in expected, (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
     assert err.getvalue().count("\n") <= 1, err.getvalue()

@@ -1,6 +1,6 @@
 """Golden outputs: SHA-256 hashes of the files the CLI writes.
 
-Each case runs one small fixed configuration (140-160 digits) and compares
+Each case runs one small fixed configuration (130-320 digits) and compares
 the hash of every output file with the value recorded when the case was
 added.  A refactor must leave all of them unchanged; an intended change of
 an output format or of a numerical path has to update the hash here, in the
@@ -23,6 +23,12 @@ _BASIN_9X9 = {
     "basin.ppm": "7dddf22f8b4ba04727a06fc5d181b20f5cc92fcdaeb75ed27c2900dd68e8c709",
     "basin.csv": "39fa888f14847a3a7b450001330ec395ef1626b0f4203a7f9152feca1085beab",
 }
+_EXAMPLE3 = ["single", "--problem", "example3", "--alpha", "0.1",
+             "--precision", "140", "--tol", "60", "--seed", "3"]
+_CUMULATIVE_M5 = {
+    "summary.csv": "e83263b3d5f82628e5bce88c400f1d84a9de33ebf2fa826a38c4e7ec54bfa656"}
+_N3_SERIES = ["--alpha", "1e-5", "--m", "4", "--precision", "130",
+              "--tol", "60", "--seed", "1"]
 
 CASES = {
     "single-bm": (_SINGLE + ["--method", "bm"], {
@@ -42,10 +48,38 @@ CASES = {
          "--b0-mode", "broyden-update", "--precision", "140", "--tol", "60",
          "--seed", "3"], {
             "metrics.csv": "5b22bc1326d37d20d049a31baefb8301c026b18d9a3ce40987c0d63a16a75432"}),
+    # n = 1, example4's regular root, n = 3 for smp and newton, 320 digits
+    "single-monomial2": (
+        ["single", "--problem", "monomial:2", "--alpha", "0.5",
+         "--precision", "140", "--tol", "60", "--seed", "3"], {
+            "metrics.csv": "994eb4a635642ad258001d251d9531a6680c14d746fe9e167688827010ae45f8"}),
+    "single-example4": (
+        ["single", "--problem", "example4", "--alpha", "0.01",
+         "--precision", "140", "--tol", "60", "--seed", "3"], {
+            "metrics.csv": "9ab10fbb8ca4215701a39fe96c9c473b23c888fa843f56a54fbe468f3004b57c"}),
+    "single-example3-smp": (_EXAMPLE3 + ["--method", "smp"], {
+        "metrics.csv": "61240d39eb8d0fe978e3e6b8681a9c1d20f0abba54de2bb72b755e60e39365c5"}),
+    "single-example3-newton": (_EXAMPLE3 + ["--method", "newton"], {
+        "metrics.csv": "ca5b7122f3b7f2013ac8d0671c974c527bd981297f4d6f4736e4e694f1de996b"}),
+    "single-bmp-320": (
+        ["single", "--problem", "example1", "--alpha", "0.01",
+         "--precision", "320", "--tol", "100", "--seed", "3"], {
+            "metrics.csv": "2667b0558d6474766ab3fa0c813310478f14cf31f761c97adec44a7cfde330de"}),
     "cumulative-m5": (
         ["cumulative", "--problem", "example1", "--alpha", "1e-5", "--m", "5",
-         "--precision", "130", "--tol", "60", "--seed", "11"], {
-            "summary.csv": "e83263b3d5f82628e5bce88c400f1d84a9de33ebf2fa826a38c4e7ec54bfa656"}),
+         "--precision", "130", "--tol", "60", "--seed", "11"], _CUMULATIVE_M5),
+    # the same series through an equivalent config
+    "cumulative-m5-config": (
+        ["cumulative", "--config",
+         {"problem": "example1", "alpha": "1e-5", "m": 5, "precision": 130,
+          "tol_exponent": 60, "rng_seed": 11}], _CUMULATIVE_M5),
+    # n = 3, where no window row of ||E_k|| has an exact key
+    "cumulative-example2": (
+        ["cumulative", "--problem", "example2"] + _N3_SERIES, {
+            "summary.csv": "9955342eb74c3a667bfff829788a4e3cc88114da8c6d9847050b6f105281f7fd"}),
+    "cumulative-example3": (
+        ["cumulative", "--problem", "example3"] + _N3_SERIES, {
+            "summary.csv": "8f76da4609dd30c07048af6ffc37ed3879f6ab10180b9ebde8dd509303c961f0"}),
     # the only case of the "max" window rule; the config dict is written to
     # a file and its path takes the dict's place in argv
     "cumulative-config-max-window": (
