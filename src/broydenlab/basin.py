@@ -83,29 +83,27 @@ class GridSpec:
 
 @dataclass
 class PixelResult:
-    x: object
-    y: object
+    x: str
+    y: str
     classification: Classification
     kbar: int
-    q_final: object
+    q_final: object                     # six digits, None where undefined
 
 
 def classify_point_detail(p: Problem, u_hat: Vec, crit: AcceptanceCriteria,
                           opts: SolverOptions):
-    """Classification plus (kbar, final q-factor) for the CSV table."""
+    """Classification plus (kbar, final q-factor or None) for the CSV table."""
     if p.n != 2:
         raise DimensionMismatch(f"{p.name} has dimension {p.n}, need 2")
-    ctx = opts.precision
-    sentinel = ctx.real(-1)
-    root = p.root(ctx)
+    root = p.root(opts.precision)
     if u_hat == root:
         # the root itself trivially converges
-        return Classification.IN_BAND, 0, sentinel
+        return Classification.IN_BAND, 0, None
     rec = bmp_run(p, u_hat, p.jac(u_hat), opts, p.jac)
     final = metrics_from_trace(rec, p, range(rec.kbar, rec.kbar + 1))
     cls = _CLASS_OF_REASON[removal_reason(rec, final, crit)]
     if cls is Classification.NO_CONVERGENCE:
-        return cls, rec.kbar, sentinel
+        return cls, rec.kbar, None
     return cls, rec.kbar, final[0].q
 
 
@@ -116,8 +114,9 @@ def _classify_chunk(problem_name: str, grid: GridSpec, crit: AcceptanceCriteria,
     for i, j in pixels:
         u_hat = grid.point(i, j, opts.precision)
         cls, kbar, q_final = classify_point_detail(p, u_hat, crit, opts)
+        q_cell = None if q_final is None else format_metric(q_final)
         out.append(PixelResult(format_metric(u_hat[0]), format_metric(u_hat[1]),
-                               cls, kbar, format_metric(q_final)))
+                               cls, kbar, q_cell))
     return out
 
 
@@ -140,14 +139,6 @@ def render_basin(p: Problem, grid: GridSpec, crit: AcceptanceCriteria,
         results[c::chunks] = part
     body = bytes(x for r in results for x in COLORS[r.classification])
     return f"P6\n{res} {res}\n255\n".encode("ascii") + body, results
-
-
-def csv_lines(results) -> list[str]:
-    """CSV rows (with header) for a pixel table, in raster order."""
-    lines = ["x,y,class,kbar,q_final"]
-    for r in results:
-        lines.append(f"{r.x},{r.y},{r.classification.value},{r.kbar},{r.q_final}")
-    return lines
 
 
 def blue_fraction(results) -> float:

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import enum
 import json
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from .basin import (DimensionMismatch, GridSpec, blue_fraction, csv_lines,
-                    render_basin)
+from .basin import DimensionMismatch, GridSpec, blue_fraction, render_basin
 from .diagnostics import metrics_from_trace
 from .formatting import format_full, format_metric
 from .harness import (B0_MODES, SUMMARY_COLUMNS, AcceptanceCriteria,
@@ -55,6 +55,9 @@ METRICS_COLUMNS = (
     ("q", "q"), ("eps", "eps"), ("R", "r_eps"), ("Q", "q_eps"),
     ("delta", "delta"), ("zeta", "zeta"), ("Lambda1", "lambda1"),
     ("Lambda2", "lambda2"), ("E_norm", "e_norm"))
+#: basin.csv's columns: (csv name, PixelResult attribute)
+BASIN_COLUMNS = (("x", "x"), ("y", "y"), ("class", "classification"),
+                 ("kbar", "kbar"), ("q_final", "q_final"))
 #: summary.csv's columns: (csv name, SeriesConfig or CumulativeSummary field)
 SUMMARY_CSV = (("problem", "problem"), ("alpha", "alpha"), ("beta", "beta"),
                ("b0_mode", "b0_mode"), ("m", "m"), ("seed", "rng_seed"),
@@ -142,9 +145,12 @@ def _series(args, defaults: dict):
 
 
 def _cell(x, full_digits=None) -> str:
-    """None as -1, an int or str as it is, an mpf to 6 or full_digits digits."""
+    """An undefined value (None) as -1, an int, str or enum value as it is,
+    an mpf to 6 or full_digits digits.  No other code writes -1."""
     if x is None:
         return "-1"
+    if isinstance(x, enum.Enum):
+        x = x.value
     if isinstance(x, (int, str)):
         return str(x)
     return format_metric(x) if full_digits is None else format_full(x, full_digits)
@@ -192,7 +198,7 @@ def _cmd_cumulative(args) -> int:
     _write(args.out, {"summary.csv": _csv(SUMMARY_CSV, [row])})
     print(f"{cfg.problem}: accepted={summary.accepted} rem={summary.removed} "
           f"({summary.removal_reasons}) it=[{summary.it_min},{summary.it_max}] "
-          f"q=[{format_metric(summary.q_min)},{format_metric(summary.q_max)}]")
+          f"q=[{_cell(summary.q_min)},{_cell(summary.q_max)}]")
     return 0
 
 
@@ -205,7 +211,7 @@ def _cmd_basin(args) -> int:
     image, results = render_basin(p, grid, default_criteria(p.name), opts,
                                   workers=args.workers)
     _write(args.out, {"basin.ppm": image,
-                      "basin.csv": "\n".join(csv_lines(results)) + "\n"})
+                      "basin.csv": _csv(BASIN_COLUMNS, results)})
     print(f"{p.name} basin: resolution={args.grid_res} "
           f"half_width={args.half_width} blue_fraction={blue_fraction(results):.4f}")
     return 0

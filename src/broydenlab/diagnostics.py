@@ -13,8 +13,8 @@ norms eps_k = ||F(u^{k+1})|| / ||s^k||, each row collects
 
 plus the ascending singular values of E_k = B_k - F'(root), computed from
 the B_k that the trace keeps (``SolverOptions.record_spectra``).  Undefined
-entries carry the sentinel -1; delta additionally requires ||s^{k-1}|| < 1
-so the logarithm ratio keeps its sign.
+entries are None (a CSV cell writes -1); delta additionally requires
+||s^{k-1}|| < 1 so the logarithm ratio keeps its sign.
 
 r, r_eps and delta (a power or two logarithms each) and the spectra are
 lazy: a row keeps their operands and evaluates them on first read.  A
@@ -101,7 +101,7 @@ class _Root(NamedTuple):
 
 class _LogRatio(NamedTuple):
     """log a / log b for a > 0 and 0 < b < 1, keyed by the value itself;
-    no key where log b is near 0 or the value near the sentinel -1."""
+    no key where log b is near 0."""
 
     a: object
     b: object
@@ -111,8 +111,7 @@ class _LogRatio(NamedTuple):
 
     def key(self):
         log_b = _ln(self.b)
-        key = _ln(self.a) / log_b if log_b <= -1e-3 else None
-        return None if key is None or abs(key + 1) <= _slack(key) else key
+        return _ln(self.a) / log_b if log_b <= -1e-3 else None
 
 
 class _Spectrum(NamedTuple):
@@ -184,8 +183,8 @@ class MetricsRow:
 
     @property
     def e_norm(self):
-        """||E_k||_2, or the sentinel -1."""
-        return self.e_svals[-1] if self.e_svals is not None else self.ctx.real(-1)
+        """||E_k||_2; None when spectra were not recorded."""
+        return self.e_svals[-1] if self.e_svals is not None else None
 
     @property
     def lambda1(self):
@@ -202,7 +201,7 @@ class MetricsRow:
 
 def window_extreme(pick: str, attr: str, rows):
     """``min`` or ``max`` (``pick``) of column ``attr`` over ``rows``,
-    sentinels skipped; None when every value is the sentinel.
+    undefined (None) values skipped; None when no value is defined.
 
     A lazy value that is still unread enters by its key, and only the rows
     whose key intervals (:func:`_span`) reach the extreme one are
@@ -221,7 +220,7 @@ def window_extreme(pick: str, attr: str, rows):
         # the largest (signed) value that some row certainly reaches
         floor = max(lo for (lo, _), _ in keyed)
         exact += [row for (_, hi), row in keyed if hi >= floor]
-    values = [v for v in (getattr(row, attr) for row in exact) if v != -1]
+    values = [v for v in (getattr(row, attr) for row in exact) if v is not None]
     if not values:
         return None
     return max(values) if pick == "max" else min(values)
@@ -235,13 +234,12 @@ def metrics_from_trace(rec: RunRecord, p: Problem,
     Errors and step norms are computed from ``indices[0] - 1`` onward only.
     r, r_eps, delta and the spectra of E_k, from the B_k kept in the trace,
     are left to the first read (see :class:`MetricsRow`).  zeta needs phi
-    and is the sentinel for problems without it.
+    and is None for problems without it.
     """
     trace = rec.trace
     if indices is None:
         indices = range(len(trace))
     ctx = trace[0].u.ctx
-    sentinel = ctx.real(-1)
     root = p.root(ctx)
     phi = p.phi(ctx) if p.has_null_data else None
     j_root = functools.cache(lambda: p.jac(root))
@@ -255,16 +253,13 @@ def metrics_from_trace(rec: RunRecord, p: Problem,
     for k in indices:
         entry = trace[k]
         err = errs[k]
-        r = sentinel
-        q = sentinel
+        r = q = None
         if k >= 1:
             r = _Root(err, k) if err > 0 else ctx.zero
             if errs[k - 1] > 0:
                 q = err / errs[k - 1]
 
-        eps_prev = sentinel
-        r_eps = sentinel
-        q_eps = sentinel
+        eps_prev = r_eps = q_eps = None
         if k >= 1 and trace[k - 1].eps is not None:
             eps_prev = trace[k - 1].eps
             if eps_prev > 0:
@@ -274,13 +269,13 @@ def metrics_from_trace(rec: RunRecord, p: Problem,
             if k >= 2 and trace[k - 2].eps is not None and trace[k - 2].eps > 0:
                 q_eps = eps_prev / trace[k - 2].eps
 
-        delta = sentinel
+        delta = None
         if k >= 1 and step_norms[k - 1] is not None:
             ns_prev = step_norms[k - 1]
             if 0 < ns_prev < 1 and entry.f_norm > 0:
                 delta = _LogRatio(entry.f_norm, ns_prev)
 
-        zeta = sentinel
+        zeta = None
         if phi is not None and entry.s is not None and step_norms[k] > 0:
             shat = entry.s.scaled(1 / step_norms[k])
             # the smaller norm is the root of the smaller dot: sqrt is monotone

@@ -1,16 +1,17 @@
 """Number serialization for CSV output.
 
 Display columns use scientific notation with six significant digits
-("6.18034e-01"), close to how the experiment tables print values; the
-sentinel -1 for undefined quantities serializes literally as "-1".
-Full-precision dumps keep every working digit.
+("6.18034e-01"), close to how the experiment tables print values.
+Full-precision dumps keep every working digit.  Both take a defined
+number: an undefined value (None) is written as -1 by the CSV writer
+(``cli._cell``), never here.
 """
 from __future__ import annotations
 
 import mpmath.libmp as libmp
 
 
-def format_sci(x) -> str:
+def format_metric(x) -> str:
     """Scientific notation with six significant digits, e.g. 2.50000e-06."""
     if x == 0:
         return "0.00000e+00"
@@ -29,17 +30,8 @@ def format_sci(x) -> str:
     return f"{mant}e{int(exp):+03d}"
 
 
-def format_metric(x) -> str:
-    """Like :func:`format_sci` but the sentinel -1 stays literal."""
-    if x == -1:
-        return "-1"
-    return format_sci(x)
-
-
 def format_full(x, digits: int) -> str:
     """Full-precision decimal dump (round-trips at the same precision)."""
-    if x == -1:
-        return "-1"
     if hasattr(x, "_mpf_"):
         return libmp.to_str(x._mpf_, digits, strip_zeros=True)
     return repr(x)

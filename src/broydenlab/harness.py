@@ -24,6 +24,7 @@ import hashlib
 import os
 import struct
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 import mpmath
@@ -83,7 +84,7 @@ def check_scale(name: str, value, allow_zero: bool = False) -> str:
         raise ValueError(f"{name} must be a number, got {value!r}")
     try:
         x = mpmath.mpf(str(value))
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, ZeroDivisionError):
         raise ValueError(f"{name} is not a number: {value!r}") from None
     if not mpmath.isfinite(x) or x < 0 or (x == 0 and not allow_zero):
         kind = "nonnegative" if allow_zero else "positive"
@@ -167,10 +168,8 @@ class AcceptanceCriteria:
                 if not isinstance(band, (list, tuple)) or len(band) != 2:
                     raise ValueError(f"{name} must be a (lo, hi) pair, got {band!r}")
                 lo, hi = (check_scale(name, x, allow_zero=True) for x in band)
-                # with every digit of both ends: as doubles, 1e-400 and
-                # 1e-401 are both 0
-                exact = PrecisionContext(50 + len(lo) + len(hi))
-                if exact.real(lo) > exact.real(hi):
+                # exactly: as doubles, 1e-400 and 1e-401 are both 0
+                if Fraction(lo) > Fraction(hi):
                     raise ValueError(f"{name} is empty: {band}")
                 object.__setattr__(self, name, (lo, hi))
 
@@ -292,7 +291,7 @@ def removal_reason(rec: RunRecord, rows: list,
         if band is None:
             continue
         lo, hi = ctx.real(band[0]), ctx.real(band[1])
-        if value == -1 or not (lo <= value <= hi):
+        if value is None or not (lo <= value <= hi):
             return "band"
     return None
 
@@ -302,9 +301,9 @@ class SummaryColumn(NamedTuple):
 
     ``stat`` is the per-run statistic (pick, attr) of the MetricsRow
     attribute ``attr``: its value at kbar ("final") or its extremum over the
-    window K with sentinels skipped ("min", "max").  ``fold`` reduces the
-    statistic over the accepted runs into the CumulativeSummary field
-    ``attr``.
+    window K with undefined (None) values skipped ("min", "max").  ``fold``
+    reduces the statistic over the accepted runs into the CumulativeSummary
+    field ``attr``.
     """
 
     csv: str
@@ -366,7 +365,7 @@ CumulativeSummary = dataclasses.make_dataclass(
     namespace={"__module__": __name__, "__doc__": (
         "Aggregates over the accepted runs of one cumulative run: besides the "
         "run counts, one field per SUMMARY_COLUMNS entry holding the column's "
-        "fold of its per-run statistic, -1 where no accepted run defines it.")})
+        "fold of its per-run statistic, None if no accepted run defines it.")})
 
 
 def _reduce_stats(all_stats: list, ctx: PrecisionContext, removed: int,
@@ -374,13 +373,12 @@ def _reduce_stats(all_stats: list, ctx: PrecisionContext, removed: int,
     """Fold the accepted runs' :func:`run_stats` tuples column by column."""
     if not all_stats:
         raise EmptyAcceptedSet(removed, reasons)
-    sentinel = ctx.real(-1)
 
     def fold(col):
         i = _STATS.index(col.stat)
         values = [ctx.make(s[i]) if isinstance(s[i], tuple) else s[i]
                   for s in all_stats if s[i] is not None]
-        return col.fold(values) if values else sentinel
+        return col.fold(values) if values else None
 
     return CumulativeSummary(
         accepted=len(all_stats), removed=removed, removal_reasons=dict(reasons),

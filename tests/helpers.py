@@ -209,7 +209,7 @@ def lam_omega_rows(rec: RunRecord, p: Problem) -> list:
 def eager_stats_wire(rec: RunRecord, rows: list, window_rule: str = "min"):
     """``run_stats`` of the window rows of ``rows``, computed after
     reading every column of every row: each window extremum is the min or
-    max over all of the window's values with the sentinel skipped."""
+    max over all of the window's defined (not None) values."""
     window = Window.from_kbar(rec.kbar, window_rule)
     by_k = {row.k: row for row in rows}
     values = {}
@@ -218,7 +218,7 @@ def eager_stats_wire(rec: RunRecord, rows: list, window_rule: str = "min"):
         if pick == "final":
             values[pick, attr] = column[-1]
             continue
-        defined = [v for v in column if v != -1]
+        defined = [v for v in column if v is not None]
         values[pick, attr] = ((min(defined) if pick == "min" else max(defined))
                               if defined else None)
     return tuple(getattr(values[s], "_mpf_", values[s]) for s in _STATS)

@@ -39,7 +39,7 @@ def report(criterion, message):
 def window_values(rows, kbar, attr):
     window = Window.from_kbar(kbar)
     return [getattr(rows[k], attr) for k in window.indices
-            if getattr(rows[k], attr) != -1]
+            if getattr(rows[k], attr) is not None]
 
 
 def test_criterion_01_single_run_window_rates(ex1_reference_run):
@@ -154,7 +154,7 @@ def test_criterion_07_regular_root_superlinear():
     assert rec.status in (Status.CONVERGED, Status.EXACT_ROOT)
     assert rec.kbar <= 30
     q_final = rows[rec.kbar].q
-    assert q_final != -1 and q_final <= ctx.pow10(-3)
+    assert q_final is not None and q_final <= ctx.pow10(-3)
     deltas = window_values(rows, rec.kbar, "delta")
     assert min(deltas) >= ctx.real("1.10")
     report(7, f"kbar={rec.kbar}, final q {float(q_final):.1e}, "

@@ -4,8 +4,9 @@ import pytest
 
 from helpers import zero_vec
 from broydenlab.basin import (Classification, DimensionMismatch, GridSpec,
-                              blue_fraction, classify_point_detail, csv_lines,
+                              blue_fraction, classify_point_detail,
                               render_basin)
+from broydenlab.cli import BASIN_COLUMNS, _csv
 from broydenlab.harness import default_criteria
 from broydenlab.linalg import PrecisionContext
 from broydenlab.problems import get_problem
@@ -81,7 +82,7 @@ def test_ppm_format_resolution_three(ex1, crit):
     assert image.startswith(b"P6\n3 3\n255\n")
     assert len(image) == len(b"P6\n3 3\n255\n") + 27
     assert len(results) == 9
-    lines = csv_lines(results)
+    lines = _csv(BASIN_COLUMNS, results).splitlines()
     assert lines[0] == "x,y,class,kbar,q_final"
     assert len(lines) == 10
 

@@ -180,7 +180,7 @@ def test_basin_negative_half_width_exits_2(tmp_path, capsys):
     ["--alpha", "nan"], ["--alpha", "inf"], ["--alpha", "-1"],
     ["--beta", "nan"], ["--beta", "-0.5"],
     ["--method", "smp", "--C", "nan"], ["--method", "smp", "--C", "inf"],
-    ["--method", "smp", "--order-alpha", "nan"],
+    ["--method", "smp", "--order-alpha", "nan"], ["--alpha", "1/0"],
 ])
 def test_single_bad_scale_exits_2(tmp_path, capsys, extra):
     code = main(["single", "--problem", "example1", *extra,
@@ -202,6 +202,8 @@ def test_single_bad_scale_exits_2(tmp_path, capsys, extra):
      "criteria": {"q_band": ["1e-400", "1e-401"]}},
     {"problem": "example1", "m": 1},
     {"alpha": "1e-5", "m": 1},
+    {"problem": "example1", "alpha": "1e-5",
+     "criteria": {"q_band": ["1/0", "1"]}},
 ])
 def test_cumulative_malformed_config_exits_2(tmp_path, capsys, config):
     cfg_path = tmp_path / "series.json"
@@ -279,7 +281,7 @@ def test_argparse_refusal_is_one_line(tmp_path, capsys, argv, name):
     ("nope", "error: unknown problem 'nope'\n"),
     ("monomial:0", "error: monomial exponent must be >= 1\n"),
     ("monomial:x", "error: bad monomial exponent in 'monomial:x'\n"),
-])
+], ids=["nope", "monomial:0", "monomial:x"])
 def test_unknown_problem_message(tmp_path, capsys, problem, line):
     code = main(["single", "--problem", problem, "--alpha", "0.1",
                  "--out", str(tmp_path)])
@@ -363,7 +365,8 @@ _CONFIG_AND_FLAG = st.tuples(
 def test_cli_random_input_never_crashes(tmp_path_factory, command):
     # any command line that argparse accepts, and any JSON config, ends in
     # a documented exit code with at most one line on stderr; a config with
-    # a series flag is refused
+    # a series flag is refused, and a run that succeeds writes no empty or
+    # None cell to a CSV file (undefined values are written as -1)
     out = tmp_path_factory.mktemp("out")
     argv = command
     if not isinstance(command, list):
@@ -379,3 +382,8 @@ def test_cli_random_input_never_crashes(tmp_path_factory, command):
     assert code in expected, (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
     assert err.getvalue().count("\n") <= 1, err.getvalue()
+    if code == 0:
+        cells = [cell for path in out.glob("*.csv")
+                 for line in path.read_text().splitlines()
+                 for cell in line.split(",")]
+        assert cells and not {"", "None"} & set(cells), (argv, cells)

@@ -3,7 +3,8 @@ import pytest
 from helpers import (BadSelection, eager_stats_wire, fitted_q_order, identity,
                      lam_omega_rows, normalized_steps, nullspace_residual,
                      synthetic_record, uli_min_sv)
-from broydenlab.diagnostics import _Spectrum, metrics_from_trace
+from broydenlab.cli import METRICS_COLUMNS, _csv
+from broydenlab.diagnostics import _Spectrum, metrics_from_trace, window_extreme
 from broydenlab.harness import _STATS, Window, run_stats
 from broydenlab.linalg import Mat, PrecisionContext, Vec
 from broydenlab.problems import get_problem
@@ -22,7 +23,7 @@ def test_geometric_trace_q_and_r(ctx100, geometric_record):
     rows = metrics_from_trace(geometric_record, get_problem("example1"))
     half = ctx100.real(1) / 2
     tol = ctx100.pow10(-90)
-    assert rows[0].q == -1 and rows[0].r == -1
+    assert rows[0].q is None and rows[0].r is None
     for k in range(1, 12):
         assert rows[k].q == half
         assert abs(rows[k].r - half) <= tol
@@ -41,7 +42,7 @@ def test_geometric_trace_lambda_and_omega(ctx100, geometric_record):
 def test_update_ratio_columns(ctx100, geometric_record):
     rows = metrics_from_trace(geometric_record, get_problem("example1"))
     half = ctx100.real(1) / 2
-    assert rows[1].q_eps == -1          # needs two preceding updates
+    assert rows[1].q_eps is None        # needs two preceding updates
     for k in range(2, 12):
         assert rows[k].eps == ctx100.real(1) / (2 ** (k - 1))
         assert rows[k].q_eps == half
@@ -121,7 +122,7 @@ def test_delta_definition(ctx100):
     rec = synthetic_record(ctx100, us, f_norms)
     rows = metrics_from_trace(rec, p)
     tol = ctx100.pow10(-90)
-    assert rows[0].delta == -1
+    assert rows[0].delta is None
     for k in range(1, 5):
         assert abs(rows[k].delta - 2) <= tol
 
@@ -132,7 +133,23 @@ def test_delta_sentinel_for_large_steps(ctx100):
     us = [ctx100.vec([9]), ctx100.vec([3]), ctx100.vec([1])]
     rec = synthetic_record(ctx100, us, [ctx100.one] * 3)
     rows = metrics_from_trace(rec, p)
-    assert rows[1].delta == -1 and rows[2].delta == -1
+    assert rows[1].delta is None and rows[2].delta is None
+
+
+def test_delta_of_minus_one_is_a_value(ctx100):
+    # ||F_1|| = 4 and ||s^0|| = 1/4 give delta_1 = log 4 / log(1/4) = -1, a
+    # defined value that is neither skipped nor written as undefined
+    p = get_problem("monomial:2")
+    us = [ctx100.vec([x]) for x in ("1", "0.75", "0.5")]
+    rec = synthetic_record(ctx100, us, ["1", "4", "0.5"])
+    # on unread rows the minimum is found through the delta keys
+    assert window_extreme("min", "delta", metrics_from_trace(rec, p)) == -1
+    rows = metrics_from_trace(rec, p)
+    assert rows[1].delta == -1 and rows[0].delta is None
+    lines = _csv(METRICS_COLUMNS, rows).splitlines()
+    delta = [name for name, _ in METRICS_COLUMNS].index("delta")
+    assert [line.split(",")[delta] for line in lines] == \
+        ["delta", "-1", "-1.00000e+00", "5.00000e-01"]
 
 
 def test_zeta_alignment(ctx100):
@@ -143,7 +160,7 @@ def test_zeta_alignment(ctx100):
     rec = synthetic_record(ctx100, us, [ctx100.one] * 3)
     rows = metrics_from_trace(rec, p)
     assert rows[0].zeta == 0 and rows[1].zeta == 0
-    assert rows[2].zeta == -1
+    assert rows[2].zeta is None
 
 
 def test_metrics_without_null_data(ctx100):
@@ -152,7 +169,7 @@ def test_metrics_without_null_data(ctx100):
           ctx100.vec(["0.25", "0.25", "0.25"])]
     rec = synthetic_record(ctx100, us, [ctx100.one] * 3)
     rows = lam_omega_rows(rec, p)
-    assert all(r.zeta == -1 and r.lam == -1 and r.omega == -1 for r in rows)
+    assert all(r.zeta is None and r.lam == -1 and r.omega == -1 for r in rows)
 
 
 def test_uli_rank_one_selection(ctx100):
@@ -216,7 +233,7 @@ def test_zeta_over_error_decays_on_reference_run(ex1_reference_run):
     p, rec, rows = ex1_reference_run
     window = Window.from_kbar(rec.kbar)
     ratios = [rows[k].zeta / rows[k].err for k in window.indices
-              if rows[k].zeta != -1]
+              if rows[k].zeta is not None]
     assert len(ratios) > 20
     assert ratios[-1] < ratios[0] * 1e-6
     # trend check on a coarse subsample

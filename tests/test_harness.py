@@ -170,6 +170,16 @@ def test_criteria_band_validation():
         ("1e-401", "1e-400")
 
 
+def test_default_criteria_build_no_precision_context(monkeypatch):
+    # band ends compare exactly without an mpmath context
+    def refuse(*args):
+        raise AssertionError("PrecisionContext built")
+
+    monkeypatch.setattr(harness, "PrecisionContext", refuse)
+    for name in ("example1", "example2", "example3", "example4"):
+        default_criteria(name)
+
+
 def test_default_criteria_bands():
     c1 = default_criteria("example1")
     assert c1.q_band == ("0.616", "0.620") and c1.big_q_band == ("0.616", "0.620")
