@@ -7,9 +7,12 @@ implementations favor transparent error behavior over asymptotic speed:
 LU with partial pivoting for solves, one-sided Jacobi rotations for
 singular values.
 
-The per-iteration kernels call :mod:`mpmath.libmp` on raw ``_mpf_`` tuples
-at the context's precision and rounding, as the ``mpf`` operators do: the
-results are bit-identical, without an object per intermediate scalar.
+Every operation calls :mod:`mpmath.libmp` on raw ``_mpf_`` tuples at the
+context's precision and rounding, as the ``mpf`` operators do: the results
+are bit-identical, without an object per intermediate scalar.  The solvers'
+per-iteration solve, dot and secant update come from :func:`kernels`, which
+picks them once per run by n: written out for n = 2, the generic loops of
+:func:`lu_solve`, ``Vec.raw_dot`` and :func:`rank_one_update` otherwise.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ import math
 from mpmath import mp
 from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div,
                           mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg,
-                          mpf_sqrt, mpf_sub)
+                          mpf_rdiv_int, mpf_sqrt, mpf_sub)
 
 
 class LinalgError(Exception):
@@ -100,6 +103,10 @@ class PrecisionContext:
         make = self.mp.make_mpf
         return Vec(tuple(make(x) for x in mpf_tuples), self)
 
+    def raw_mat(self, rows) -> "Mat":
+        """Matrix from rows of raw ``_mpf_`` tuples."""
+        return Mat((self.raw_vec(r).entries for r in rows), self)
+
     # -- elementary functions ------------------------------------------------
 
     def sqrt(self, x):
@@ -173,13 +180,13 @@ class Vec:
         a = a._mpf_
         return ctx.raw_vec(mpf_mul(a, x._mpf_, prec, rnd) for x in self.entries)
 
+    def raw(self):
+        """The entries as raw ``_mpf_`` tuples."""
+        return tuple(x._mpf_ for x in self.entries)
+
     def raw_dot(self, other):
         """The dot product as a raw ``_mpf_`` tuple, rounded as ``dot``."""
-        prec, rnd = self.ctx.prec, self.ctx.rounding
-        acc = fzero
-        for a, b in zip(self.entries, other.entries):
-            acc = mpf_add(acc, mpf_mul(a._mpf_, b._mpf_, prec, rnd), prec, rnd)
-        return acc
+        return raw_dot(self.raw(), other.raw(), self.ctx.prec, self.ctx.rounding)
 
     def dot(self, other):
         return self.ctx.make(self.raw_dot(other))
@@ -230,20 +237,17 @@ class Mat:
     def __sub__(self, other):
         return self._entrywise(other, mpf_sub)
 
+    def raw(self):
+        """The rows as tuples of raw ``_mpf_`` tuples."""
+        return tuple(tuple(x._mpf_ for x in r) for r in self.rows)
+
     def matvec(self, v: Vec) -> Vec:
         return self.ctx.raw_vec(Vec(row, self.ctx).raw_dot(v) for row in self.rows)
 
     def max_abs(self):
         """Largest entry magnitude."""
         ctx = self.ctx
-        prec, rnd = ctx.prec, ctx.rounding
-        m = fzero
-        for row in self.rows:
-            for x in row:
-                ax = mpf_abs(x._mpf_, prec, rnd)
-                if mpf_gt(ax, m):
-                    m = ax
-        return ctx.make(m)
+        return ctx.make(_max_abs(self.raw(), ctx.prec, ctx.rounding))
 
 
 def rank_one_update(B: Mat, v: Vec, w: Vec) -> Mat:
@@ -251,12 +255,7 @@ def rank_one_update(B: Mat, v: Vec, w: Vec) -> Mat:
     if B.n != len(v) or B.n != len(w):
         raise ValueError("dimension mismatch in rank-one update")
     ctx = B.ctx
-    prec, rnd = ctx.prec, ctx.rounding
-    make = ctx.mp.make_mpf
-    return Mat(tuple(tuple(make(mpf_add(b._mpf_, mpf_mul(a._mpf_, c._mpf_, prec, rnd),
-                                        prec, rnd))
-                           for b, c in zip(row, w.entries))
-                     for row, a in zip(B.rows, v.entries)), ctx)
+    return ctx.raw_mat(_outer_add(B.raw(), v.raw(), w.raw(), ctx.prec, ctx.rounding))
 
 
 def lu_solve(A: Mat, b: Vec) -> Vec:
@@ -266,21 +265,55 @@ def lu_solve(A: Mat, b: Vec) -> Vec:
     ``10**-(decimal_digits - 20)`` relative to the largest entry of A,
     which is how quasi-Newton breakdown surfaces to the solvers.
     """
-    ctx = A.ctx
-    n = A.n
-    if len(b) != n:
+    if len(b) != A.n:
         raise ValueError("dimension mismatch in lu_solve")
-    prec, rnd = ctx.prec, ctx.rounding
-    rows = [[a._mpf_ for a in r] for r in A.rows]
-    x = [a._mpf_ for a in b.entries]
+    return A.ctx.raw_vec(_solve(A.ctx, A.raw(), b.raw()))
+
+
+# -- raw kernels: vectors are tuples of raw tuples, matrices tuples of rows -------
+
+def _max_abs(rows, prec, rnd):
+    m = fzero
+    for row in rows:
+        for x in row:
+            ax = mpf_abs(x, prec, rnd)
+            if mpf_gt(ax, m):
+                m = ax
+    return m
+
+
+def _pivot_bound(ctx, entries):
     # the rounded threshold pivot_scale * max|A| is at most 2**bound, since
     # |y| < 2**(exp + bc) for a raw tuple y: a pivot of at least 2**bound
     # clears it unformed.  A non-finite entry (mantissa 0, not zero) forms it
-    ps = ctx.pivot_scale._mpf_
-    binades = [a[2] + a[3] for r in rows for a in r if a[1]]
-    bound = math.inf
-    if binades and all(a[1] or a == fzero for r in rows for a in r):
-        bound = ps[2] + ps[3] + max(binades)
+    binades = [a[2] + a[3] for a in entries if a[1]]
+    if binades and all(a[1] or a == fzero for a in entries):
+        ps = ctx.pivot_scale._mpf_
+        return ps[2] + ps[3] + max(binades)
+    return math.inf
+
+
+def _check_pivot(ctx, A, piv_mag, bound, threshold):
+    """Raise :class:`SingularMatrix` if |pivot| = ``piv_mag`` is below the
+    ``threshold`` pivot_scale * max|A|, formed only where ``bound`` cannot
+    decide; return the threshold (None while unformed)."""
+    if not piv_mag[1] or piv_mag[2] + piv_mag[3] - 1 < bound:
+        prec, rnd = ctx.prec, ctx.rounding
+        if threshold is None:
+            threshold = mpf_mul(ctx.pivot_scale._mpf_, _max_abs(A, prec, rnd), prec, rnd)
+        if piv_mag == fzero or mpf_lt(piv_mag, threshold):
+            raise SingularMatrix(f"pivot {ctx.make(piv_mag)} below threshold "
+                                 f"{ctx.make(threshold)}")
+    return threshold
+
+
+def _solve(ctx, A, b):
+    """x with A x = b for raw A and b, by LU with partial pivoting."""
+    n = len(A)
+    prec, rnd = ctx.prec, ctx.rounding
+    rows = [list(r) for r in A]
+    x = list(b)
+    bound = _pivot_bound(ctx, [a for r in A for a in r])
     threshold = None
     for k in range(n):
         piv, piv_mag = k, mpf_abs(rows[k][k], prec, rnd)
@@ -288,12 +321,7 @@ def lu_solve(A: Mat, b: Vec) -> Vec:
             mag = mpf_abs(rows[i][k], prec, rnd)
             if mpf_gt(mag, piv_mag):
                 piv, piv_mag = i, mag
-        if not piv_mag[1] or piv_mag[2] + piv_mag[3] - 1 < bound:
-            if threshold is None:
-                threshold = mpf_mul(ps, A.max_abs()._mpf_, prec, rnd)
-            if piv_mag == fzero or mpf_lt(piv_mag, threshold):
-                raise SingularMatrix(f"pivot {ctx.make(piv_mag)} below threshold "
-                                     f"{ctx.make(threshold)}")
+        threshold = _check_pivot(ctx, A, piv_mag, bound, threshold)
         if piv != k:
             rows[k], rows[piv] = rows[piv], rows[k]
             x[k], x[piv] = x[piv], x[k]
@@ -311,7 +339,74 @@ def lu_solve(A: Mat, b: Vec) -> Vec:
         for j in range(i + 1, n):
             acc = mpf_sub(acc, mpf_mul(rows[i][j], x[j], prec, rnd), prec, rnd)
         x[i] = mpf_div(acc, rows[i][i], prec, rnd)
-    return ctx.raw_vec(x)
+    return tuple(x)
+
+
+def raw_dot(a, b, prec, rnd):
+    """The dot product of raw vectors a and b, as ``Vec.raw_dot``."""
+    acc = fzero
+    for x, y in zip(a, b):
+        acc = mpf_add(acc, mpf_mul(x, y, prec, rnd), prec, rnd)
+    return acc
+
+
+def _outer_add(B, v, w, prec, rnd):
+    return tuple(tuple(mpf_add(b, mpf_mul(a, c, prec, rnd), prec, rnd)
+                       for b, c in zip(row, w))
+                 for row, a in zip(B, v))
+
+
+def kernels(ctx: PrecisionContext, n: int):
+    """``(solve, dot, secant)`` on raw vectors and n x n matrices: ``solve(A,
+    b)`` is :func:`lu_solve`, ``dot(a, b)`` is ``Vec.raw_dot`` and ``secant(B,
+    s, ss, f)`` is B + (f / ss) s^T as ``rank_one_update(B, f.scaled(1 / ss),
+    s)`` forms it.  For n = 2 they are written out with the same libmp calls
+    in the same order."""
+    prec, rnd = ctx.prec, ctx.rounding
+    if n != 2:
+        def secant(B, s, ss, f):
+            inv = mpf_rdiv_int(1, ss, prec, rnd)
+            return _outer_add(B, [mpf_mul(inv, x, prec, rnd) for x in f], s, prec, rnd)
+        return (functools.partial(_solve, ctx),
+                lambda a, b: raw_dot(a, b, prec, rnd), secant)
+    ps_binades = ctx.pivot_scale._mpf_[2] + ctx.pivot_scale._mpf_[3]
+
+    def solve(A, b):
+        (a, b01), (c, d) = A
+        x0, x1 = b
+        if a[1] and b01[1] and c[1] and d[1]:   # all finite and nonzero
+            bound = ps_binades + max(a[2] + a[3], b01[2] + b01[3],
+                                     c[2] + c[3], d[2] + d[3])
+        else:
+            bound = _pivot_bound(ctx, (a, b01, c, d))
+        piv_mag, mag = mpf_abs(a, prec, rnd), mpf_abs(c, prec, rnd)
+        if mpf_gt(mag, piv_mag):
+            piv_mag, a, b01, c, d, x0, x1 = mag, c, d, a, b01, x1, x0
+        threshold = _check_pivot(ctx, A, piv_mag, bound, None)
+        m = mpf_div(c, a, prec, rnd)
+        if m != fzero:
+            d = mpf_sub(d, mpf_mul(m, b01, prec, rnd), prec, rnd)
+            x1 = mpf_sub(x1, mpf_mul(m, x0, prec, rnd), prec, rnd)
+        _check_pivot(ctx, A, mpf_abs(d, prec, rnd), bound, threshold)
+        x1 = mpf_div(x1, d, prec, rnd)
+        return (mpf_div(mpf_sub(x0, mpf_mul(b01, x1, prec, rnd), prec, rnd), a,
+                        prec, rnd), x1)
+
+    def dot(a, b):
+        return mpf_add(mpf_add(fzero, mpf_mul(a[0], b[0], prec, rnd), prec, rnd),
+                       mpf_mul(a[1], b[1], prec, rnd), prec, rnd)
+
+    def secant(B, s, ss, f):
+        (b00, b01), (b10, b11) = B
+        s0, s1 = s
+        inv = mpf_rdiv_int(1, ss, prec, rnd)
+        v0, v1 = mpf_mul(inv, f[0], prec, rnd), mpf_mul(inv, f[1], prec, rnd)
+        return ((mpf_add(b00, mpf_mul(v0, s0, prec, rnd), prec, rnd),
+                 mpf_add(b01, mpf_mul(v0, s1, prec, rnd), prec, rnd)),
+                (mpf_add(b10, mpf_mul(v1, s0, prec, rnd), prec, rnd),
+                 mpf_add(b11, mpf_mul(v1, s1, prec, rnd), prec, rnd)))
+
+    return solve, dot, secant
 
 
 def singular_values(A: Mat):

@@ -35,16 +35,18 @@ class MissingNullData(Exception):
 _TWO = from_int(2)
 
 
-def _f_example1(u: Vec) -> Vec:
+def _raw_f_example1(u: tuple, ctx: PrecisionContext) -> tuple:
     # raw libmp in the operators' order: (u1 + sq, u1 * u2 * 3 / 2 + sq + sq * u2)
-    ctx = u.ctx
     prec, rnd = ctx.prec, ctx.rounding
-    u1, u2 = (x._mpf_ for x in u.entries)
+    u1, u2 = u
     sq = mpf_mul(u2, u2, prec, rnd)
     f2 = mpf_div(mpf_mul_int(mpf_mul(u1, u2, prec, rnd), 3, prec, rnd), _TWO, prec, rnd)
-    return ctx.raw_vec((mpf_add(u1, sq, prec, rnd),
-                        mpf_add(mpf_add(f2, sq, prec, rnd),
-                                mpf_mul(sq, u2, prec, rnd), prec, rnd)))
+    return (mpf_add(u1, sq, prec, rnd),
+            mpf_add(mpf_add(f2, sq, prec, rnd), mpf_mul(sq, u2, prec, rnd), prec, rnd))
+
+
+def _f_example1(u: Vec) -> Vec:
+    return u.ctx.raw_vec(_raw_f_example1(u.raw(), u.ctx))
 
 
 def _j_example1(u: Vec) -> Mat:
@@ -135,6 +137,14 @@ class Problem:
     phi_entries: Optional[tuple]
     psi_entries: Optional[tuple]
     singularity_order: int
+    #: ``raw_f(u, ctx)``, F on raw ``_mpf_`` tuples; None wraps ``f``
+    raw_f: Optional[Callable[[tuple, PrecisionContext], tuple]] = None
+
+    def residual(self, u: tuple, ctx: PrecisionContext) -> tuple:
+        """F(u) on raw tuples, bit-identical to ``f``."""
+        if self.raw_f is None:
+            return self.f(ctx.raw_vec(u)).raw()
+        return self.raw_f(u, ctx)
 
     def root(self, ctx: PrecisionContext) -> Vec:
         return ctx.vec(self.root_entries)
@@ -158,7 +168,8 @@ _REGISTRY = {
     "example1": Problem(
         name="example1", n=2, f=_f_example1, jac=_j_example1,
         root_entries=(0, 0),
-        phi_entries=(0, 1), psi_entries=(0, 1), singularity_order=1),
+        phi_entries=(0, 1), psi_entries=(0, 1), singularity_order=1,
+        raw_f=_raw_f_example1),
     "example2": Problem(
         name="example2", n=3, f=_f_example2, jac=_j_example2,
         root_entries=(0, 0, 0),

@@ -1,7 +1,8 @@
 """Quasi-Newton iterations with full per-iteration traces.
 
-Four drivers run on one engine, each giving it a step rule and, when it
-carries a matrix, a matrix update:
+Four drivers run on one engine, which carries u, F, s, B and the trace as
+raw ``_mpf_`` tuples through the kernels :func:`linalg.kernels` picks by n.
+A driver may add a Jacobian refresh of B or, without B, its own step rule:
 
 * ``broyden_run``    rank-one secant updates from a given (u0, B0);
 * ``bmp_run``        a Newton-like step u0 = u_hat - B_hat^{-1} F(u_hat)
@@ -14,7 +15,7 @@ carries a matrix, a matrix update:
 
 No failure mode raises out of a run: breakdowns, divergence and iteration
 caps all land in ``RunRecord.status``.  Traces are bit-reproducible for a
-fixed precision context.
+fixed precision context, and bit-identical to ``Vec`` and ``Mat`` arithmetic.
 """
 from __future__ import annotations
 
@@ -23,10 +24,11 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from mpmath.libmp import fzero, mpf_div, mpf_gt, mpf_le, mpf_mul, mpf_shift, mpf_sqrt
+from mpmath.libmp import (fzero, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_mul,
+                          mpf_neg, mpf_shift, mpf_sqrt)
 
-from .linalg import (Mat, PrecisionContext, SingularMatrix, Vec, lu_solve,
-                     rank_one_update)
+from .linalg import (Mat, PrecisionContext, SingularMatrix, Vec, kernels, lu_solve,
+                     raw_dot)
 from .problems import Problem
 
 
@@ -73,44 +75,58 @@ class SolverOptions:
 
 @dataclass
 class TraceEntry:
-    """State at one displayed iteration index k.
+    """State at one displayed iteration index k, kept as raw ``_mpf_`` tuples.
 
-    ``s`` is the step u^{k+1} - u^k, None at the final index.  ``b`` is the
-    (immutable) matrix B_k when spectra are recorded (never for the
-    Shamanskii-like method, which carries no B).  ``ff``, ``ss`` and
-    ``ff_next`` are the raw dot products F(u^k).F(u^k), s^k.s^k and
+    ``raw_u`` is u^k, ``raw_s`` the step u^{k+1} - u^k (None at the final
+    index) and ``raw_b`` the rows of B_k when spectra are recorded (never for
+    the Shamanskii-like method, which carries no B); ``u``, ``s`` and ``b``
+    build the ``Vec`` or ``Mat`` on first read and keep it.  ``ff``, ``ss``
+    and ``ff_next`` are the raw dot products F(u^k).F(u^k), s^k.s^k and
     F(u^{k+1}).F(u^{k+1}) (the last two only with a matrix).  ``f_norm`` =
     ||F(u^k)|| and the update norm ``eps`` = ||F(u^{k+1})|| / ||s^k|| (None
     without ``ss``) are taken on first read, and ``s_norm`` = ||s^k|| on
     every read, bit-identical to ``Vec.norm`` and the mpf quotient.
     """
 
-    u: Vec
+    ctx: PrecisionContext
+    raw_u: tuple
     ff: Optional[tuple] = None
-    s: Optional[Vec] = None
+    raw_s: Optional[tuple] = None
     ss: Optional[tuple] = None
     ff_next: Optional[tuple] = None
-    b: Optional[Mat] = None
+    raw_b: Optional[tuple] = None
+
+    @functools.cached_property
+    def u(self) -> Vec:
+        return self.ctx.raw_vec(self.raw_u)
+
+    @functools.cached_property
+    def s(self) -> Optional[Vec]:
+        return None if self.raw_s is None else self.ctx.raw_vec(self.raw_s)
+
+    @functools.cached_property
+    def b(self) -> Optional[Mat]:
+        return None if self.raw_b is None else self.ctx.raw_mat(self.raw_b)
 
     @functools.cached_property
     def f_norm(self):
-        ctx = self.u.ctx
+        ctx = self.ctx
         return ctx.make(mpf_sqrt(self.ff, ctx.prec, ctx.rounding))
 
     @property
     def s_norm(self):
         """||s^k|| (None at kbar), from ``ss``; uncached to keep traces small."""
-        if self.s is None:
+        if self.raw_s is None:
             return None
-        ctx = self.u.ctx
-        ss = self.s.raw_dot(self.s) if self.ss is None else self.ss
+        ctx, raw = self.ctx, self.raw_s
+        ss = raw_dot(raw, raw, ctx.prec, ctx.rounding) if self.ss is None else self.ss
         return ctx.make(mpf_sqrt(ss, ctx.prec, ctx.rounding))
 
     @functools.cached_property
     def eps(self):
         if self.ss is None:
             return None
-        ctx = self.u.ctx
+        ctx = self.ctx
         prec, rnd = ctx.prec, ctx.rounding
         return ctx.make(mpf_div(mpf_sqrt(self.ff_next, prec, rnd),
                                 self.s_norm._mpf_, prec, rnd))
@@ -158,12 +174,10 @@ def _check_terminal(entry, k, opts, limits) -> Optional[Status]:
     # has |x| < 2**(exp + bc), so entries below 2**e give a rounded u.u of at
     # most n 2**(2 e) < 2**(2 e + bitlen(n)): the exponents alone can prove
     # u.u <= guard**2 without the dot
-    u, ctx = entry.u, entry.u.ctx
-    raw = [x._mpf_ for x in u.entries]
-    finite = all(t[1] or t == fzero for t in raw)
-    if not finite or (2 * max(t[2] + t[3] for t in raw) + len(raw).bit_length()
-                      > guard_bits):
-        uu = u.raw_dot(u)
+    u, ctx = entry.raw_u, entry.ctx
+    spare = guard_bits - len(u).bit_length()
+    if any((not t[1] and t != fzero) or 2 * (t[2] + t[3]) > spare for t in u):
+        uu = raw_dot(u, u, ctx.prec, ctx.rounding)
         if mpf_gt(uu, guard2) and mpf_gt(mpf_sqrt(uu, ctx.prec, ctx.rounding), guard):
             return Status.DIVERGED
     if k >= opts.max_iter:
@@ -171,64 +185,64 @@ def _check_terminal(entry, k, opts, limits) -> Optional[Status]:
     return None
 
 
-def _secant_update(B, s, ss, f_next) -> Mat:
-    # B_k s = -F(u^k) from the solve, so y - B_k s collapses to F(u^{k+1});
-    # using that form keeps ||B_{k+1} - B_k|| equal to eps_k to working
-    # precision instead of polluting it with the LU residual.  ss = s.s
-    return rank_one_update(B, f_next.scaled(1 / s.ctx.make(ss)), s)
-
-
-def _engine(p, u, B, opts, step, update=None) -> RunRecord:
+def _engine(p, u, B, opts, refresh=None, step=None) -> RunRecord:
     """Iterate from (u, B) to a terminal status and record the run.
 
-    ``step(k, u, fu, B) -> (s, u_next)`` proposes the next iterate and
-    ``update(k, B, s, ss, u_next, f_next) -> B_next``, given ss = s.s,
-    carries the matrix.  Without ``update`` there is no matrix: no B_k, no
-    eps and no zero-step guard.
+    With a matrix, s = -B^{-1} F(u) and B_{k+1} = B + F(u^{k+1}) s^T / s.s
+    (y - B_k s collapses to F(u^{k+1}) since B_k s = -F(u^k), which keeps
+    ||B_{k+1} - B_k|| = eps_k free of the LU residual), unless
+    ``refresh(k, u_next)``, given raw u^{k+1}, returns a ``Mat`` for it.
+    Without a matrix, ``step(k, u, fu) -> (s, u_next)`` on raw tuples
+    proposes the next iterate: no B_k, no eps and no zero-step guard.
     """
+    ctx = u.ctx
+    prec, rnd = ctx.prec, ctx.rounding
+    solve, dot, secant = kernels(ctx, p.n)
     limits = _limits(opts)
+    keep_b = opts.record_spectra
     trace = []
-    fu = p.f(u)
-    ff = fu.raw_dot(fu)
+    u = u.raw()
+    B = None if B is None else B.raw()
+    fu = p.residual(u, ctx)
+    ff = dot(fu, fu)
     while True:
         k = len(trace)
-        entry = TraceEntry(u=u, ff=ff, b=B if opts.record_spectra else None)
+        entry = TraceEntry(ctx, u, ff, raw_b=B if keep_b else None)
         trace.append(entry)
         status = _check_terminal(entry, k, opts, limits)
         if status is not None:
             break
         try:
-            s, u_next = step(k, u, fu, B)
+            if step is None:
+                s = solve(B, [mpf_neg(x, prec, rnd) for x in fu])
+                u_next = tuple(mpf_add(a, b, prec, rnd) for a, b in zip(u, s))
+                ss = dot(s, s)
+                if ss == fzero:
+                    # zero step with a nonzero residual: the update is undefined
+                    raise SingularMatrix("zero step")
+            else:
+                s, u_next = step(k, u, fu)
         except SingularMatrix:
             status = Status.SINGULAR_MATRIX
             break
-        if update is not None:
-            ss = s.raw_dot(s)
-            if ss == fzero:
-                # zero step with a nonzero residual: the update is undefined
-                status = Status.SINGULAR_MATRIX
-                break
-        f_next = p.f(u_next)
-        ff = f_next.raw_dot(f_next)
-        entry.s = s
-        if update is not None:
+        f_next = p.residual(u_next, ctx)
+        ff = dot(f_next, f_next)
+        entry.raw_s = s
+        if step is None:
             entry.ss, entry.ff_next = ss, ff
-            B = update(k, B, s, ss, u_next, f_next)
+            jac = None if refresh is None else refresh(k, u_next)
+            B = secant(B, s, ss, f_next) if jac is None else jac.raw()
         u, fu = u_next, f_next
-    return RunRecord(status=status, kbar=k, trace=trace, b_final=B,
+    return RunRecord(status=status, kbar=k, trace=trace,
+                     b_final=None if B is None else ctx.raw_mat(B),
                      tol_exponent=opts.tol_exponent)
-
-
-def _quasi_newton_step(k, u, fu, B):
-    """Step rule s = -B^{-1} F(u) shared by every method carrying a matrix."""
-    s = lu_solve(B, -fu)
-    return s, u + s
 
 
 def _shamanskii_step(p, b_hat, c, alpha, ctx):
     """Step rule of ``smp_run``: B_hat at k = 0, Newton at k = 1, then the
     corrected Shamanskii-like step."""
-    def step(k, u, fu, B):
+    def step(k, u, fu):
+        u, fu = ctx.raw_vec(u), ctx.raw_vec(fu)
         if k == 0:
             u_next = u + lu_solve(b_hat, -fu)
         elif k == 1:
@@ -244,7 +258,7 @@ def _shamanskii_step(p, b_hat, c, alpha, ctx):
                 u_next = y - z.scaled(4 - c * ctx.power(nz, alpha))
         # the difference of the stored iterates, which rounds differently
         # from the solves' own steps
-        return u_next - u, u_next
+        return (u_next - u).raw(), u_next.raw()
     return step
 
 
@@ -256,8 +270,7 @@ def _check_dims(p, u, b=None):
 def broyden_run(p: Problem, u0: Vec, b0: Mat, opts: SolverOptions) -> RunRecord:
     """Plain Broyden iteration from (u0, B0)."""
     _check_dims(p, u0, b0)
-    rec = _engine(p, u0, b0, opts, _quasi_newton_step,
-                  lambda k, B, s, ss, u_next, f_next: _secant_update(B, s, ss, f_next))
+    rec = _engine(p, u0, b0, opts)
     rec.broyden_updates_from = 0
     return rec
 
@@ -274,11 +287,9 @@ def bmp_run(p: Problem, u_hat: Vec, b_hat: Mat, opts: SolverOptions,
     tables label the sequence.
     """
     _check_dims(p, u_hat, b_hat)
-
-    def update(k, B, s, ss, u_next, f_next):
-        return _secant_update(B, s, ss, f_next) if k > 0 or b0 is None else b0(u_next)
-
-    rec = _engine(p, u_hat, b_hat, opts, _quasi_newton_step, update)
+    ctx = u_hat.ctx
+    rec = _engine(p, u_hat, b_hat, opts, None if b0 is None else
+                  lambda k, u: b0(ctx.raw_vec(u)) if k == 0 else None)
     if rec.kbar > 0:
         # B_0 came from the Newton-like step itself only without ``b0``
         rec.broyden_updates_from = 0 if b0 is None else 1
@@ -288,8 +299,7 @@ def bmp_run(p: Problem, u_hat: Vec, b_hat: Mat, opts: SolverOptions,
 def newton_run(p: Problem, u0: Vec, opts: SolverOptions) -> RunRecord:
     """Newton's method with the Jacobian refreshed every step."""
     _check_dims(p, u0)
-    return _engine(p, u0, p.jac(u0), opts, _quasi_newton_step,
-                   lambda k, B, s, ss, u_next, f_next: p.jac(u_next))
+    return _engine(p, u0, p.jac(u0), opts, lambda k, u: p.jac(u0.ctx.raw_vec(u)))
 
 
 def smp_run(p: Problem, u_hat: Vec, b_hat: Mat, c, alpha,
@@ -304,11 +314,13 @@ def smp_run(p: Problem, u_hat: Vec, b_hat: Mat, c, alpha,
     """
     _check_dims(p, u_hat, b_hat)
     ctx = opts.precision
-    c = ctx.real(c)
-    alpha = ctx.real(alpha)
+    try:
+        c, alpha = ctx.real(c), ctx.real(alpha)
+    except (ValueError, TypeError, ZeroDivisionError):
+        raise ValueError(f"C and alpha must be numbers: {c!r}, {alpha!r}") from None
     if c == 0 or not ctx.mp.isfinite(c):
         raise ValueError("C must be finite and nonzero")
     golden = (ctx.sqrt(ctx.real(5)) - 1) / 2
     if not (0 < alpha < golden):
         raise ValueError("alpha must lie in (0, (sqrt(5)-1)/2)")
-    return _engine(p, u_hat, None, opts, _shamanskii_step(p, b_hat, c, alpha, ctx))
+    return _engine(p, u_hat, None, opts, step=_shamanskii_step(p, b_hat, c, alpha, ctx))

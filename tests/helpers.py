@@ -8,15 +8,19 @@ by hand.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Optional
 
 import mpmath
+from mpmath.libmp import fzero, mpf_gt, mpf_le, mpf_shift, mpf_sqrt
 
 from broydenlab.diagnostics import metrics_from_trace
 from broydenlab.harness import _STATS, Window
-from broydenlab.linalg import (Mat, PrecisionContext, Vec, singular_values,
+from broydenlab.linalg import (Mat, PrecisionContext, SingularMatrix, Vec,
+                               lu_solve, rank_one_update, singular_values,
                                spectral_norm)
 from broydenlab.problems import Problem, projectors
-from broydenlab.solvers import RunRecord, Status, TraceEntry
+from broydenlab.solvers import RunRecord, Status, TraceEntry, _limits
 
 
 # -- ad-hoc problems -----------------------------------------------------------
@@ -155,17 +159,17 @@ def synthetic_record(ctx: PrecisionContext, us, f_norms, eps=None, svals=None,
     kbar = len(us) - 1
     trace = []
     for k, u in enumerate(us):
-        entry = TraceEntry(u=u)
+        entry = TraceEntry(ctx, u.raw())
         entry.f_norm = ctx.real(f_norms[k])
         if k < kbar:
-            entry.s = us[k + 1] - u
+            entry.raw_s = (us[k + 1] - u).raw()
             if eps is not None:
                 entry.eps = ctx.real(eps[k])
         if svals is not None and svals[k] is not None:
             # B_k = J* + diag(svals) with example1's J* = diag(1, 0), so
             # E_k = B_k - J* is diag(svals) exactly for dyadic svals
             s1, s2 = (ctx.real(s) for s in svals[k])
-            entry.b = ctx.mat([[1 + s1, 0], [0, s2]])
+            entry.raw_b = ctx.mat([[1 + s1, 0], [0, s2]]).raw()
         trace.append(entry)
     return RunRecord(status=Status.CONVERGED, kbar=kbar, trace=trace,
                      b_final=None, tol_exponent=tol_exponent,
@@ -222,6 +226,105 @@ def eager_stats_wire(rec: RunRecord, rows: list, window_rule: str = "min"):
         values[pick, attr] = ((min(defined) if pick == "min" else max(defined))
                               if defined else None)
     return tuple(getattr(values[s], "_mpf_", values[s]) for s in _STATS)
+
+
+# -- the iteration in Vec and Mat arithmetic -------------------------------------
+
+@dataclass
+class ReferenceEntry:
+    """One trace entry of :func:`reference_run`, as ``Vec`` and ``Mat``."""
+
+    u: Vec
+    ff: tuple
+    s: Optional[Vec] = None
+    ss: Optional[tuple] = None
+    ff_next: Optional[tuple] = None
+    b: Optional[Mat] = None
+
+
+def _reference_terminal(u: Vec, ff, k, opts, limits):
+    tol, tol2, guard, guard2, guard_bits = limits
+    ctx = u.ctx
+    if ff == fzero:
+        return Status.EXACT_ROOT
+    if mpf_le(ff, tol2) or (mpf_le(ff, mpf_shift(tol2, 2)) and mpf_le(
+            mpf_sqrt(ff, ctx.prec, ctx.rounding), tol)):
+        return Status.CONVERGED
+    raw = [x._mpf_ for x in u.entries]
+    finite = all(t[1] or t == fzero for t in raw)
+    if not finite or (2 * max(t[2] + t[3] for t in raw) + len(raw).bit_length()
+                      > guard_bits):
+        uu = u.raw_dot(u)
+        if mpf_gt(uu, guard2) and mpf_gt(mpf_sqrt(uu, ctx.prec, ctx.rounding), guard):
+            return Status.DIVERGED
+    if k >= opts.max_iter:
+        return Status.MAX_ITER
+    return None
+
+
+def reference_run(method: str, p: Problem, u: Vec, b: Optional[Mat], opts,
+                  b0=None, c=None, alpha=None):
+    """(status, kbar, trace, b_final) of ``method`` ("bm", "bmp", "newton" or
+    "smp") in ``Vec`` and ``Mat`` arithmetic: the engine as it was before it
+    carried raw tuples, with ``lu_solve``, ``rank_one_update``, the ``Vec``
+    operators and ``Problem.f``.  ``b`` is B_0 for bm, B_hat for bmp and smp
+    and unused for newton; ``b0`` is bmp's B_0 rule, ``c`` and ``alpha``
+    smp's constants."""
+    ctx = u.ctx
+    limits = _limits(opts)
+    if method == "newton":
+        b = p.jac(u)
+    elif method == "smp":
+        b_hat, b = b, None
+        c, alpha = ctx.real(c), ctx.real(alpha)
+    trace = []
+    fu = p.f(u)
+    ff = fu.raw_dot(fu)
+    while True:
+        k = len(trace)
+        entry = ReferenceEntry(u=u, ff=ff, b=b if opts.record_spectra else None)
+        trace.append(entry)
+        status = _reference_terminal(u, ff, k, opts, limits)
+        if status is not None:
+            break
+        try:
+            if method != "smp":
+                s = lu_solve(b, -fu)
+                u_next = u + s
+            else:
+                if k == 0:
+                    u_next = u + lu_solve(b_hat, -fu)
+                elif k == 1:
+                    u_next = u + lu_solve(p.jac(u), -fu)
+                else:
+                    j = p.jac(u)
+                    y = u + lu_solve(j, -fu)
+                    z = lu_solve(j, p.f(y))
+                    nz = z.norm()
+                    u_next = y if nz == 0 else y - z.scaled(
+                        4 - c * ctx.power(nz, alpha))
+                s = u_next - u
+        except SingularMatrix:
+            status = Status.SINGULAR_MATRIX
+            break
+        if method != "smp":
+            ss = s.raw_dot(s)
+            if ss == fzero:
+                status = Status.SINGULAR_MATRIX
+                break
+        f_next = p.f(u_next)
+        ff = f_next.raw_dot(f_next)
+        entry.s = s
+        if method != "smp":
+            entry.ss, entry.ff_next = ss, ff
+            if method == "newton":
+                b = p.jac(u_next)
+            elif method == "bmp" and k == 0 and b0 is not None:
+                b = b0(u_next)
+            else:
+                b = rank_one_update(b, f_next.scaled(1 / ctx.make(ss)), s)
+        u, fu = u_next, f_next
+    return status, k, trace, b
 
 
 # -- step, nullspace and update-norm diagnostics of the acceptance criteria -----

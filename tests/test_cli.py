@@ -181,6 +181,7 @@ def test_basin_negative_half_width_exits_2(tmp_path, capsys):
     ["--beta", "nan"], ["--beta", "-0.5"],
     ["--method", "smp", "--C", "nan"], ["--method", "smp", "--C", "inf"],
     ["--method", "smp", "--order-alpha", "nan"], ["--alpha", "1/0"],
+    ["--method", "smp", "--C", "1/0"], ["--method", "smp", "--order-alpha", "1/0"],
 ])
 def test_single_bad_scale_exits_2(tmp_path, capsys, extra):
     code = main(["single", "--problem", "example1", *extra,

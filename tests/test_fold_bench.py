@@ -102,6 +102,47 @@ def test_verdict(parent, change, better, want):
     assert got == want
 
 
+@pytest.mark.parametrize("won,pairs,parent,change,better,want", [
+    # 9 of 10 won, the median 4.0 better than the parent's, whose
+    # quartiles (9.5, 10.5) are 1.0 apart
+    (9, 10, [9.0, 10.0, 11.0], [13.0, 14.0, 15.0], "higher", "better"),
+    (10, 10, [9.0, 10.0, 11.0], [13.0, 14.0, 15.0], "higher", "better"),
+    (9, 10, [9.0, 10.0, 11.0], [5.0, 6.0, 9.0], "lower", "better"),
+    # 8 of 10 pairs are too few for a claim
+    (8, 10, [9.0, 10.0, 11.0], [13.0, 14.0, 15.0], "higher", "within"),
+    # every pair won, but the medians differ by no more than the spread
+    (10, 10, [9.0, 10.0, 11.0], [10.5, 10.8, 11.0], "higher", "within"),
+    (10, 10, [9.0, 10.0, 11.0], [9.0, 9.0, 9.0], "lower", "within"),
+])
+def test_verdict_better(won, pairs, parent, change, better, want):
+    got = fold_bench.verdict(fold_bench.summary(parent), fold_bench.summary(change),
+                             better, 0.25, won, pairs)
+    assert got == want
+
+
+def test_verdict_worse_takes_precedence():
+    # nine of ten pairs won cannot outweigh a median worse than the bound
+    parent = fold_bench.summary([10.0, 10.0, 10.0])
+    change = fold_bench.summary([5.0, 6.0, 7.0])
+    assert fold_bench.verdict(parent, change, "higher", 0.25, 9, 10) == "worse"
+
+
+def test_fold_claims_a_gain(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for i in range(10):
+        p_rate = 10.0 + (i % 3) / 10
+        c_rate = 9.0 if i == 4 else 14.0 + (i % 3) / 10
+        _write(parent, "basin", 1300 + i, p_rate, 100.0, mtime=100 + i)
+        _write(change, "basin", 1300 + i, c_rate, 100.0, mtime=200 + i)
+    folded = fold_bench.fold(fold_bench.load_runs(parent),
+                             fold_bench.load_runs(change), METRICS)
+    block = folded["end_to_end"]["basin"]
+    assert block["solves_per_s_change_better"] == "9 of 10"
+    assert block["solves_per_s_verdict"] == "better"
+    assert block["solve_ms_p50_change_better"] == "0 of 10"
+    assert block["solve_ms_p50_verdict"] == "within"
+
+
 def test_main_prints_verdicts(tmp_path, capsys):
     parent, change = tmp_path / "parent", tmp_path / "change"
     for seed in (1, 2, 3):

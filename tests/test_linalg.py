@@ -1,13 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath.libmp import fzero, mpf_gt, mpf_mul
 
 from helpers import (charpoly_singular_values, identity, normalized, outer,
                      zero_vec)
 from broydenlab.diagnostics import _Spectrum
 from broydenlab.harness import CounterRng
 from broydenlab.linalg import (Mat, PrecisionContext, SingularMatrix, Vec,
-                               lu_solve, rank_one_update, singular_values,
-                               spectral_norm)
+                               kernels, lu_solve, rank_one_update,
+                               singular_values, spectral_norm)
 from broydenlab.problems import _f_example1
 from broydenlab.solvers import TraceEntry
 
@@ -309,6 +310,79 @@ def _assert_key_matches_jacobi(A, near_tolerance=False):
         assert abs(key - want) <= ctx.real(2) ** -(ctx.prec - 8) * want
 
 
+def _assert_raw_kernels_match(A, b, w):
+    """The n = 2 and the generic raw kernels give the tuples of lu_solve,
+    Vec.raw_dot and the secant update B + (w / w.w) b^T as rank_one_update
+    forms it, or the same SingularMatrix."""
+    ctx = A.ctx
+    try:
+        want_x = lu_solve(A, b).raw()
+    except SingularMatrix as exc:
+        want_x = str(exc)
+    ss = b.raw_dot(b)
+    want_b = None
+    if ss != fzero:
+        want_b = rank_one_update(A, w.scaled(1 / ctx.make(ss)), b).raw()
+    # the generic kernels do not depend on n; kernels(ctx, 1) gives them
+    for solve, dot, secant in (kernels(ctx, A.n), kernels(ctx, 1)):
+        try:
+            got_x = solve(A.raw(), b.raw())
+        except SingularMatrix as exc:
+            got_x = str(exc)
+        assert got_x == want_x
+        assert dot(b.raw(), w.raw()) == b.raw_dot(w)
+        if want_b is not None:
+            assert secant(A.raw(), b.raw(), ss, w.raw()) == want_b
+
+
+def _assert_raw_kernels_at_the_boundaries(digits):
+    """Pivot swaps, zero multipliers, pivots around pivot_scale * max|A|,
+    singular and non-finite matrices, and u.u on either side of guard**2."""
+    ctx = PrecisionContext(digits)
+    ps = ctx.pivot_scale
+    ulp = ctx.mp.ldexp(1, sum(ps._mpf_[2:]) - ctx.prec)
+    inf, nan = ctx.mp.inf, ctx.mp.nan
+    b, w = ctx.vec(["0.3", "-7"]), ctx.vec(["1e-5", "2"])
+    cases = [
+        [[1, 2], [3, 4]],                    # the second row is the pivot
+        [[2, 1], [0, 3]], [[0, 1], [5, 3]],  # a zero multiplier, with a swap
+        [[1, 0], [0, ps + ulp]], [[1, 0], [0, ps]],      # at the threshold
+        [[1, 0], [0, ps - ulp]], [[ps - ulp, 0], [0, 1]],  # just below it
+        [[ps + ulp, 0], [0, -1]], [[1, 0], [ps * 3, ps * 2]],
+        [[1, 2], [2, 4]], [[0, 0], [0, 0]],  # exactly singular
+        [[inf, 1], [1, 1]], [[1, 2], [nan, 1]], [[1, 0], [0, -inf]],
+        [[inf, inf], [0, 1]],                # where only the skip keeps 0 inf out
+    ]
+    outcomes = set()
+    for rows in cases:
+        A = ctx.mat(rows)
+        _assert_raw_kernels_match(A, b, w)
+        try:
+            lu_solve(A, b)
+            outcomes.add("solved")
+        except SingularMatrix:
+            outcomes.add("singular")
+        _assert_raw_kernels_match(A, ctx.vec([0, 0]), w)
+    assert outcomes == {"solved", "singular"}
+    # n = 3 and n = 1 take the generic kernels
+    _assert_raw_kernels_match(ctx.mat([[1, 2, 0], [3, 4, 1], [0, 1, ps]]),
+                              ctx.vec([1, 2, 3]), ctx.vec([3, 2, 1]))
+    _assert_raw_kernels_match(ctx.mat([[ps - ulp]]), ctx.vec([1]), ctx.vec([2]))
+    # u.u on either side of guard**2, the divergence guard's test
+    guard = ctx.real("1e10")
+    guard2 = mpf_mul(guard._mpf_, guard._mpf_)
+    g_ulp = ctx.mp.ldexp(1, sum(guard._mpf_[2:]) - ctx.prec + 1)
+    sides = set()
+    for u in (ctx.vec([guard, 0]), ctx.vec([guard + g_ulp, 0]),
+              ctx.vec([guard - g_ulp, 0]), ctx.vec([guard * ctx.real("0.6"),
+                                                    guard * ctx.real("0.8")])):
+        uu = u.raw_dot(u)
+        for _, dot, _ in (kernels(ctx, 2), kernels(ctx, 1)):
+            assert dot(u.raw(), u.raw()) == uu
+        sides.add(mpf_gt(uu, guard2))
+    assert sides == {True, False}
+
+
 def test_kernels_bit_identical_to_mpf_operators():
     ctx = PrecisionContext(160)
     rng = CounterRng(11, 0)
@@ -354,11 +428,12 @@ def test_kernels_bit_identical_to_mpf_operators():
                 assert _f_example1(u).entries == (
                     u1 + u2 * u2, u1 * u2 * 3 / 2 + u2 * u2 + u2 * u2 * u2)
         # the trace entry's lazy norms against Vec.norm and the mpf quotient
-        entry = TraceEntry(u=v, ff=w.raw_dot(w), s=w, ss=w.raw_dot(w),
-                           ff_next=v.raw_dot(v))
+        entry = TraceEntry(ctx, v.raw(), ff=w.raw_dot(w), raw_s=w.raw(),
+                           ss=w.raw_dot(w), ff_next=v.raw_dot(v))
         assert entry.f_norm == w.norm()
         if w.norm() != 0:
             assert entry.eps == v.norm() / w.norm()
+        _assert_raw_kernels_match(B, v, w)
         want = _operator_lu_solve(B, v, ctx)
         if want is None:
             with pytest.raises(SingularMatrix):
@@ -368,6 +443,10 @@ def test_kernels_bit_identical_to_mpf_operators():
         assert singular_values(B) == _operator_singular_values(B, ctx)
         if n == 2:
             _assert_key_matches_jacobi(B)
+    # the raw kernels at 60, 160 and 320 digits, at the pivot and guard
+    # boundaries
+    for digits in (60, 160, 320):
+        _assert_raw_kernels_at_the_boundaries(digits)
     # singular_values at 60, 160 and 320 digits: random, exactly singular,
     # rank-one (where the deflation floor retires the parallel columns) and
     # zero matrices; then a column deflated from the start, pairs that never

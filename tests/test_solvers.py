@@ -3,7 +3,9 @@ from mpmath.libmp import (fzero, mpf_add, mpf_le, mpf_lt, mpf_mul, mpf_pos,
                           mpf_shift, mpf_sqrt)
 
 from helpers import (identity, problem_linear, problem_sq_minus_1,
-                     secant_iterates, update_norm_identity_errors, zero_vec)
+                     reference_run, secant_iterates, update_norm_identity_errors,
+                     zero_vec)
+from broydenlab.basin import GridSpec
 from broydenlab.linalg import Mat, PrecisionContext, Vec
 from broydenlab.problems import Problem, get_problem
 from broydenlab.solvers import (SolverOptions, Status, TraceEntry,
@@ -329,7 +331,7 @@ def test_tolerance_decision_matches_rounded_norm(digits, tol):
         f_norm = ctx.make(mpf_sqrt(ff, prec, rnd))
         want = (Status.EXACT_ROOT if f_norm == 0 else
                 Status.CONVERGED if f_norm <= ctx.make(t) else None)
-        assert _check_terminal(TraceEntry(u=u, ff=ff), 1, opts, limits) is want
+        assert _check_terminal(TraceEntry(ctx, u.raw(), ff=ff), 1, opts, limits) is want
         if ff in middle:
             assert mpf_lt(t2, ff) and mpf_le(ff, mpf_shift(t2, 2))
             seen.add(want)
@@ -358,7 +360,7 @@ def test_divergence_decision_at_the_guard(ctx100, guard):
         u = ctx100.vec(entries)
         want = Status.DIVERGED if u.norm() > g else None
         seen.add(want)
-        entry = TraceEntry(u=u, ff=ctx100.one._mpf_)
+        entry = TraceEntry(ctx100, u.raw(), ff=ctx100.one._mpf_)
         assert _check_terminal(entry, 1, opts, limits) is want
     assert seen == {Status.DIVERGED, None}
 
@@ -379,3 +381,93 @@ def test_smp_trace_has_no_matrix_data(ctx100):
     assert rec.status is Status.CONVERGED
     assert all(e.eps is None and e.b is None for e in rec.trace)
     assert rec.b_final is None and rec.broyden_updates_from is None
+
+
+def _reference_cases():
+    # (id, digits, problem, method, start, B rule, options, final status)
+    ex1, ex3 = ["0.00731", "-0.00412"], ["0.004", "-0.003", "0.002"]
+    ok, singular = Status.CONVERGED, Status.SINGULAR_MATRIX
+    return [
+        ("bm-example1", 160, "example1", "bm", ex1, None, {}, ok),
+        ("bmp-example1", 160, "example1", "bmp", ex1, None, {}, ok),
+        ("bmp-example1-b0", 160, "example1", "bmp", ex1, "jac", {}, ok),
+        ("bmp-example2-b0", 130, "example2", "bmp", ex3, "jac", {}, ok),
+        ("bmp-example3", 130, "example3", "bmp", ex3, None, {}, ok),
+        ("bmp-monomial2-b0", 100, "monomial:2", "bmp", ["0.3"], "jac", {}, ok),
+        ("bm-monomial2-singular", 100, "monomial:2", "bm", ["2"], "identity", {},
+         singular),
+        ("newton-example1", 160, "example1", "newton", ex1, None, {}, ok),
+        ("newton-example2", 130, "example2", "newton", ["0.5", "0.5", "0.5"],
+         None, {}, ok),
+        ("smp-example1", 160, "example1", "smp", ex1, None, {}, ok),
+        ("smp-example3", 130, "example3", "smp", ex3, None, {}, ok),
+        ("bmp-example1-320-max-iter", 320, "example1", "bmp", ex1, "jac",
+         {"tol": 200, "max_iter": 40}, Status.MAX_ITER),
+        ("bmp-example1-singular", 160, "example1", "bmp", ["0.25", "-0.1875"],
+         "jac", {}, singular),
+        ("smp-example1-singular", 160, "example1", "smp", ["0.25", "-0.1875"],
+         None, {}, singular),
+        ("bmp-example1-exact-root", 160, "example1", "bmp", ["0.125", "0"],
+         "jac", {}, Status.EXACT_ROOT),
+        ("bmp-example1-diverged", 100, "example1", "bmp", ["3", "-2"], None,
+         {"divergence_guard": 100}, Status.DIVERGED),
+        ("bm-example1-diverged", 100, "example1", "bm", ["1", "1"], "identity",
+         {"divergence_guard": 10}, Status.DIVERGED),
+    ]
+
+
+def _run_both(p, method, u, rule, opts):
+    ctx = u.ctx
+    b = identity(ctx, p.n) if rule == "identity" else p.jac(u)
+    b0 = p.jac if rule == "jac" else None
+    if method == "bm":
+        rec = broyden_run(p, u, b, opts)
+    elif method == "bmp":
+        rec = bmp_run(p, u, b, opts, b0)
+    elif method == "newton":
+        rec = newton_run(p, u, opts)
+    else:
+        rec = smp_run(p, u, b, 1, "0.5", opts)
+    return rec, reference_run(method, p, u, b, opts, b0, 1, "0.5")
+
+
+def _assert_matches_reference(rec, ref):
+    status, kbar, trace, b_final = ref
+    assert (rec.status, rec.kbar, len(rec.trace)) == (status, kbar, len(trace))
+    for got, want in zip(rec.trace, trace):
+        assert got.raw_u == want.u.raw() and got.u == want.u
+        assert (got.ff, got.ss, got.ff_next) == (want.ff, want.ss, want.ff_next)
+        assert got.raw_s == (None if want.s is None else want.s.raw())
+        assert got.raw_b == (None if want.b is None else want.b.raw())
+    assert (None if rec.b_final is None else rec.b_final.raw()) == (
+        None if b_final is None else b_final.raw())
+
+
+@pytest.mark.parametrize("case", _reference_cases(), ids=lambda c: c[0])
+def test_engine_matches_reference_run(case):
+    # every trace field, the status, kbar and b_final of the raw engine are
+    # the tuples of the same iteration in Vec and Mat arithmetic
+    _, digits, name, method, start, rule, kw, want = case
+    ctx = PrecisionContext(digits)
+    p = get_problem(name)
+    rec, ref = _run_both(p, method, ctx.vec(start), rule, opts_for(ctx, **kw))
+    _assert_matches_reference(rec, ref)
+    assert rec.status is want
+
+
+def test_engine_matches_reference_run_on_a_basin_grid():
+    # a 5x5 example1 grid in the basin's configuration, both halves of the
+    # start box, with and without B_k kept
+    ctx = PrecisionContext(160)
+    p = get_problem("example1")
+    statuses = set()
+    for hw, keep in (("0.001", False), ("0.1", True)):
+        opts = SolverOptions(precision=ctx, tol_exponent=60, max_iter=300,
+                             record_spectra=keep)
+        grid = GridSpec(half_width=hw, resolution=5, center=("1e-5", "-3e-5"))
+        for i in range(5):
+            for j in range(5):
+                rec, ref = _run_both(p, "bmp", grid.point(i, j, ctx), "jac", opts)
+                _assert_matches_reference(rec, ref)
+                statuses.add(rec.status)
+    assert Status.CONVERGED in statuses

@@ -8,7 +8,8 @@ form a pair.  For every workload and every end-to-end metric of
 ``seeds`` keys of an existing JSON file, each side's median, inclusive
 quartiles and sorted runs, the pairs, how many pairs the change won (ties
 count for neither side), the ratio of the medians and a verdict against the
-metric's ``bound`` (see :func:`verdict`), which is also printed on stderr,
+metric's ``bound`` (see :func:`verdict`; ``better`` means a gain can be
+claimed), which is also printed on stderr,
 one line per workload and metric.  The side that ran first in a pair is
 read from the files' modification times.
 
@@ -44,21 +45,29 @@ def summary(values: list) -> dict:
             "q3": round(q3, 4), "runs": sorted(round(v, 4) for v in values)}
 
 
-def verdict(parent: dict, change: dict, better: str, bound: float) -> str:
+def verdict(parent: dict, change: dict, better: str, bound: float,
+            won: int = 0, pairs: int = 0) -> str:
     """How the change's runs compare with the parent's on one metric, given
-    each side's :func:`summary`, which direction is ``better`` and the
-    relative ``bound``:
+    each side's :func:`summary`, which direction is ``better``, the
+    relative ``bound`` and how many of the ``pairs`` the change ``won``:
 
     * ``worse``: the change's median is worse than the parent's by more
       than ``bound`` times the parent's median;
-    * ``unresolved``: the parent's quartile spread is wider than that, and
-      not every change run beats every parent run;
+    * ``better``: the change won at least nine tenths of the pairs (ties
+      count for neither side), and its median is better than the parent's
+      by more than the parent's quartile spread, so a gain can be claimed
+      (never without ``pairs``);
+    * ``unresolved``: the parent's quartile spread is wider than the
+      bound, and not every change run beats every parent run;
     * ``within``: every other case.
     """
     sign = 1 if better == "higher" else -1
     allowed = bound * abs(parent["median"])
-    if sign * (change["median"] - parent["median"]) < -allowed:
+    gain = sign * (change["median"] - parent["median"])
+    if gain < -allowed:
         return "worse"
+    if pairs and 10 * won >= 9 * pairs and gain > parent["q3"] - parent["q1"]:
+        return "better"
     beats_all = all(sign * (c - p) > 0
                     for c in change["runs"] for p in parent["runs"])
     if parent["q3"] - parent["q1"] > allowed and not beats_all:
@@ -108,7 +117,7 @@ def fold(parent: dict, change: dict, metrics: list) -> dict:
                 round(medians[1] / medians[0], 3) if medians[0] else None)
             block[f"{name}_verdict"] = verdict(
                 block["parent"][name], block["change"][name], m["better"],
-                m["bound"])
+                m["bound"], won, len(keys))
         blocks[workload] = block
     return {"seeds": seeds, "end_to_end": blocks}
 
