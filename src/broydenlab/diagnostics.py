@@ -239,7 +239,7 @@ def metrics_from_trace(rec: RunRecord, p: Problem,
     trace = rec.trace
     if indices is None:
         indices = range(len(trace))
-    ctx = trace[0].u.ctx
+    ctx = trace[0].ctx
     root = p.root(ctx)
     phi = p.phi(ctx) if p.has_null_data else None
     j_root = functools.cache(lambda: p.jac(root))
@@ -276,14 +276,14 @@ def metrics_from_trace(rec: RunRecord, p: Problem,
                 delta = _LogRatio(entry.f_norm, ns_prev)
 
         zeta = None
-        if phi is not None and entry.s is not None and step_norms[k] > 0:
+        if phi is not None and entry.raw_s is not None and step_norms[k] > 0:
             shat = entry.s.scaled(1 / step_norms[k])
             # the smaller norm is the root of the smaller dot: sqrt is monotone
             dots = [d.raw_dot(d) for d in (shat - phi, shat + phi)]
             zeta = ctx.make(mpf_sqrt(dots[1] if mpf_lt(dots[1], dots[0])
                                      else dots[0], ctx.prec, ctx.rounding))
 
-        e_svals = None if entry.b is None else _Spectrum(entry.b, j_root)
+        e_svals = None if entry.raw_b is None else _Spectrum(entry.b, j_root)
         rows.append(MetricsRow(
             ctx=ctx, k=k, f_norm=entry.f_norm, err=err, q=q, eps=eps_prev,
             q_eps=q_eps, zeta=zeta,

@@ -9,25 +9,19 @@ number: an undefined value (None) is written as -1 by the CSV writer
 from __future__ import annotations
 
 import mpmath.libmp as libmp
+from mpmath import mpf
 
 
 def format_metric(x) -> str:
     """Scientific notation with six significant digits, e.g. 2.50000e-06."""
     if x == 0:
         return "0.00000e+00"
-    if hasattr(x, "_mpf_"):
-        raw = x._mpf_
-    else:
-        from mpmath import mpf
-        raw = mpf(x)._mpf_
+    raw = x._mpf_ if hasattr(x, "_mpf_") else mpf(x)._mpf_
     s = libmp.to_str(raw, 6, strip_zeros=False, min_fixed=1, max_fixed=0)
-    if "e" in s:
-        mant, exp = s.split("e")
-    else:
-        mant, exp = s, "0"
+    mant, _, exp = s.partition("e")
     if "." not in mant:
         mant += ".00000"
-    return f"{mant}e{int(exp):+03d}"
+    return f"{mant}e{int(exp or 0):+03d}"
 
 
 def format_full(x, digits: int) -> str:

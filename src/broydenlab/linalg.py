@@ -11,8 +11,9 @@ Every operation calls :mod:`mpmath.libmp` on raw ``_mpf_`` tuples at the
 context's precision and rounding, as the ``mpf`` operators do: the results
 are bit-identical, without an object per intermediate scalar.  The solvers'
 per-iteration solve, dot and secant update come from :func:`kernels`, which
-picks them once per run by n: written out for n = 2, the generic loops of
-:func:`lu_solve`, ``Vec.raw_dot`` and :func:`rank_one_update` otherwise.
+picks them once per run by n: the solve and the update written out for
+n = 2, otherwise the generic loops of :func:`lu_solve` and
+:func:`rank_one_update`; the dot is always ``Vec.raw_dot``'s.
 """
 from __future__ import annotations
 
@@ -82,13 +83,8 @@ class PrecisionContext:
         """Convert int/float/str/mpf to a scalar at this precision."""
         return self.mp.mpf(x)
 
-    @property
-    def zero(self):
-        return self.mp.mpf(0)
-
-    @property
-    def one(self):
-        return self.mp.mpf(1)
+    zero = property(lambda self: self.mp.mpf(0))
+    one = property(lambda self: self.mp.mpf(1))
 
     def pow10(self, exponent):
         """10**exponent at working precision (exponent may be fractional)."""
@@ -100,8 +96,7 @@ class PrecisionContext:
 
     def raw_vec(self, mpf_tuples) -> "Vec":
         """Vector from raw ``_mpf_`` tuples."""
-        make = self.mp.make_mpf
-        return Vec(tuple(make(x) for x in mpf_tuples), self)
+        return Vec(map(self.mp.make_mpf, mpf_tuples), self)
 
     def raw_mat(self, rows) -> "Mat":
         """Matrix from rows of raw ``_mpf_`` tuples."""
@@ -157,28 +152,22 @@ class Vec:
     def __repr__(self):
         return "Vec(" + ", ".join(str(x) for x in self.entries) + ")"
 
-    def __add__(self, other):
+    def _entrywise(self, op, other):
         ctx = self.ctx
-        prec, rnd = ctx.prec, ctx.rounding
-        return ctx.raw_vec(mpf_add(a._mpf_, b._mpf_, prec, rnd)
-                           for a, b in zip(self.entries, other.entries))
+        return ctx.raw_vec(op(a, b, ctx.prec, ctx.rounding)
+                           for a, b in zip(self.raw(), other.raw()))
 
-    def __sub__(self, other):
-        ctx = self.ctx
-        prec, rnd = ctx.prec, ctx.rounding
-        return ctx.raw_vec(mpf_sub(a._mpf_, b._mpf_, prec, rnd)
-                           for a, b in zip(self.entries, other.entries))
+    __add__ = functools.partialmethod(_entrywise, mpf_add)
+    __sub__ = functools.partialmethod(_entrywise, mpf_sub)
 
-    def __neg__(self):
+    def _map(self, op, *args):
         ctx = self.ctx
-        prec, rnd = ctx.prec, ctx.rounding
-        return ctx.raw_vec(mpf_neg(a._mpf_, prec, rnd) for a in self.entries)
+        return ctx.raw_vec(op(*args, x, ctx.prec, ctx.rounding) for x in self.raw())
+
+    __neg__ = functools.partialmethod(_map, mpf_neg)
 
     def scaled(self, a) -> "Vec":
-        ctx = self.ctx
-        prec, rnd = ctx.prec, ctx.rounding
-        a = a._mpf_
-        return ctx.raw_vec(mpf_mul(a, x._mpf_, prec, rnd) for x in self.entries)
+        return self._map(mpf_mul, a._mpf_)
 
     def raw(self):
         """The entries as raw ``_mpf_`` tuples."""
@@ -210,9 +199,7 @@ class Mat:
         self.rows = rows
         self.ctx = ctx
 
-    @property
-    def n(self):
-        return len(self.rows)
+    n = property(lambda self: len(self.rows))
 
     def __eq__(self, other):
         return isinstance(other, Mat) and self.rows == other.rows
@@ -223,19 +210,14 @@ class Mat:
     def __repr__(self):
         return "Mat(" + "; ".join(", ".join(str(x) for x in r) for r in self.rows) + ")"
 
-    def _entrywise(self, other, op):
+    def _entrywise(self, op, other):
         ctx = self.ctx
         prec, rnd = ctx.prec, ctx.rounding
-        make = ctx.mp.make_mpf
-        return Mat(tuple(tuple(make(op(a._mpf_, b._mpf_, prec, rnd))
-                               for a, b in zip(ra, rb))
-                         for ra, rb in zip(self.rows, other.rows)), ctx)
+        return ctx.raw_mat((op(a, b, prec, rnd) for a, b in zip(ra, rb))
+                           for ra, rb in zip(self.raw(), other.raw()))
 
-    def __add__(self, other):
-        return self._entrywise(other, mpf_add)
-
-    def __sub__(self, other):
-        return self._entrywise(other, mpf_sub)
+    __add__ = functools.partialmethod(_entrywise, mpf_add)
+    __sub__ = functools.partialmethod(_entrywise, mpf_sub)
 
     def raw(self):
         """The rows as tuples of raw ``_mpf_`` tuples."""
@@ -360,8 +342,8 @@ def kernels(ctx: PrecisionContext, n: int):
     """``(solve, dot, secant)`` on raw vectors and n x n matrices: ``solve(A,
     b)`` is :func:`lu_solve`, ``dot(a, b)`` is ``Vec.raw_dot`` and ``secant(B,
     s, ss, f)`` is B + (f / ss) s^T as ``rank_one_update(B, f.scaled(1 / ss),
-    s)`` forms it.  For n = 2 they are written out with the same libmp calls
-    in the same order."""
+    s)`` forms it.  For n = 2 the solve and the secant update are written out
+    with the same libmp calls in the same order."""
     prec, rnd = ctx.prec, ctx.rounding
     if n != 2:
         def secant(B, s, ss, f):
@@ -369,16 +351,11 @@ def kernels(ctx: PrecisionContext, n: int):
             return _outer_add(B, [mpf_mul(inv, x, prec, rnd) for x in f], s, prec, rnd)
         return (functools.partial(_solve, ctx),
                 lambda a, b: raw_dot(a, b, prec, rnd), secant)
-    ps_binades = ctx.pivot_scale._mpf_[2] + ctx.pivot_scale._mpf_[3]
 
     def solve(A, b):
         (a, b01), (c, d) = A
         x0, x1 = b
-        if a[1] and b01[1] and c[1] and d[1]:   # all finite and nonzero
-            bound = ps_binades + max(a[2] + a[3], b01[2] + b01[3],
-                                     c[2] + c[3], d[2] + d[3])
-        else:
-            bound = _pivot_bound(ctx, (a, b01, c, d))
+        bound = _pivot_bound(ctx, (a, b01, c, d))
         piv_mag, mag = mpf_abs(a, prec, rnd), mpf_abs(c, prec, rnd)
         if mpf_gt(mag, piv_mag):
             piv_mag, a, b01, c, d, x0, x1 = mag, c, d, a, b01, x1, x0
@@ -392,10 +369,6 @@ def kernels(ctx: PrecisionContext, n: int):
         return (mpf_div(mpf_sub(x0, mpf_mul(b01, x1, prec, rnd), prec, rnd), a,
                         prec, rnd), x1)
 
-    def dot(a, b):
-        return mpf_add(mpf_add(fzero, mpf_mul(a[0], b[0], prec, rnd), prec, rnd),
-                       mpf_mul(a[1], b[1], prec, rnd), prec, rnd)
-
     def secant(B, s, ss, f):
         (b00, b01), (b10, b11) = B
         s0, s1 = s
@@ -406,7 +379,7 @@ def kernels(ctx: PrecisionContext, n: int):
                 (mpf_add(b10, mpf_mul(v1, s0, prec, rnd), prec, rnd),
                  mpf_add(b11, mpf_mul(v1, s1, prec, rnd), prec, rnd)))
 
-    return solve, dot, secant
+    return solve, lambda a, b: raw_dot(a, b, prec, rnd), secant
 
 
 def singular_values(A: Mat):
@@ -429,21 +402,14 @@ def singular_values(A: Mat):
         return mpf_mul(x, y, prec, rnd)
 
     def gram(p, q):
-        acc = fzero
-        for x, y in zip(cols[p], cols[q]):
-            acc = mpf_add(acc, mul(x, y), prec, rnd)
-        return acc
+        return raw_dot(cols[p], cols[q], prec, rnd)
 
     # diagonal Gram entries, formed again only after their column rotates
     diag = [gram(j, j) for j in range(n)]
     # columns below roundoff relative to the largest are deflated to zero;
     # without this, exactly rank-deficient matrices keep parallel columns
     # whose pair criterion never clears (|c| = sqrt(a b) up to rounding)
-    floor2 = fzero
-    for g in diag:
-        if mpf_gt(g, floor2):
-            floor2 = g
-    floor2 = mul(mul(floor2, tol), tol)
+    floor2 = mul(mul(_max_abs([diag], prec, rnd), tol), tol)
     tol_binades = 2 * (tol[2] + tol[3])
 
     while True:

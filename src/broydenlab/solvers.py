@@ -80,12 +80,13 @@ class TraceEntry:
     ``raw_u`` is u^k, ``raw_s`` the step u^{k+1} - u^k (None at the final
     index) and ``raw_b`` the rows of B_k when spectra are recorded (never for
     the Shamanskii-like method, which carries no B); ``u``, ``s`` and ``b``
-    build the ``Vec`` or ``Mat`` on first read and keep it.  ``ff``, ``ss``
-    and ``ff_next`` are the raw dot products F(u^k).F(u^k), s^k.s^k and
-    F(u^{k+1}).F(u^{k+1}) (the last two only with a matrix).  ``f_norm`` =
-    ||F(u^k)|| and the update norm ``eps`` = ||F(u^{k+1})|| / ||s^k|| (None
-    without ``ss``) are taken on first read, and ``s_norm`` = ||s^k|| on
-    every read, bit-identical to ``Vec.norm`` and the mpf quotient.
+    build the ``Vec`` or ``Mat`` (None for None) on every read, so a trace
+    holds one form only.  ``ff``, ``ss`` and ``ff_next`` are the raw dot
+    products F(u^k).F(u^k), s^k.s^k and F(u^{k+1}).F(u^{k+1}) (the last two
+    only with a matrix).  ``f_norm`` = ||F(u^k)|| and the update norm
+    ``eps`` = ||F(u^{k+1})|| / ||s^k|| (None without ``ss``) are taken on
+    first read, and ``s_norm`` = ||s^k|| on every read, bit-identical to
+    ``Vec.norm`` and the mpf quotient.
     """
 
     ctx: PrecisionContext
@@ -96,17 +97,9 @@ class TraceEntry:
     ff_next: Optional[tuple] = None
     raw_b: Optional[tuple] = None
 
-    @functools.cached_property
-    def u(self) -> Vec:
-        return self.ctx.raw_vec(self.raw_u)
-
-    @functools.cached_property
-    def s(self) -> Optional[Vec]:
-        return None if self.raw_s is None else self.ctx.raw_vec(self.raw_s)
-
-    @functools.cached_property
-    def b(self) -> Optional[Mat]:
-        return None if self.raw_b is None else self.ctx.raw_mat(self.raw_b)
+    u = property(lambda self: self.ctx.raw_vec(self.raw_u))
+    s = property(lambda self: self.raw_s and self.ctx.raw_vec(self.raw_s))
+    b = property(lambda self: self.raw_b and self.ctx.raw_mat(self.raw_b))
 
     @functools.cached_property
     def f_norm(self):
@@ -199,7 +192,6 @@ def _engine(p, u, B, opts, refresh=None, step=None) -> RunRecord:
     prec, rnd = ctx.prec, ctx.rounding
     solve, dot, secant = kernels(ctx, p.n)
     limits = _limits(opts)
-    keep_b = opts.record_spectra
     trace = []
     u = u.raw()
     B = None if B is None else B.raw()
@@ -207,7 +199,7 @@ def _engine(p, u, B, opts, refresh=None, step=None) -> RunRecord:
     ff = dot(fu, fu)
     while True:
         k = len(trace)
-        entry = TraceEntry(ctx, u, ff, raw_b=B if keep_b else None)
+        entry = TraceEntry(ctx, u, ff, raw_b=B if opts.record_spectra else None)
         trace.append(entry)
         status = _check_terminal(entry, k, opts, limits)
         if status is not None:
@@ -243,19 +235,14 @@ def _shamanskii_step(p, b_hat, c, alpha, ctx):
     corrected Shamanskii-like step."""
     def step(k, u, fu):
         u, fu = ctx.raw_vec(u), ctx.raw_vec(fu)
-        if k == 0:
-            u_next = u + lu_solve(b_hat, -fu)
-        elif k == 1:
-            u_next = u + lu_solve(p.jac(u), -fu)
+        if k <= 1:
+            u_next = u + lu_solve(b_hat if k == 0 else p.jac(u), -fu)
         else:
             j = p.jac(u)
             y = u + lu_solve(j, -fu)
             z = lu_solve(j, p.f(y))
             nz = z.norm()
-            if nz == 0:
-                u_next = y
-            else:
-                u_next = y - z.scaled(4 - c * ctx.power(nz, alpha))
+            u_next = y if nz == 0 else y - z.scaled(4 - c * ctx.power(nz, alpha))
         # the difference of the stored iterates, which rounds differently
         # from the solves' own steps
         return (u_next - u).raw(), u_next.raw()
@@ -287,9 +274,8 @@ def bmp_run(p: Problem, u_hat: Vec, b_hat: Mat, opts: SolverOptions,
     tables label the sequence.
     """
     _check_dims(p, u_hat, b_hat)
-    ctx = u_hat.ctx
     rec = _engine(p, u_hat, b_hat, opts, None if b0 is None else
-                  lambda k, u: b0(ctx.raw_vec(u)) if k == 0 else None)
+                  lambda k, u: b0(u_hat.ctx.raw_vec(u)) if k == 0 else None)
     if rec.kbar > 0:
         # B_0 came from the Newton-like step itself only without ``b0``
         rec.broyden_updates_from = 0 if b0 is None else 1
@@ -320,7 +306,6 @@ def smp_run(p: Problem, u_hat: Vec, b_hat: Mat, c, alpha,
         raise ValueError(f"C and alpha must be numbers: {c!r}, {alpha!r}") from None
     if c == 0 or not ctx.mp.isfinite(c):
         raise ValueError("C must be finite and nonzero")
-    golden = (ctx.sqrt(ctx.real(5)) - 1) / 2
-    if not (0 < alpha < golden):
+    if not (0 < alpha < (ctx.sqrt(ctx.real(5)) - 1) / 2):
         raise ValueError("alpha must lie in (0, (sqrt(5)-1)/2)")
     return _engine(p, u_hat, None, opts, step=_shamanskii_step(p, b_hat, c, alpha, ctx))

@@ -143,6 +143,31 @@ def test_fold_claims_a_gain(tmp_path):
     assert block["solve_ms_p50_verdict"] == "within"
 
 
+def test_fold_no_gain_when_more_operations_fail(tmp_path):
+    # the pairs of test_fold_claims_a_gain, but one change run fails an
+    # operation the parent's runs do not
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for i in range(10):
+        c_rate = 9.0 if i == 4 else 14.0 + (i % 3) / 10
+        _write(parent, "basin", 1300 + i, 10.0 + (i % 3) / 10, 100.0, mtime=100 + i)
+        _write(change, "basin", 1300 + i, c_rate, 100.0, mtime=200 + i,
+               failed=1 if i == 7 else 0)
+    folded = fold_bench.fold(fold_bench.load_runs(parent),
+                             fold_bench.load_runs(change), METRICS)
+    block = folded["end_to_end"]["basin"]
+    assert block["failed"]["change"] == [0] * 7 + [1, 0, 0]
+    assert block["solves_per_s_change_better"] == "9 of 10"
+    assert block["solves_per_s_verdict"] == "within"
+
+
+def test_verdict_no_gain_when_more_operations_fail():
+    parent = fold_bench.summary([9.0, 10.0, 11.0])
+    change = fold_bench.summary([13.0, 14.0, 15.0])
+    assert fold_bench.verdict(parent, change, "higher", 0.25, 10, 10) == "better"
+    assert fold_bench.verdict(parent, change, "higher", 0.25, 10, 10,
+                              fails_more=True) == "within"
+
+
 def test_main_prints_verdicts(tmp_path, capsys):
     parent, change = tmp_path / "parent", tmp_path / "change"
     for seed in (1, 2, 3):

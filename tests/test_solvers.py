@@ -1,3 +1,6 @@
+import dataclasses
+import functools
+
 import pytest
 from mpmath.libmp import (fzero, mpf_add, mpf_le, mpf_lt, mpf_mul, mpf_pos,
                           mpf_shift, mpf_sqrt)
@@ -471,3 +474,28 @@ def test_engine_matches_reference_run_on_a_basin_grid():
                 _assert_matches_reference(rec, ref)
                 statuses.add(rec.status)
     assert Status.CONVERGED in statuses
+
+
+def test_engine_calls_a_replaced_or_wrapped_residual(ctx100):
+    # example1 runs the raw form of its own f; a Problem whose f is replaced,
+    # or wrapped with functools.wraps (which copies the function's
+    # attributes), runs that f on every residual evaluation
+    p = get_problem("example1")
+    u_hat = ctx100.vec(["0.00731", "-0.00412"])
+    opts = opts_for(ctx100)
+    want = bmp_run(p, u_hat, p.jac(u_hat), opts, p.jac)
+    calls = []
+
+    @functools.wraps(p.f)
+    def counted(u):
+        calls.append(u)
+        return p.f(u)
+
+    rec = bmp_run(dataclasses.replace(p, f=counted), u_hat, p.jac(u_hat), opts, p.jac)
+    assert rec.status is want.status is Status.CONVERGED
+    assert [e.raw_u for e in rec.trace] == [e.raw_u for e in want.trace]
+    assert [c.raw() for c in calls] == [e.raw_u for e in want.trace]
+    # a different residual gives a different run
+    doubled = dataclasses.replace(p, f=lambda u: p.f(u).scaled(ctx100.real(2)))
+    rec = bmp_run(doubled, u_hat, p.jac(u_hat), opts, p.jac)
+    assert rec.trace[1].ff != want.trace[1].ff

@@ -46,17 +46,19 @@ def summary(values: list) -> dict:
 
 
 def verdict(parent: dict, change: dict, better: str, bound: float,
-            won: int = 0, pairs: int = 0) -> str:
+            won: int = 0, pairs: int = 0, fails_more: bool = False) -> str:
     """How the change's runs compare with the parent's on one metric, given
     each side's :func:`summary`, which direction is ``better``, the
-    relative ``bound`` and how many of the ``pairs`` the change ``won``:
+    relative ``bound``, how many of the ``pairs`` the change ``won`` and
+    whether a larger share of its operations failed (``fails_more``):
 
     * ``worse``: the change's median is worse than the parent's by more
       than ``bound`` times the parent's median;
     * ``better``: the change won at least nine tenths of the pairs (ties
-      count for neither side), and its median is better than the parent's
-      by more than the parent's quartile spread, so a gain can be claimed
-      (never without ``pairs``);
+      count for neither side), its median is better than the parent's by
+      more than the parent's quartile spread, and no larger share of its
+      operations failed, so a gain can be claimed (never without
+      ``pairs``);
     * ``unresolved``: the parent's quartile spread is wider than the
       bound, and not every change run beats every parent run;
     * ``within``: every other case.
@@ -66,7 +68,8 @@ def verdict(parent: dict, change: dict, better: str, bound: float,
     gain = sign * (change["median"] - parent["median"])
     if gain < -allowed:
         return "worse"
-    if pairs and 10 * won >= 9 * pairs and gain > parent["q3"] - parent["q1"]:
+    if (pairs and not fails_more and 10 * won >= 9 * pairs
+            and gain > parent["q3"] - parent["q1"]):
         return "better"
     beats_all = all(sign * (c - p) > 0
                     for c in change["runs"] for p in parent["runs"])
@@ -99,6 +102,11 @@ def fold(parent: dict, change: dict, metrics: list) -> dict:
         for field in ("failed", "attempted", "correct"):
             block[field] = {side: [r[field] for r, _ in runs]
                             for side, runs in sides.items()}
+        failed, attempted = ({side: sum(block[field][side]) for side in sides}
+                             for field in ("failed", "attempted"))
+        # the shares failed/attempted compared without a division
+        fails_more = (failed["change"] * attempted["parent"]
+                      > failed["parent"] * attempted["change"])
         block["pairs_parent_change"] = [
             {"seed": seed,
              "first": "parent" if p_time <= c_time else "change",
@@ -117,7 +125,7 @@ def fold(parent: dict, change: dict, metrics: list) -> dict:
                 round(medians[1] / medians[0], 3) if medians[0] else None)
             block[f"{name}_verdict"] = verdict(
                 block["parent"][name], block["change"][name], m["better"],
-                m["bound"], won, len(keys))
+                m["bound"], won, len(keys), fails_more)
         blocks[workload] = block
     return {"seeds": seeds, "end_to_end": blocks}
 
