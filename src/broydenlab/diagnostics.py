@@ -33,9 +33,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from mpmath.libmp import mpf_add, mpf_lt, mpf_mul, mpf_shift, mpf_sqrt, mpf_sub
+from mpmath.libmp import fone, fzero, mpf_gt, mpf_lt, mpf_mul, mpf_rdiv_int, mpf_shift
 
-from .linalg import Mat, PrecisionContext, singular_values
+from .linalg import (PrecisionContext, mpf_add, mpf_div, mpf_sqrt, mpf_sub, raw_dot,
+                     singular_values)
 from .problems import Problem
 from .solvers import RunRecord
 
@@ -75,14 +76,11 @@ def _ln(x) -> float:
     return math.log(math.ldexp(top, -53)) + (exp + bc) * _LN2
 
 
-def _slack(key: float) -> float:
-    return KEY_MARGIN * (1 + abs(key))
-
-
 def _span(key, sign: int, ctx: PrecisionContext):
     """The interval of signed values that a float or an exact ``key`` stands
     for (see KEY_MARGIN)."""
-    slack = _slack(key) if isinstance(key, float) else 4 * ctx.svd_tol * key
+    slack = (KEY_MARGIN * (1 + abs(key)) if isinstance(key, float)
+             else 4 * ctx.svd_tol * key)
     return sign * key - slack, sign * key + slack
 
 
@@ -115,33 +113,34 @@ class _LogRatio(NamedTuple):
 
 
 class _Spectrum(NamedTuple):
-    """Ascending singular values of E_k = b - j_root(), where j_root forms
-    F'(root) on first call.  For n = 2, keyed by 4 ||E_k||**2 = p + m +
-    2 sqrt(p m), with p = (a-d)**2 + (b+c)**2 and m = (a+d)**2 + (b-c)**2
-    for E_k = [[a, b], [c, d]]: the two norms are sigma_max -+ sigma_min.
-    Every term is nonnegative, so nothing cancels (see KEY_MARGIN)."""
+    """Ascending singular values of E_k = b - j_root(), for the raw rows b of
+    B_k, where j_root forms the raw rows of F'(root) on first call.  For
+    n = 2, keyed by 4 ||E_k||**2 = p + m + 2 sqrt(p m), with p = (a-d)**2 +
+    (b+c)**2 and m = (a+d)**2 + (b-c)**2 for E_k = [[a, b], [c, d]]: the two
+    norms are sigma_max -+ sigma_min.  Every term is nonnegative, so nothing
+    cancels (see KEY_MARGIN)."""
 
-    b: Mat
-    j_root: Callable[[], Mat]
+    ctx: PrecisionContext
+    b: tuple
+    j_root: Callable[[], tuple]
+
+    def _e(self):
+        prec, rnd = self.ctx.prec, self.ctx.rounding
+        return [[mpf_sub(x, y, prec, rnd) for x, y in zip(rb, rj)]
+                for rb, rj in zip(self.b, self.j_root())]
 
     def value(self, ctx):
-        return singular_values(self.b - self.j_root())
+        return singular_values(ctx.raw_mat(self._e()))
 
     def key(self):
-        if self.b.n != 2:
+        if len(self.b) != 2:
             return None
-        ctx = self.b.ctx
+        ctx = self.ctx
         prec, rnd = ctx.prec, ctx.rounding
-        (a, b), (c, d) = ([mpf_sub(x._mpf_, y._mpf_, prec, rnd)
-                           for x, y in zip(rb, rj)]
-                          for rb, rj in zip(self.b.rows, self.j_root().rows))
-
-        def norm2(x, y):
-            return mpf_add(mpf_mul(x, x, prec, rnd), mpf_mul(y, y, prec, rnd),
-                           prec, rnd)
-
-        p = norm2(mpf_sub(a, d, prec, rnd), mpf_add(b, c, prec, rnd))
-        m = norm2(mpf_add(a, d, prec, rnd), mpf_sub(b, c, prec, rnd))
+        (a, b), (c, d) = self._e()
+        p, m = (raw_dot(v, v, prec, rnd) for v in (
+            (mpf_sub(a, d, prec, rnd), mpf_add(b, c, prec, rnd)),
+            (mpf_add(a, d, prec, rnd), mpf_sub(b, c, prec, rnd))))
         root = mpf_sqrt(mpf_mul(p, m, prec, rnd), prec, rnd)
         return ctx.make(mpf_add(mpf_add(p, m, prec, rnd), mpf_shift(root, 1),
                                 prec, rnd))
@@ -180,23 +179,15 @@ class MetricsRow:
     delta = property(lambda self: self._read("delta"))
     #: ascending singular values of E_k; None when spectra were not recorded
     e_svals = property(lambda self: self._read("e_svals"))
+    #: ||E_k||_2 and the smallest and second smallest singular values of E_k;
+    #: None when spectra were not recorded (lambda2 also for n = 1)
+    e_norm = property(lambda self: self._sval(-1))
+    lambda1 = property(lambda self: self._sval(0))
+    lambda2 = property(lambda self: self._sval(1))
 
-    @property
-    def e_norm(self):
-        """||E_k||_2; None when spectra were not recorded."""
-        return self.e_svals[-1] if self.e_svals is not None else None
-
-    @property
-    def lambda1(self):
-        """Smallest singular value of E_k; None when spectra were not recorded."""
-        return self.e_svals[0] if self.e_svals is not None else None
-
-    @property
-    def lambda2(self):
-        """Second smallest singular value of E_k; None when undefined."""
-        if self.e_svals is None or len(self.e_svals) < 2:
-            return None
-        return self.e_svals[1]
+    def _sval(self, i):
+        svals = self.e_svals
+        return svals[i] if svals is not None and i < len(svals) else None
 
 
 def window_extreme(pick: str, attr: str, rows):
@@ -231,61 +222,61 @@ def metrics_from_trace(rec: RunRecord, p: Problem,
     """One MetricsRow per displayed iteration index of ``rec`` in ``indices``
     (default: every index).
 
-    Errors and step norms are computed from ``indices[0] - 1`` onward only.
-    r, r_eps, delta and the spectra of E_k, from the B_k kept in the trace,
-    are left to the first read (see :class:`MetricsRow`).  zeta needs phi
-    and is None for problems without it.
+    Errors and step and update norms are taken on raw tuples from
+    ``indices[0] - 2`` on, one square root of s.s per step for ||s^k||, eps_k
+    and zeta_k; an entry without s.s gives its own ``eps``.  r, r_eps, delta
+    and the spectra of E_k are left to the first read (see
+    :class:`MetricsRow`).  zeta needs phi and is None without it.
     """
     trace = rec.trace
     if indices is None:
         indices = range(len(trace))
     ctx = trace[0].ctx
+    prec, rnd, make = ctx.prec, ctx.rounding, ctx.make
     root = p.root(ctx)
-    phi = p.phi(ctx) if p.has_null_data else None
-    j_root = functools.cache(lambda: p.jac(root))
+    phi = p.phi(ctx).raw() if p.has_null_data else None
+    j_root = functools.cache(lambda: p.jac(root).raw())
 
-    lo = indices[0] - 1 if indices else 0
-    errs = [(e.u - root).norm() if k >= lo else None
-            for k, e in enumerate(trace)]
-    step_norms = [e.s_norm if k >= lo else None for k, e in enumerate(trace)]
+    def norms(e):
+        """Raw ||u^k - root|| and ||s^k|| (None at kbar), and eps_k."""
+        d = [mpf_sub(a, b, prec, rnd) for a, b in zip(e.raw_u, root.raw())]
+        sn = e.raw_s and mpf_sqrt(e.ss or raw_dot(e.raw_s, e.raw_s, prec, rnd), prec, rnd)
+        eps = e.eps if e.ss is None else make(
+            mpf_div(mpf_sqrt(e.ff_next, prec, rnd), sn, prec, rnd))
+        return mpf_sqrt(raw_dot(d, d, prec, rnd), prec, rnd), sn, eps
 
+    raw = {k: norms(trace[k]) for k in range(max(indices.start - 2, 0), indices.stop)}
     rows = []
     for k in indices:
         entry = trace[k]
-        err = errs[k]
-        r = q = None
+        raw_err, sn, _ = raw[k]
+        err = make(raw_err)
+        r = q = eps = r_eps = q_eps = delta = zeta = None
         if k >= 1:
-            r = _Root(err, k) if err > 0 else ctx.zero
-            if errs[k - 1] > 0:
-                q = err / errs[k - 1]
+            err_prev, sn_prev, eps = raw[k - 1]
+            r = _Root(err, k) if mpf_gt(raw_err, fzero) else ctx.zero
+            if mpf_gt(err_prev, fzero):
+                q = make(mpf_div(raw_err, err_prev, prec, rnd))
+            if eps is not None:
+                r_eps = _Root(eps, k) if eps > 0 else ctx.zero if eps == 0 else None
+                eps_pp = raw[k - 2][2] if k >= 2 else None
+                if eps_pp is not None and eps_pp > 0:
+                    q_eps = make(mpf_div(eps._mpf_, eps_pp._mpf_, prec, rnd))
+            if (sn_prev and mpf_gt(sn_prev, fzero) and mpf_lt(sn_prev, fone)
+                    and entry.f_norm > 0):
+                delta = _LogRatio(entry.f_norm, make(sn_prev))
 
-        eps_prev = r_eps = q_eps = None
-        if k >= 1 and trace[k - 1].eps is not None:
-            eps_prev = trace[k - 1].eps
-            if eps_prev > 0:
-                r_eps = _Root(eps_prev, k)
-            elif eps_prev == 0:
-                r_eps = ctx.zero
-            if k >= 2 and trace[k - 2].eps is not None and trace[k - 2].eps > 0:
-                q_eps = eps_prev / trace[k - 2].eps
-
-        delta = None
-        if k >= 1 and step_norms[k - 1] is not None:
-            ns_prev = step_norms[k - 1]
-            if 0 < ns_prev < 1 and entry.f_norm > 0:
-                delta = _LogRatio(entry.f_norm, ns_prev)
-
-        zeta = None
-        if phi is not None and entry.raw_s is not None and step_norms[k] > 0:
-            shat = entry.s.scaled(1 / step_norms[k])
+        if phi is not None and sn and mpf_gt(sn, fzero):
+            inv = mpf_rdiv_int(1, sn, prec, rnd)
+            shat = [mpf_mul(inv, x, prec, rnd) for x in entry.raw_s]
+            dm, dp = (raw_dot(d, d, prec, rnd) for d in (
+                [op(a, b, prec, rnd) for a, b in zip(shat, phi)] for op in (mpf_sub, mpf_add)))
             # the smaller norm is the root of the smaller dot: sqrt is monotone
-            dots = [d.raw_dot(d) for d in (shat - phi, shat + phi)]
-            zeta = ctx.make(mpf_sqrt(dots[1] if mpf_lt(dots[1], dots[0])
-                                     else dots[0], ctx.prec, ctx.rounding))
+            zeta = make(mpf_sqrt(dp if mpf_lt(dp, dm) else dm, prec, rnd))
 
-        e_svals = None if entry.raw_b is None else _Spectrum(entry.b, j_root)
+        e_svals = None if entry.raw_b is None else _Spectrum(ctx, entry.raw_b, j_root)
         rows.append(MetricsRow(
-            ctx=ctx, k=k, f_norm=entry.f_norm, err=err, q=q, eps=eps_prev,
+            ctx=ctx, k=k, f_norm=entry.f_norm, err=err, q=q, eps=eps,
             q_eps=q_eps, zeta=zeta,
             pending={"r": r, "r_eps": r_eps, "delta": delta,
                      "e_svals": e_svals}))

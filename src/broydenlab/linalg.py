@@ -7,23 +7,102 @@ implementations favor transparent error behavior over asymptotic speed:
 LU with partial pivoting for solves, one-sided Jacobi rotations for
 singular values.
 
-Every operation calls :mod:`mpmath.libmp` on raw ``_mpf_`` tuples at the
-context's precision and rounding, as the ``mpf`` operators do: the results
-are bit-identical, without an object per intermediate scalar.  The solvers'
-per-iteration solve, dot and secant update come from :func:`kernels`, which
-picks them once per run by n: the solve and the update written out for
-n = 2, otherwise the generic loops of :func:`lu_solve` and
-:func:`rank_one_update`; the dot is always ``Vec.raw_dot``'s.
+Every operation works on raw ``_mpf_`` tuples at the context's precision
+and rounding, as the ``mpf`` operators do: the results are bit-identical,
+without an object per intermediate scalar.  :func:`mpf_add`,
+:func:`mpf_sub`, :func:`mpf_div` and :func:`mpf_sqrt` are this module's own
+copies of mpmath's pure-python libmp bodies, with ``int.bit_length`` and
+``math.isqrt`` in place of libmp's bit count and integer square root; every
+other scalar op is :mod:`mpmath.libmp`'s.  The solvers' per-iteration
+solve, dot and secant update come from :func:`kernels`, which picks them
+once per run by n: the solve and the update written out for n = 2,
+otherwise the generic loops of :func:`lu_solve` and
+:func:`rank_one_update`; the dot is always :func:`raw_dot`.
 """
 from __future__ import annotations
 
 import functools
 import math
 
-from mpmath import mp
-from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div,
-                          mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg,
-                          mpf_rdiv_int, mpf_sqrt, mpf_sub)
+from mpmath import libmp, mp
+from mpmath.libmp import (fone, fzero, mpf_abs, mpf_cmp, mpf_gt, mpf_le, mpf_lt,
+                          mpf_mul, mpf_mul_int, mpf_neg, mpf_rdiv_int, normalize,
+                          normalize1, round_nearest)
+
+
+# -- scalar ops: mpmath 1.3.0's python-backend bodies with int.bit_length for
+# libmp's bitcount (a table bisect and math.log) and math.isqrt for its sqrtrem
+# (a Newton loop): the same integers, so the same tuples.  Zeros, inf and nan,
+# the sums that libmp's 100-bit offset shortcut perturbs (to the same result,
+# without a huge shift) and directed-rounding square roots are libmp's own.
+
+def mpf_add(s, t, prec, rnd, _sub=0):
+    """s + t (s - t with ``_sub``) of raw tuples, as ``libmp.mpf_add``."""
+    ssign, sman, sexp, sbc = s
+    tsign, tman, texp, tbc = t
+    tsign ^= _sub
+    if sexp < texp:
+        # libmp's branch for a negative offset: the positive one, swapped
+        ssign, sman, sexp, sbc, tsign, tman, texp, tbc = (
+            tsign, tman, texp, tbc, ssign, sman, sexp, sbc)
+    offset = sexp - texp
+    if not (sman and tman) or (offset > 100 and prec
+                               and sbc + sexp - tbc - texp > prec + 4):
+        return libmp.mpf_add(s, t, prec, rnd, _sub)
+    if ssign == tsign:
+        man = tman + (sman << offset)
+    else:
+        man = tman - (sman << offset) if ssign else (sman << offset) - tman
+        ssign, man = (1, -man) if man < 0 else (0, man)
+    bc = man.bit_length()
+    # a nonzero offset leaves man odd, as normalize1 requires
+    return (normalize1 if offset else normalize)(ssign, man, texp, bc, prec or bc, rnd)
+
+
+def mpf_sub(s, t, prec, rnd):
+    """s - t of raw tuples, as ``libmp.mpf_sub``."""
+    return mpf_add(s, t, prec, rnd, 1)
+
+
+def mpf_div(s, t, prec, rnd):
+    """s / t of raw tuples, as ``libmp.mpf_div``."""
+    ssign, sman, sexp, sbc = s
+    tsign, tman, texp, tbc = t
+    if not sman or not tman:
+        return libmp.mpf_div(s, t, prec, rnd)
+    sign = ssign ^ tsign
+    if tman == 1:
+        return normalize1(sign, sman, sexp - texp, sbc, prec, rnd)
+    extra = max(prec - sbc + tbc + 5, 5)
+    quot, rem = divmod(sman << extra, tman)
+    if rem:
+        # perturb the quotient a few bits below the precision
+        quot, extra = (quot << 1) + 1, extra + 1
+    return (normalize1 if rem else normalize)(sign, quot, sexp - texp - extra,
+                                              quot.bit_length(), prec, rnd)
+
+
+def mpf_sqrt(s, prec, rnd):
+    """The correctly rounded square root of a raw tuple, as ``libmp.mpf_sqrt``."""
+    sign, man, exp, bc = s
+    if sign or not man or not prec or rnd != round_nearest:
+        return libmp.mpf_sqrt(s, prec, rnd)
+    if exp & 1:
+        exp, man, bc = exp - 1, man << 1, bc + 1
+    elif man == 1:
+        return normalize1(sign, man, exp // 2, bc, prec, rnd)
+    shift = max(4, 2 * prec - bc + 4)
+    shift += shift & 1
+    man <<= shift
+    root = math.isqrt(man)
+    if root * root != man:
+        root, shift = (root << 1) + 1, shift + 2   # perturb up
+    return normalize(0, root, (exp - shift) // 2, root.bit_length(), prec, rnd)
+
+
+if libmp.BACKEND != "python":   # libmp's bodies then run on gmpy or sage in C
+    mpf_add, mpf_sub, mpf_div, mpf_sqrt = (libmp.mpf_add, libmp.mpf_sub,
+                                           libmp.mpf_div, libmp.mpf_sqrt)
 
 
 class LinalgError(Exception):
@@ -325,9 +404,11 @@ def _solve(ctx, A, b):
 
 
 def raw_dot(a, b, prec, rnd):
-    """The dot product of raw vectors a and b, as ``Vec.raw_dot``."""
-    acc = fzero
-    for x, y in zip(a, b):
+    """The dot product of raw vectors a and b, as ``Vec.raw_dot``, summed from
+    the first product: libmp returns 0 + x as x for an x rounded to prec."""
+    pairs = zip(a, b)
+    acc = mpf_mul(*next(pairs, (fzero, fzero)), prec, rnd)
+    for x, y in pairs:
         acc = mpf_add(acc, mpf_mul(x, y, prec, rnd), prec, rnd)
     return acc
 
@@ -343,7 +424,7 @@ def kernels(ctx: PrecisionContext, n: int):
     b)`` is :func:`lu_solve`, ``dot(a, b)`` is ``Vec.raw_dot`` and ``secant(B,
     s, ss, f)`` is B + (f / ss) s^T as ``rank_one_update(B, f.scaled(1 / ss),
     s)`` forms it.  For n = 2 the solve and the secant update are written out
-    with the same libmp calls in the same order."""
+    with the same scalar ops in the same order."""
     prec, rnd = ctx.prec, ctx.rounding
     if n != 2:
         def secant(B, s, ss, f):

@@ -15,9 +15,9 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from mpmath.libmp import from_int, mpf_add, mpf_div, mpf_mul, mpf_mul_int
+from mpmath.libmp import from_int, mpf_mul, mpf_mul_int
 
-from .linalg import Mat, PrecisionContext, Vec
+from .linalg import Mat, PrecisionContext, Vec, mpf_add, mpf_div
 
 
 class MissingNullData(Exception):

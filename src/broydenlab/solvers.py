@@ -24,11 +24,10 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from mpmath.libmp import (fzero, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_mul,
-                          mpf_neg, mpf_shift, mpf_sqrt)
+from mpmath.libmp import fzero, mpf_gt, mpf_le, mpf_mul, mpf_neg, mpf_shift
 
 from .linalg import (Mat, PrecisionContext, SingularMatrix, Vec, kernels, lu_solve,
-                     raw_dot)
+                     mpf_add, mpf_div, mpf_sqrt, raw_dot)
 from .problems import Problem
 
 

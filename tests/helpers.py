@@ -7,14 +7,15 @@ by hand.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import mpmath
-from mpmath.libmp import fzero, mpf_gt, mpf_le, mpf_shift, mpf_sqrt
+from mpmath.libmp import fzero, mpf_gt, mpf_le, mpf_lt, mpf_shift, mpf_sqrt
 
-from broydenlab.diagnostics import metrics_from_trace
+from broydenlab.diagnostics import MetricsRow, _LogRatio, _Root, metrics_from_trace
 from broydenlab.harness import _STATS, Window
 from broydenlab.linalg import (Mat, PrecisionContext, SingularMatrix, Vec,
                                lu_solve, rank_one_update, singular_values,
@@ -174,6 +175,65 @@ def synthetic_record(ctx: PrecisionContext, us, f_norms, eps=None, svals=None,
     return RunRecord(status=Status.CONVERGED, kbar=kbar, trace=trace,
                      b_final=None, tol_exponent=tol_exponent,
                      broyden_updates_from=None)
+
+
+def reference_metrics(rec: RunRecord, p: Problem, indices=None) -> list:
+    """``metrics_from_trace`` in ``Vec`` arithmetic and mpf operators, as it
+    was before the metrics pass ran on raw tuples; the spectra of E_k are
+    taken eagerly from ``Mat`` B_k - F'(root)."""
+    trace = rec.trace
+    if indices is None:
+        indices = range(len(trace))
+    ctx = trace[0].ctx
+    root = p.root(ctx)
+    phi = p.phi(ctx) if p.has_null_data else None
+    j_root = functools.cache(lambda: p.jac(root))
+
+    lo = indices[0] - 1 if indices else 0
+    errs = [(e.u - root).norm() if k >= lo else None
+            for k, e in enumerate(trace)]
+    step_norms = [e.s_norm if k >= lo else None for k, e in enumerate(trace)]
+
+    rows = []
+    for k in indices:
+        entry = trace[k]
+        err = errs[k]
+        r = q = None
+        if k >= 1:
+            r = _Root(err, k) if err > 0 else ctx.zero
+            if errs[k - 1] > 0:
+                q = err / errs[k - 1]
+
+        eps_prev = r_eps = q_eps = None
+        if k >= 1 and trace[k - 1].eps is not None:
+            eps_prev = trace[k - 1].eps
+            if eps_prev > 0:
+                r_eps = _Root(eps_prev, k)
+            elif eps_prev == 0:
+                r_eps = ctx.zero
+            if k >= 2 and trace[k - 2].eps is not None and trace[k - 2].eps > 0:
+                q_eps = eps_prev / trace[k - 2].eps
+
+        delta = None
+        if k >= 1 and step_norms[k - 1] is not None:
+            ns_prev = step_norms[k - 1]
+            if 0 < ns_prev < 1 and entry.f_norm > 0:
+                delta = _LogRatio(entry.f_norm, ns_prev)
+
+        zeta = None
+        if phi is not None and entry.raw_s is not None and step_norms[k] > 0:
+            shat = entry.s.scaled(1 / step_norms[k])
+            dots = [d.raw_dot(d) for d in (shat - phi, shat + phi)]
+            zeta = ctx.make(mpf_sqrt(dots[1] if mpf_lt(dots[1], dots[0])
+                                     else dots[0], ctx.prec, ctx.rounding))
+
+        e_svals = None if entry.raw_b is None else singular_values(entry.b - j_root())
+        rows.append(MetricsRow(
+            ctx=ctx, k=k, f_norm=entry.f_norm, err=err, q=q, eps=eps_prev,
+            q_eps=q_eps, zeta=zeta,
+            pending={"r": r, "r_eps": r_eps, "delta": delta,
+                     "e_svals": e_svals}))
+    return rows
 
 
 def lam_omega_rows(rec: RunRecord, p: Problem) -> list:

@@ -2,12 +2,14 @@ import pytest
 
 from helpers import (BadSelection, eager_stats_wire, fitted_q_order, identity,
                      lam_omega_rows, normalized_steps, nullspace_residual,
-                     synthetic_record, uli_min_sv)
+                     reference_metrics, synthetic_record, uli_min_sv)
 from broydenlab.cli import METRICS_COLUMNS, _csv
 from broydenlab.diagnostics import _Spectrum, metrics_from_trace, window_extreme
 from broydenlab.harness import _STATS, Window, run_stats
 from broydenlab.linalg import Mat, PrecisionContext, Vec
 from broydenlab.problems import get_problem
+from broydenlab.solvers import (SolverOptions, Status, bmp_run, broyden_run,
+                                newton_run, smp_run)
 
 
 @pytest.fixture(scope="module")
@@ -272,3 +274,92 @@ def test_min_sv_bounded_by_e_phi_norm(ex1_reference_run, ctx100):
         slack = ctx.pow10(-ctx.decimal_digits + 30)
         assert row.e_svals[0] <= e_phi + slack
         assert e_phi <= row.e_norm + slack
+
+
+# -- the raw metrics pass against the Vec form ------------------------------------
+
+_EX1, _EX3 = ["0.00731", "-0.00412"], ["0.004", "-0.003", "0.002"]
+_DRIVER_CASES = [
+    # (id, problem, method, start, B rule, options, final status)
+    ("bm-example1", "example1", "bm", _EX1, None, {}, Status.CONVERGED),
+    ("bmp-example1-b0", "example1", "bmp", _EX1, "jac", {}, Status.CONVERGED),
+    ("bmp-example1-no-spectra", "example1", "bmp", _EX1, "jac",
+     {"record_spectra": False}, Status.CONVERGED),
+    ("bmp-example2-b0", "example2", "bmp", _EX3, "jac", {}, Status.CONVERGED),
+    ("bmp-example3", "example3", "bmp", _EX3, None, {}, Status.CONVERGED),
+    ("bmp-example4", "example4", "bmp", ["0.01", "-0.02", "0.015"], "jac", {},
+     Status.CONVERGED),
+    ("bmp-monomial2-b0", "monomial:2", "bmp", ["0.3"], "jac", {}, Status.CONVERGED),
+    ("newton-example2", "example2", "newton", ["0.5", "0.5", "0.5"], None, {},
+     Status.CONVERGED),
+    ("newton-monomial3", "monomial:3", "newton", ["0.5"], None, {}, Status.CONVERGED),
+    ("smp-example1", "example1", "smp", _EX1, None, {}, Status.CONVERGED),
+    ("smp-example3", "example3", "smp", _EX3, None, {}, Status.CONVERGED),
+    ("bm-monomial2-singular", "monomial:2", "bm", ["2"], "identity", {},
+     Status.SINGULAR_MATRIX),
+    ("bmp-example1-singular", "example1", "bmp", ["0.25", "-0.1875"], "jac", {},
+     Status.SINGULAR_MATRIX),
+    ("bmp-example1-exact-root", "example1", "bmp", ["0.125", "0"], "jac", {},
+     Status.EXACT_ROOT),
+    ("bm-example1-diverged", "example1", "bm", ["1", "1"], "identity",
+     {"divergence_guard": 10}, Status.DIVERGED),
+]
+
+
+def _driver_record(name, method, start, rule, kw):
+    ctx = PrecisionContext(100)
+    p = get_problem(name)
+    u = ctx.vec(start)
+    b = identity(ctx, p.n) if rule == "identity" else p.jac(u)
+    opts = SolverOptions(precision=ctx, tol_exponent=60, max_iter=300, **kw)
+    if method == "bm":
+        return p, broyden_run(p, u, b, opts)
+    if method == "bmp":
+        return p, bmp_run(p, u, b, opts, p.jac if rule == "jac" else None)
+    if method == "newton":
+        return p, newton_run(p, u, opts)
+    return p, smp_run(p, u, b, 1, "0.5", opts)
+
+
+def _row_tuples(row):
+    # every field of a row, each lazy column read, as raw tuples
+    def raw(v):
+        if isinstance(v, tuple):
+            return tuple(raw(x) for x in v)
+        return getattr(v, "_mpf_", v)
+    return [raw(getattr(row, a)) for a in ("k", "f_norm", "err", "q", "eps", "q_eps",
+                                           "zeta", "r", "r_eps", "delta", "e_svals")]
+
+
+def _assert_matches_reference_metrics(rec, p):
+    windows = [None, range(rec.kbar, rec.kbar + 1)]
+    if rec.kbar >= 3:
+        windows.append(range(2, rec.kbar + 1))
+    for indices in windows:
+        got = metrics_from_trace(rec, p, indices)
+        want = reference_metrics(rec, p, indices)
+        assert [_row_tuples(r) for r in got] == [_row_tuples(r) for r in want]
+
+
+@pytest.mark.parametrize("case", _DRIVER_CASES, ids=lambda c: c[0])
+def test_metrics_match_the_vec_form_on_driver_records(case):
+    _, name, method, start, rule, kw, status = case
+    p, rec = _driver_record(name, method, start, rule, kw)
+    assert rec.status is status
+    _assert_matches_reference_metrics(rec, p)
+
+
+def test_metrics_match_the_vec_form_on_synthetic_records(ctx100, geometric_record):
+    # synthetic records set f_norm and eps without raw dots
+    p = get_problem("example1")
+    half = ctx100.real(1) / 2
+    records = [
+        geometric_record,
+        _spectrum_record(ctx100, [("0.75", "0.125")] * 6 + [None, ("0.5", "0.25")]),
+        synthetic_record(ctx100, [ctx100.vec([0, half ** k]) for k in range(4)],
+                         ["1", "4", "0.5", "0"]),
+        synthetic_record(ctx100, [ctx100.vec(u) for u in ([0, 1], [0, 3], [0, 3])],
+                         ["1", "1", "1"], eps=["0", "2"]),
+    ]
+    for rec in records:
+        _assert_matches_reference_metrics(rec, p)

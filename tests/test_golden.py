@@ -27,6 +27,11 @@ _EXAMPLE3 = ["single", "--problem", "example3", "--alpha", "0.1",
              "--precision", "140", "--tol", "60", "--seed", "3"]
 _CUMULATIVE_M5 = {
     "summary.csv": "e83263b3d5f82628e5bce88c400f1d84a9de33ebf2fa826a38c4e7ec54bfa656"}
+_CUMULATIVE_M5_ARGV = ["cumulative", "--problem", "example1", "--alpha", "1e-5",
+                       "--m", "5", "--precision", "130", "--tol", "60", "--seed", "11"]
+_EXAMPLE3_UPDATE = ["single", "--problem", "example3", "--alpha", "0.1",
+                    "--b0-mode", "broyden-update", "--precision", "140", "--tol", "60",
+                    "--seed", "3"]
 _N3_SERIES = ["--alpha", "1e-5", "--m", "4", "--precision", "130",
               "--tol", "60", "--seed", "1"]
 
@@ -43,11 +48,17 @@ CASES = {
         "metrics.csv": "12563ca70c1e0c75ad50295d16961b6f54df30fb184f40c2af4b90ae7b2b2726"}),
     "single-bmp-full-precision": (_SINGLE + ["--method", "bmp", "--full-precision"], {
         "metrics.csv": "e7e8945eaf0caadfbbc584aad4876c3235a83cea21c0e9c70bb27909f9a435fc"}),
-    "single-example3-broyden-update": (
-        ["single", "--problem", "example3", "--alpha", "0.1",
-         "--b0-mode", "broyden-update", "--precision", "140", "--tol", "60",
-         "--seed", "3"], {
-            "metrics.csv": "5b22bc1326d37d20d049a31baefb8301c026b18d9a3ce40987c0d63a16a75432"}),
+    "single-example3-broyden-update": (_EXAMPLE3_UPDATE, {
+        "metrics.csv": "5b22bc1326d37d20d049a31baefb8301c026b18d9a3ce40987c0d63a16a75432"}),
+    # n = 3 at full precision: the last bits of the metrics and of Jacobi's
+    # singular values, which six digits hide
+    "single-example3-broyden-update-full-precision": (
+        _EXAMPLE3_UPDATE + ["--full-precision"], {
+            "metrics.csv": "987c19603672e45df404265dc0e8c01a27641d8cbf04c64a35a73dda71aaaa8a"}),
+    "single-example2-full-precision": (
+        ["single", "--problem", "example2", "--alpha", "0.1", "--precision", "140",
+         "--tol", "60", "--seed", "3", "--full-precision"], {
+            "metrics.csv": "780e7b2a939a94efaa40d68e665c52ad8e04bbe7f86ea8ba5eac4e1b55e8ec55"}),
     # n = 1, example4's regular root, n = 3 for smp and newton, 320 digits
     "single-monomial2": (
         ["single", "--problem", "monomial:2", "--alpha", "0.5",
@@ -65,9 +76,9 @@ CASES = {
         ["single", "--problem", "example1", "--alpha", "0.01",
          "--precision", "320", "--tol", "100", "--seed", "3"], {
             "metrics.csv": "2667b0558d6474766ab3fa0c813310478f14cf31f761c97adec44a7cfde330de"}),
-    "cumulative-m5": (
-        ["cumulative", "--problem", "example1", "--alpha", "1e-5", "--m", "5",
-         "--precision", "130", "--tol", "60", "--seed", "11"], _CUMULATIVE_M5),
+    "cumulative-m5": (_CUMULATIVE_M5_ARGV, _CUMULATIVE_M5),
+    # results do not depend on the worker count
+    "cumulative-m5-workers-2": (_CUMULATIVE_M5_ARGV + ["--workers", "2"], _CUMULATIVE_M5),
     # the same series through an equivalent config
     "cumulative-m5-config": (
         ["cumulative", "--config",

@@ -1,13 +1,17 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import libmp
 from mpmath.libmp import fzero, mpf_gt, mpf_mul
 
 from helpers import (charpoly_singular_values, identity, normalized, outer,
                      zero_vec)
 from broydenlab.diagnostics import _Spectrum
 from broydenlab.harness import CounterRng
+from broydenlab import linalg
 from broydenlab.linalg import (Mat, PrecisionContext, SingularMatrix, Vec,
-                               kernels, lu_solve, rank_one_update,
+                               kernels, lu_solve, rank_one_update, raw_dot,
                                singular_values, spectral_norm)
 from broydenlab.problems import _f_example1
 from broydenlab.solvers import TraceEntry
@@ -302,7 +306,7 @@ def _assert_key_matches_jacobi(A, near_tolerance=False):
     # 2**-(prec - 8), relative; an off-diagonal near the Jacobi tolerance
     # stays within the window's slack 4 svd_tol
     ctx = A.ctx
-    key = _Spectrum(A, lambda: A - A).key()
+    key = _Spectrum(ctx, A.raw(), lambda: (A - A).raw()).key()
     want = 4 * singular_values(A)[-1] ** 2
     if near_tolerance:
         assert abs(key - want) <= 4 * ctx.svd_tol * key
@@ -486,3 +490,114 @@ def test_kernels_bit_identical_to_mpf_operators():
                 _assert_key_matches_jacobi(A)
             if kind >= 2 and n > 1:
                 assert svals[-2] <= ctx.pow10(-digits + 15) * (svals[-1] + 1)
+
+
+# -- the scalar ops against mpmath.libmp -------------------------------------------
+
+_SPECIALS = (libmp.fzero, libmp.fnan, libmp.finf, libmp.fninf)
+
+
+def _outcome(op, *args):
+    try:
+        return op(*args)
+    except Exception as exc:   # the same exception type on both sides
+        return type(exc)
+
+
+def _assert_scalar_ops_match(s, t, prec, rnd):
+    for name in ("mpf_add", "mpf_sub", "mpf_div"):
+        assert (_outcome(getattr(linalg, name), s, t, prec, rnd)
+                == _outcome(getattr(libmp, name), s, t, prec, rnd)), (name, s, t)
+    for x in (s, t, libmp.mpf_mul(s, s)):
+        assert (_outcome(linalg.mpf_sqrt, x, prec, rnd)
+                == _outcome(libmp.mpf_sqrt, x, prec, rnd)), ("mpf_sqrt", x)
+
+
+def _raw(man, exp=0):
+    return libmp.from_man_exp(man, exp)
+
+
+def _enumerated_scalar_cases():
+    cases = []
+    for prec in (53, 160, 1066, 3700):
+        full = 2 ** prec - 1             # prec one-bits
+        cases += [
+            # round-half ties: 1 + 2**-prec to even (down), 1 + 3 2**-prec (up)
+            (libmp.fone, _raw(1, -prec)),
+            (_raw(2 ** (prec - 1) + 1, 1 - prec), _raw(1, -prec)),
+            # carries to a power of two, exact and by rounding a tie up
+            (_raw(full), libmp.fone), (_raw(full), libmp.fhalf),
+            (_raw(-full, -3), _raw(-1, -4)),
+            # exact cancellation
+            (_raw(full, -7), _raw(full, -7)), (_raw(-5, 3), _raw(5, 3)),
+            # exact, power-of-two and inexact quotients and square roots
+            (_raw(6), _raw(3)), (_raw(7, 5), _raw(1, -2)), (_raw(1), _raw(-3)),
+            (_raw(9, 2), _raw(1, 2)), (_raw(1, 1), _raw(full, -prec)),
+            # a dividend wider than prec + 5 bits over a narrow divisor
+            (_raw(2 ** (2 * prec) - 1), _raw(3)),
+        ]
+        for offset in (-101, -100, 100, 101):
+            # small mantissas: beyond 100 bits libmp perturbs at low precision;
+            # wide ones keep the sum exact
+            for a, b in ((3, 5), (-3, 5), (full, 1), (1, -full)):
+                cases.append((_raw(a), _raw(b, offset)))
+        cases += [(x, y) for x in _SPECIALS + (libmp.fone, libmp.fnone)
+                  for y in _SPECIALS + (libmp.fone, _raw(full, -prec))]
+    return cases
+
+
+@pytest.mark.parametrize("rnd", ["n", "f", "c", "d", "u"])
+def test_scalar_ops_match_libmp_on_enumerated_cases(rnd):
+    for s, t in _enumerated_scalar_cases():
+        for prec in (53, 160, 1066, 3700):
+            _assert_scalar_ops_match(s, t, prec, rnd)
+
+
+@st.composite
+def _scalar_operands(draw):
+    prec = draw(st.integers(53, 3700))
+
+    def operand(exp_lo=-400, exp_hi=400):
+        if draw(st.integers(0, 15)) == 0:
+            return draw(st.sampled_from(_SPECIALS))
+        bits = draw(st.integers(1, 2 * prec))
+        # an odd mantissa of exactly ``bits`` bits
+        man = (1 << (bits - 1)) | draw(st.integers(0, 2 ** bits - 1)) >> 1 | 1
+        return _raw(man * draw(st.sampled_from((1, -1))), draw(st.integers(exp_lo, exp_hi)))
+
+    s = operand()
+    kind = draw(st.sampled_from(("free", "negated", "near")))
+    if kind == "negated":
+        t = libmp.mpf_neg(s)
+    elif kind == "near" and s[1]:
+        # an exponent offset around libmp's 100-bit shortcut
+        t = operand(s[2] - 110, s[2] + 110)
+    else:
+        t = operand()
+    return s, t, prec, draw(st.sampled_from("nnnfcdu"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_scalar_operands())
+def test_scalar_ops_match_libmp(args):
+    _assert_scalar_ops_match(*args)
+
+
+def test_raw_dot_starts_from_the_first_product():
+    # the sum used to start from 0 + x0 y0; libmp returns a product, already
+    # rounded to prec, unchanged from that sum, and zero, inf and nan as they are
+    ctx = PrecisionContext(100)
+    prec, rnd = ctx.prec, ctx.rounding
+
+    def summed_from_zero(a, b):
+        acc = fzero
+        for x, y in zip(a, b):
+            acc = libmp.mpf_add(acc, libmp.mpf_mul(x, y, prec, rnd), prec, rnd)
+        return acc
+
+    values = _SPECIALS + (libmp.fone, _raw(-3, -7), _raw(2 ** 400 - 1, -5))
+    for n in (0, 1, 2):
+        for a, b in itertools.product(itertools.product(values, repeat=n), repeat=2):
+            assert raw_dot(a, b, prec, rnd) == summed_from_zero(a, b)
+    v = ctx.vec(["0.3"])
+    assert v.raw_dot(v) == summed_from_zero(v.raw(), v.raw())
