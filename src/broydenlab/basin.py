@@ -10,8 +10,9 @@ B_0 = F'(u_0) (the beta = 0 series), then classified:
                          breakdown on a singular Jacobian
 
 The image is emitted as binary PPM (P6), one pixel per grid point, rows from
-the top (largest second coordinate) down.  Classification is a pure function
-of the grid point, so renders are byte-identical for any worker count.
+the top (largest second coordinate) down.  Each pool task classifies one grid
+row of the caller's problem, and classification is a pure function of the
+grid point, so renders are byte-identical for any worker count.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from .formatting import format_metric
 from .harness import (AcceptanceCriteria, check_scale, parallel_map,
                       removal_reason)
 from .linalg import PrecisionContext, Vec
-from .problems import Problem, get_problem
+from .problems import Problem
 from .solvers import SolverOptions, bmp_run
 
 
@@ -107,11 +108,11 @@ def classify_point_detail(p: Problem, u_hat: Vec, crit: AcceptanceCriteria,
     return cls, rec.kbar, final[0].q
 
 
-def _classify_chunk(problem_name: str, grid: GridSpec, crit: AcceptanceCriteria,
-                    opts: SolverOptions, pixels) -> list[PixelResult]:
-    p = get_problem(problem_name)
+def _classify_chunk(p: Problem, grid: GridSpec, crit: AcceptanceCriteria,
+                    opts: SolverOptions, j: int) -> list[PixelResult]:
+    """The pixels of grid row ``j``, left to right."""
     out = []
-    for i, j in pixels:
+    for i in range(grid.resolution):
         u_hat = grid.point(i, j, opts.precision)
         cls, kbar, q_final = classify_point_detail(p, u_hat, crit, opts)
         q_cell = None if q_final is None else format_metric(q_final)
@@ -122,21 +123,15 @@ def _classify_chunk(problem_name: str, grid: GridSpec, crit: AcceptanceCriteria,
 
 def render_basin(p: Problem, grid: GridSpec, crit: AcceptanceCriteria,
                  opts: SolverOptions, workers: int = 1):
-    """Render the grid; returns (PPM bytes, list of PixelResult).
+    """Render the grid of ``p``; returns (PPM bytes, list of PixelResult).
 
-    Pixels are evaluated independently and assembled in raster order (top
-    row first), so the byte output does not depend on ``workers``.
+    Each grid row is one pool task, mapped in raster order (top row first),
+    so the byte output does not depend on ``workers``.
     """
     res = grid.resolution
-    pixels = [(i, j) for j in range(res - 1, -1, -1) for i in range(res)]
-    # one strided chunk per requested worker, reassembled in raster order
-    chunks = max(1, min(workers, len(pixels)))
-    parts = parallel_map(_classify_chunk,
-                         [(p.name, grid, crit, opts, pixels[c::chunks])
-                          for c in range(chunks)], workers)
-    results = [None] * len(pixels)
-    for c, part in enumerate(parts):
-        results[c::chunks] = part
+    rows = parallel_map(_classify_chunk, [(p, grid, crit, opts, j)
+                                          for j in range(res - 1, -1, -1)], workers)
+    results = [r for row in rows for r in row]
     body = bytes(x for r in results for x in COLORS[r.classification])
     return f"P6\n{res} {res}\n255\n".encode("ascii") + body, results
 

@@ -2,11 +2,12 @@ import dataclasses
 
 import pytest
 
-from helpers import zero_vec
+from helpers import problem_linear, zero_vec
 from broydenlab.basin import (Classification, DimensionMismatch, GridSpec,
                               blue_fraction, classify_point_detail,
                               render_basin)
 from broydenlab.cli import BASIN_COLUMNS, _csv
+from broydenlab.formatting import format_metric
 from broydenlab.harness import default_criteria
 from broydenlab.linalg import PrecisionContext
 from broydenlab.problems import get_problem
@@ -174,3 +175,32 @@ def test_point_detail_jac_calls_do_not_depend_on_record_spectra(ex1, crit):
                                       crit, opts)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_render_uses_the_given_problem(crit, workers):
+    # a 2-D problem outside the registry: 2 u1 + u2 = 1, u1 + 3 u2 = -2
+    p = problem_linear(((2, 1), (1, 3)), (1, -2), (1, -1))
+    opts = basin_opts(digits=60, tol=30, max_iter=50)
+    grid = GridSpec(half_width="0.5", resolution=3, center=("1", "-1"))
+    image, results = render_basin(p, grid, crit, opts, workers=workers)
+    assert image.startswith(b"P6\n3 3\n255\n") and len(results) == 9
+    for idx, result in enumerate(results):
+        row, i = divmod(idx, 3)
+        cls, kbar, q = classify_point_detail(
+            p, grid.point(i, 2 - row, opts.precision), crit, opts)
+        assert (result.classification, result.kbar) == (cls, kbar)
+        assert result.q_final == (None if q is None else format_metric(q))
+
+
+def test_render_calls_the_given_problems_jacobian(ex1, crit):
+    grid = GridSpec(half_width="0.001", resolution=3)
+    opts = basin_opts()
+    calls = []
+    p = dataclasses.replace(ex1, jac=lambda u: calls.append(u) or ex1.jac(u))
+    render_basin(p, grid, crit, opts)
+    rendered = len(calls)
+    for i in range(3):
+        for j in range(3):
+            classify_point_detail(p, grid.point(i, j, opts.precision), crit, opts)
+    assert rendered == len(calls) - rendered > 0

@@ -164,9 +164,11 @@ def _assert_refused(code, capsys, tmp_path, name):
     return err
 
 
-def test_basin_dimension_mismatch_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_basin_dimension_mismatch_exits_2(tmp_path, capsys, workers):
+    # with two workers the refusal is raised in a pool worker
     code = main(["basin", "--problem", "example2", "--grid-res", "3",
-                 "--out", str(tmp_path)])
+                 "--workers", workers, "--out", str(tmp_path)])
     _assert_refused(code, capsys, tmp_path, "basin.ppm")
 
 
