@@ -187,8 +187,10 @@ def test_render_uses_the_given_problem(crit, workers):
     assert image.startswith(b"P6\n3 3\n255\n") and len(results) == 9
     for idx, result in enumerate(results):
         row, i = divmod(idx, 3)
-        cls, kbar, q = classify_point_detail(
-            p, grid.point(i, 2 - row, opts.precision), crit, opts)
+        u_hat = grid.point(i, 2 - row, opts.precision)
+        cls, kbar, q = classify_point_detail(p, u_hat, crit, opts)
+        assert (result.x, result.y) == (format_metric(u_hat[0]),
+                                        format_metric(u_hat[1]))
         assert (result.classification, result.kbar) == (cls, kbar)
         assert result.q_final == (None if q is None else format_metric(q))
 
