@@ -206,8 +206,7 @@ def _cmd_basin(args) -> int:
     p = get_problem(args.problem)
     grid = GridSpec(half_width=args.half_width, resolution=args.grid_res)
     opts = SolverOptions(precision=PrecisionContext(args.precision),
-                         tol_exponent=args.tol, max_iter=args.max_iter,
-                         record_spectra=False)
+                         tol_exponent=args.tol, max_iter=args.max_iter)
     image, results = render_basin(p, grid, default_criteria(p.name), opts,
                                   workers=args.workers)
     _write(args.out, {"basin.ppm": image,

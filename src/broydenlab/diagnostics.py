@@ -222,11 +222,10 @@ def metrics_from_trace(rec: RunRecord, p: Problem,
     """One MetricsRow per displayed iteration index of ``rec`` in ``indices``
     (default: every index).
 
-    Errors and step and update norms are taken on raw tuples from
-    ``indices[0] - 2`` on, one square root of s.s per step for ||s^k||, eps_k
-    and zeta_k; an entry without s.s gives its own ``eps``.  r, r_eps, delta
-    and the spectra of E_k are left to the first read (see
-    :class:`MetricsRow`).  zeta needs phi and is None without it.
+    Errors are taken on raw tuples from ``indices[0] - 2`` on; ||s^k|| and
+    eps_k are the trace entry's own ``s_norm`` and ``eps``, which zeta_k
+    shares.  r, r_eps, delta and the spectra of E_k are left to the first
+    read (see :class:`MetricsRow`).  zeta needs phi and is None without it.
     """
     trace = rec.trace
     if indices is None:
@@ -240,10 +239,8 @@ def metrics_from_trace(rec: RunRecord, p: Problem,
     def norms(e):
         """Raw ||u^k - root|| and ||s^k|| (None at kbar), and eps_k."""
         d = [mpf_sub(a, b, prec, rnd) for a, b in zip(e.raw_u, root.raw())]
-        sn = e.raw_s and mpf_sqrt(e.ss or raw_dot(e.raw_s, e.raw_s, prec, rnd), prec, rnd)
-        eps = e.eps if e.ss is None else make(
-            mpf_div(mpf_sqrt(e.ff_next, prec, rnd), sn, prec, rnd))
-        return mpf_sqrt(raw_dot(d, d, prec, rnd), prec, rnd), sn, eps
+        sn = e.raw_s and e.s_norm._mpf_
+        return mpf_sqrt(raw_dot(d, d, prec, rnd), prec, rnd), sn, e.eps
 
     raw = {k: norms(trace[k]) for k in range(max(indices.start - 2, 0), indices.stop)}
     rows = []
@@ -264,7 +261,7 @@ def metrics_from_trace(rec: RunRecord, p: Problem,
                     q_eps = make(mpf_div(eps._mpf_, eps_pp._mpf_, prec, rnd))
             if (sn_prev and mpf_gt(sn_prev, fzero) and mpf_lt(sn_prev, fone)
                     and entry.f_norm > 0):
-                delta = _LogRatio(entry.f_norm, make(sn_prev))
+                delta = _LogRatio(entry.f_norm, trace[k - 1].s_norm)
 
         if phi is not None and sn and mpf_gt(sn, fzero):
             inv = mpf_rdiv_int(1, sn, prec, rnd)

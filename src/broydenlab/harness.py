@@ -46,20 +46,20 @@ class EmptyAcceptedSet(Exception):
         self.reasons = reasons
 
 
-_MASK64 = (1 << 64) - 1
 _TWO128 = 1 << 128
 
 
 class CounterRng:
     """Counter-based random bit stream, splittable by (seed, stream).
 
-    Each draw hashes (seed, stream, counter) with SHA-256 and keeps 128 bits,
-    so streams for different run indices are independent and a run can be
-    regenerated without replaying its predecessors.
+    Each draw hashes (seed, stream, counter), each in [0, 2**64), with
+    SHA-256 and keeps 128 bits, so streams for different run indices are
+    independent and a run can be regenerated without replaying its
+    predecessors.
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        self._key = struct.pack("<QQ", seed & _MASK64, stream & _MASK64)
+        self._key = struct.pack("<QQ", seed, stream)
         self._counter = 0
 
     def bits(self) -> int:
@@ -125,6 +125,8 @@ class SeriesConfig:
             raise ValueError(f"unknown b0_mode {self.b0_mode!r}")
         if self.m < 1:
             raise ValueError("m must be >= 1")
+        if not 0 <= self.rng_seed < 1 << 64:
+            raise ValueError(f"rng_seed must lie in [0, 2**64), got {self.rng_seed}")
         if self.window_rule not in ("min", "max"):
             raise ValueError(f"unknown window_rule {self.window_rule!r}")
 

@@ -82,10 +82,10 @@ class TraceEntry:
     build the ``Vec`` or ``Mat`` (None for None) on every read, so a trace
     holds one form only.  ``ff``, ``ss`` and ``ff_next`` are the raw dot
     products F(u^k).F(u^k), s^k.s^k and F(u^{k+1}).F(u^{k+1}) (the last two
-    only with a matrix).  ``f_norm`` = ||F(u^k)|| and the update norm
-    ``eps`` = ||F(u^{k+1})|| / ||s^k|| (None without ``ss``) are taken on
-    first read, and ``s_norm`` = ||s^k|| on every read, bit-identical to
-    ``Vec.norm`` and the mpf quotient.
+    only with a matrix).  ``f_norm`` = ||F(u^k)||, ``s_norm`` = ||s^k|| (None
+    at kbar) and the update norm ``eps`` = ||F(u^{k+1})|| / ||s^k|| (None
+    without ``ss``) are taken on first read, bit-identical to ``Vec.norm``
+    and the mpf quotient, so one square root of s.s serves all readers.
     """
 
     ctx: PrecisionContext
@@ -105,9 +105,8 @@ class TraceEntry:
         ctx = self.ctx
         return ctx.make(mpf_sqrt(self.ff, ctx.prec, ctx.rounding))
 
-    @property
+    @functools.cached_property
     def s_norm(self):
-        """||s^k|| (None at kbar), from ``ss``; uncached to keep traces small."""
         if self.raw_s is None:
             return None
         ctx, raw = self.ctx, self.raw_s
@@ -126,16 +125,13 @@ class TraceEntry:
 
 @dataclass
 class RunRecord:
-    """Outcome of one run plus its full trace (display-indexed)."""
+    """Outcome of one run plus its full trace (display-indexed); the final
+    index kbar is ``len(trace) - 1``."""
 
     status: Status
-    kbar: int
     trace: list
-    b_final: Optional[Mat]
-    tol_exponent: int
-    #: first index k such that every transition B_k -> B_{k+1} in the trace
-    #: is a genuine rank-one secant update; None when there are none.
-    broyden_updates_from: Optional[int] = None
+
+    kbar = property(lambda self: len(self.trace) - 1)
 
 
 # -- shared bookkeeping --------------------------------------------------------
@@ -224,9 +220,7 @@ def _engine(p, u, B, opts, refresh=None, step=None) -> RunRecord:
             jac = None if refresh is None else refresh(k, u_next)
             B = secant(B, s, ss, f_next) if jac is None else jac.raw()
         u, fu = u_next, f_next
-    return RunRecord(status=status, kbar=k, trace=trace,
-                     b_final=None if B is None else ctx.raw_mat(B),
-                     tol_exponent=opts.tol_exponent)
+    return RunRecord(status, trace)
 
 
 def _shamanskii_step(p, b_hat, c, alpha, ctx):
@@ -256,9 +250,7 @@ def _check_dims(p, u, b=None):
 def broyden_run(p: Problem, u0: Vec, b0: Mat, opts: SolverOptions) -> RunRecord:
     """Plain Broyden iteration from (u0, B0)."""
     _check_dims(p, u0, b0)
-    rec = _engine(p, u0, b0, opts)
-    rec.broyden_updates_from = 0
-    return rec
+    return _engine(p, u0, b0, opts)
 
 
 def bmp_run(p: Problem, u_hat: Vec, b_hat: Mat, opts: SolverOptions,
@@ -273,12 +265,8 @@ def bmp_run(p: Problem, u_hat: Vec, b_hat: Mat, opts: SolverOptions,
     tables label the sequence.
     """
     _check_dims(p, u_hat, b_hat)
-    rec = _engine(p, u_hat, b_hat, opts, None if b0 is None else
-                  lambda k, u: b0(u_hat.ctx.raw_vec(u)) if k == 0 else None)
-    if rec.kbar > 0:
-        # B_0 came from the Newton-like step itself only without ``b0``
-        rec.broyden_updates_from = 0 if b0 is None else 1
-    return rec
+    return _engine(p, u_hat, b_hat, opts, None if b0 is None else
+                   lambda k, u: b0(u_hat.ctx.raw_vec(u)) if k == 0 else None)
 
 
 def newton_run(p: Problem, u0: Vec, opts: SolverOptions) -> RunRecord:

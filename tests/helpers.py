@@ -149,8 +149,8 @@ def charpoly_singular_values(A: Mat, ctx: PrecisionContext):
 
 # -- synthetic run records -----------------------------------------------------
 
-def synthetic_record(ctx: PrecisionContext, us, f_norms, eps=None, svals=None,
-                     tol_exponent: int = 100) -> RunRecord:
+def synthetic_record(ctx: PrecisionContext, us, f_norms, eps=None,
+                     svals=None) -> RunRecord:
     """RunRecord built from explicit iterates and norms.
 
     ``eps`` entries apply to indices 0..kbar-1; steps are the consecutive
@@ -172,9 +172,7 @@ def synthetic_record(ctx: PrecisionContext, us, f_norms, eps=None, svals=None,
             s1, s2 = (ctx.real(s) for s in svals[k])
             entry.raw_b = ctx.mat([[1 + s1, 0], [0, s2]]).raw()
         trace.append(entry)
-    return RunRecord(status=Status.CONVERGED, kbar=kbar, trace=trace,
-                     b_final=None, tol_exponent=tol_exponent,
-                     broyden_updates_from=None)
+    return RunRecord(Status.CONVERGED, trace)
 
 
 def reference_metrics(rec: RunRecord, p: Problem, indices=None) -> list:
@@ -236,7 +234,7 @@ def reference_metrics(rec: RunRecord, p: Problem, indices=None) -> list:
     return rows
 
 
-def lam_omega_rows(rec: RunRecord, p: Problem) -> list:
+def lam_omega_rows(rec: RunRecord, p: Problem, tol_exponent: int) -> list:
     """``metrics_from_trace`` rows with two nullspace quantities added:
 
         lam_k   = a_{k+1} / a_k, the signed ratio of successive nullspace
@@ -244,13 +242,13 @@ def lam_omega_rows(rec: RunRecord, p: Problem) -> list:
         omega_k = ||P_X (u^k - root)|| / a_k**2
 
     Both are the sentinel -1 for problems without phi/psi and where |a_k|
-    is below the stopping tolerance; lam also at kbar.
+    is below the stopping tolerance 10**-tol_exponent; lam also at kbar.
     """
     trace = rec.trace
     ctx = trace[0].u.ctx
     sentinel = ctx.real(-1)
     root = p.root(ctx)
-    floor = ctx.pow10(-rec.tol_exponent)
+    floor = ctx.pow10(-tol_exponent)
     coeffs = None
     if p.has_null_data:
         p_x = identity(ctx, p.n) - projectors(p, ctx)
@@ -433,18 +431,17 @@ def nullspace_residual(B: Mat, phi: Vec):
     return B.matvec(phi).norm()
 
 
-def update_norm_identity_errors(rec: RunRecord):
-    """Relative gaps |eps_k - ||B_{k+1} - B_k||| / eps_k over the recorded
-    Broyden updates.
+def update_norm_identity_errors(rec: RunRecord, first: int):
+    """Relative gaps |eps_k - ||B_{k+1} - B_k||| / eps_k over the Broyden
+    updates B_k -> B_{k+1} from k = ``first`` on: 0 for bm and for bmp
+    without a B_0 rule, 1 for bmp with one, which installs B_0 at k = 0.
 
     Requires the trace to keep every B_k (``SolverOptions.record_spectra``,
     the default).  The spectral norm of the update is recomputed by SVD, so
     this checks the update-norm identity through an independent path.
     """
-    if rec.broyden_updates_from is None:
-        return []
     out = []
-    for k in range(rec.broyden_updates_from, rec.kbar):
+    for k in range(first, rec.kbar):
         entry, nxt = rec.trace[k], rec.trace[k + 1]
         if entry.b is None or nxt.b is None or entry.eps is None:
             raise ValueError("run was not recorded with record_spectra")

@@ -65,7 +65,7 @@ def test_criterion_01_single_run_window_rates(ex1_reference_run):
 def test_criterion_02_update_norm_identity(ex1_reference_run):
     p, rec, rows = ex1_reference_run
     ctx = rec.trace[0].u.ctx
-    errors = update_norm_identity_errors(rec)
+    errors = update_norm_identity_errors(rec, 1)
     assert len(errors) >= rec.kbar - 2
     bound = ctx.pow10(-300)
     worst = max(rel for _, rel in errors)
@@ -112,7 +112,7 @@ def test_criterion_04_uniform_linear_independence_violated(ex1_reference_run):
 def test_criterion_05_limit_matrix_nullspace(ex1_reference_run):
     p, rec, rows = ex1_reference_run
     ctx = rec.trace[0].u.ctx
-    residual = nullspace_residual(rec.b_final, p.phi(ctx))
+    residual = nullspace_residual(rec.trace[-1].b, p.phi(ctx))
     assert residual <= ctx.pow10(-20)
     report(5, f"||B_final phi|| = {float(residual):.3e}")
 

@@ -191,6 +191,18 @@ def test_single_bad_scale_exits_2(tmp_path, capsys, extra):
     _assert_refused(code, capsys, tmp_path, "metrics.csv")
 
 
+@pytest.mark.parametrize("command", ["single", "cumulative"])
+@pytest.mark.parametrize("seed", [str(1 << 64), "-1"])
+def test_seed_outside_64_bits_exits_2(tmp_path, capsys, command, seed):
+    # the random stream keys on 64 bits of the seed, so a wider seed would
+    # alias a narrower one (2**64 ran as 0, -1 as 2**64 - 1)
+    code = main([command, "--problem", "example1", "--alpha", "1e-5",
+                 "--precision", "60", "--tol", "30", "--seed", seed,
+                 "--out", str(tmp_path)])
+    _assert_refused(code, capsys, tmp_path,
+                    "metrics.csv" if command == "single" else "summary.csv")
+
+
 @pytest.mark.parametrize("config", [
     [1, 2],
     {"problem": "example1", "alpha": "1e-5", "beta": "0", "m": "3"},
@@ -207,6 +219,7 @@ def test_single_bad_scale_exits_2(tmp_path, capsys, extra):
     {"alpha": "1e-5", "m": 1},
     {"problem": "example1", "alpha": "1e-5",
      "criteria": {"q_band": ["1/0", "1"]}},
+    {"problem": "example1", "alpha": "1e-5", "rng_seed": 1 << 64},
 ])
 def test_cumulative_malformed_config_exits_2(tmp_path, capsys, config):
     cfg_path = tmp_path / "series.json"

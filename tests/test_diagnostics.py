@@ -33,7 +33,7 @@ def test_geometric_trace_q_and_r(ctx100, geometric_record):
 
 def test_geometric_trace_lambda_and_omega(ctx100, geometric_record):
     # nullspace component halves each step and the range component is zero
-    rows = lam_omega_rows(geometric_record, get_problem("example1"))
+    rows = lam_omega_rows(geometric_record, get_problem("example1"), 100)
     half = ctx100.real(1) / 2
     for k in range(11):
         assert rows[k].lam == half
@@ -170,7 +170,7 @@ def test_metrics_without_null_data(ctx100):
     us = [ctx100.vec([1, 1, 1]), ctx100.vec(["0.5", "0.5", "0.5"]),
           ctx100.vec(["0.25", "0.25", "0.25"])]
     rec = synthetic_record(ctx100, us, [ctx100.one] * 3)
-    rows = lam_omega_rows(rec, p)
+    rows = lam_omega_rows(rec, p, 100)
     assert all(r.zeta is None and r.lam == -1 and r.omega == -1 for r in rows)
 
 

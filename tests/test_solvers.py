@@ -9,6 +9,7 @@ from helpers import (identity, problem_linear, problem_sq_minus_1,
                      reference_run, secant_iterates, update_norm_identity_errors,
                      zero_vec)
 from broydenlab.basin import GridSpec
+from broydenlab.diagnostics import metrics_from_trace
 from broydenlab.linalg import Mat, PrecisionContext, Vec
 from broydenlab.problems import Problem, get_problem
 from broydenlab.solvers import (SolverOptions, Status, TraceEntry,
@@ -125,8 +126,7 @@ def test_bmp_broyden_update_mode_satisfies_identity_from_start(ctx120):
     opts = opts_for(ctx120, tol=60, max_iter=400)
     rec = bmp_run(p, u_hat, p.jac(u_hat), opts)
     assert rec.status is Status.CONVERGED
-    assert rec.broyden_updates_from == 0
-    errors = update_norm_identity_errors(rec)
+    errors = update_norm_identity_errors(rec, 0)
     assert errors[0][0] == 0
     bound = ctx120.pow10(-ctx120.decimal_digits + 25)
     assert all(rel <= bound for _, rel in errors)
@@ -139,7 +139,7 @@ def test_update_norm_identity_invariant(ctx120):
     opts = opts_for(ctx120, tol=80, max_iter=500)
     rec = bmp_run(p, u_hat, p.jac(u_hat), opts, p.jac)
     assert rec.status is Status.CONVERGED
-    errors = update_norm_identity_errors(rec)
+    errors = update_norm_identity_errors(rec, 1)
     assert errors, "no updates recorded"
     bound = ctx120.pow10(-ctx120.decimal_digits + 25)
     assert all(rel <= bound for _, rel in errors)
@@ -190,7 +190,7 @@ def test_determinism_bit_identical_traces(ctx120):
     assert rec1.status == rec2.status and rec1.kbar == rec2.kbar
     for e1, e2 in zip(rec1.trace, rec2.trace):
         assert e1.u == e2.u and e1.f_norm == e2.f_norm and e1.eps == e2.eps
-    assert rec1.b_final == rec2.b_final
+    assert rec1.trace[-1].raw_b == rec2.trace[-1].raw_b
 
 
 def test_divergence_guard(ctx100):
@@ -383,7 +383,6 @@ def test_smp_trace_has_no_matrix_data(ctx100):
                   opts_for(ctx100, tol=60, max_iter=100))
     assert rec.status is Status.CONVERGED
     assert all(e.eps is None and e.b is None for e in rec.trace)
-    assert rec.b_final is None and rec.broyden_updates_from is None
 
 
 def _reference_cases():
@@ -419,7 +418,7 @@ def _reference_cases():
     ]
 
 
-def _run_both(p, method, u, rule, opts):
+def _run_both(p, method, u, rule, opts, reference=True):
     ctx = u.ctx
     b = identity(ctx, p.n) if rule == "identity" else p.jac(u)
     b0 = p.jac if rule == "jac" else None
@@ -431,7 +430,7 @@ def _run_both(p, method, u, rule, opts):
         rec = newton_run(p, u, opts)
     else:
         rec = smp_run(p, u, b, 1, "0.5", opts)
-    return rec, reference_run(method, p, u, b, opts, b0, 1, "0.5")
+    return rec, reference_run(method, p, u, b, opts, b0, 1, "0.5") if reference else None
 
 
 def _assert_matches_reference(rec, ref):
@@ -442,13 +441,14 @@ def _assert_matches_reference(rec, ref):
         assert (got.ff, got.ss, got.ff_next) == (want.ff, want.ss, want.ff_next)
         assert got.raw_s == (None if want.s is None else want.s.raw())
         assert got.raw_b == (None if want.b is None else want.b.raw())
-    assert (None if rec.b_final is None else rec.b_final.raw()) == (
-        None if b_final is None else b_final.raw())
+    if trace[-1].b is not None:
+        # with B_k kept, the final B is the last entry's
+        assert rec.trace[-1].raw_b == b_final.raw()
 
 
 @pytest.mark.parametrize("case", _reference_cases(), ids=lambda c: c[0])
 def test_engine_matches_reference_run(case):
-    # every trace field, the status, kbar and b_final of the raw engine are
+    # every trace field, the status, kbar and final B of the raw engine are
     # the tuples of the same iteration in Vec and Mat arithmetic
     _, digits, name, method, start, rule, kw, want = case
     ctx = PrecisionContext(digits)
@@ -456,6 +456,21 @@ def test_engine_matches_reference_run(case):
     rec, ref = _run_both(p, method, ctx.vec(start), rule, opts_for(ctx, **kw))
     _assert_matches_reference(rec, ref)
     assert rec.status is want
+
+
+@pytest.mark.parametrize("case", _reference_cases(), ids=lambda c: c[0])
+def test_metrics_read_the_trace_entry_norms(case):
+    # the metrics pass takes eps_k and ||s^k|| from the trace entry, which
+    # takes each once
+    _, digits, name, method, start, rule, kw, _ = case
+    ctx = PrecisionContext(digits)
+    p = get_problem(name)
+    rec, _ = _run_both(p, method, ctx.vec(start), rule, opts_for(ctx, **kw),
+                       reference=False)
+    rows = metrics_from_trace(rec, p)
+    for k in range(1, len(rows)):
+        assert rows[k].eps is rec.trace[k - 1].eps
+        assert rec.trace[k - 1].s_norm is rec.trace[k - 1].s_norm
 
 
 def test_engine_matches_reference_run_on_a_basin_grid():
