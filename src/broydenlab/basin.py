@@ -1,18 +1,10 @@
 """Raster rendering of the empirical domain of q-linear convergence.
 
-Each pixel of a square grid around the root is used as the starting point
-u_hat of a Newton-step-then-Broyden run with B_hat = F'(u_hat) and
-B_0 = F'(u_0) (the beta = 0 series), then classified:
-
-    blue    (0,0,255)    converged to the root with final q-factors in band
-    purple  (128,0,128)  converged to the root but outside a band
-    yellow  (255,255,0)  no convergence within the iteration cap, including
-                         breakdown on a singular Jacobian
-
-The image is emitted as binary PPM (P6), one pixel per grid point, rows from
-the top (largest second coordinate) down.  Each pool task classifies one grid
-row of the caller's problem, and classification is a pure function of the
-grid point, so renders are byte-identical for any worker count.
+Each grid point is the start u_hat of a Newton-step-then-Broyden run with
+B_hat = F'(u_hat) and B_0 = F'(u_0), classified blue (in band), purple
+(converged, out of band) or yellow (no convergence) as README.md describes,
+and written as a binary PPM (P6) from the top row down.  Each pool task is
+one grid row, so renders are byte-identical for any worker count.
 """
 from __future__ import annotations
 
@@ -123,11 +115,8 @@ def _classify_chunk(p: Problem, grid: GridSpec, crit: AcceptanceCriteria,
 
 def render_basin(p: Problem, grid: GridSpec, crit: AcceptanceCriteria,
                  opts: SolverOptions, workers: int = 1):
-    """Render the grid of ``p``; returns (PPM bytes, list of PixelResult).
-
-    Each grid row is one pool task, mapped in raster order (top row first),
-    so the byte output does not depend on ``workers``.
-    """
+    """Render the grid of ``p``: (PPM bytes, list of PixelResult), one pool
+    task per grid row, in raster order (top row first)."""
     res = grid.resolution
     rows = parallel_map(_classify_chunk, [(p, grid, crit, opts, j)
                                           for j in range(res - 1, -1, -1)], workers)

@@ -1,16 +1,5 @@
-"""Command-line entry point.
-
-Subcommands:
-
-* ``single``         one seeded run of bm / bmp / smp / newton, written as
-                     metrics.csv (one diagnostics row per iteration)
-* ``cumulative``     m seeded runs, filtered and aggregated to summary.csv
-* ``basin``          rasterize the convergence domain to basin.ppm + basin.csv
-* ``list-problems``  show the registry
-* ``verify``         second-derivative and finite-difference checks
-
-``single`` and ``cumulative`` build one SeriesConfig from the series flags
-given (:data:`SERIES_FLAGS`) or from ``cumulative --config FILE``, not both.
+"""Command-line entry point: ``single``, ``cumulative``, ``basin``,
+``list-problems`` and ``verify`` (see README.md).
 
 Exit codes: 0 success, 1 a failed ``verify`` check, 2 configuration error
 or refused input (one ``error:`` line, nothing written), 3 empty accepted
@@ -28,7 +17,7 @@ from types import SimpleNamespace
 
 from .basin import DimensionMismatch, GridSpec, blue_fraction, render_basin
 from .diagnostics import metrics_from_trace
-from .formatting import format_full, format_metric
+from .formatting import format_full, format_metric, interval_cell
 from .harness import (B0_MODES, SUMMARY_COLUMNS, AcceptanceCriteria,
                       CounterRng, EmptyAcceptedSet, SeriesConfig,
                       cumulative_run, default_criteria, seeded_start)
@@ -164,6 +153,18 @@ def _csv(columns, rows, full_digits=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _metrics_csv(rows) -> str:
+    """The six-digit metrics.csv: a lazy cell comes from the bounds of
+    ``MetricsRow.enclosures`` where both print alike, else from the value."""
+    lines = [METRICS_HEADER]
+    for row in rows:
+        bounds = row.enclosures()
+        lines.append(",".join(
+            (attr in bounds and interval_cell(*bounds[attr])) or _cell(getattr(row, attr))
+            for _, attr in METRICS_COLUMNS))
+    return "\n".join(lines) + "\n"
+
+
 def _write(out, files: dict) -> None:
     """Create the directory ``out`` and write each named file, text or bytes."""
     Path(out).mkdir(parents=True, exist_ok=True)
@@ -184,8 +185,8 @@ def _cmd_single(args) -> int:
     else:
         rec = smp_run(p, u_hat, b_hat, args.c_const, args.order_alpha, opts)
     rows = metrics_from_trace(rec, p)
-    full = cfg.precision if args.full_precision else None
-    _write(args.out, {"metrics.csv": _csv(METRICS_COLUMNS, rows, full)})
+    _write(args.out, {"metrics.csv": _csv(METRICS_COLUMNS, rows, cfg.precision)
+                      if args.full_precision else _metrics_csv(rows)})
     print(f"{p.name} {args.method}: status={rec.status.value} kbar={rec.kbar} "
           f"F_final={format_metric(rec.trace[-1].f_norm)}")
     return 0

@@ -1,27 +1,56 @@
-"""Number serialization for CSV output.
-
-Display columns use scientific notation with six significant digits
-("6.18034e-01"), close to how the experiment tables print values.
-Full-precision dumps keep every working digit.  Both take a defined
-number: an undefined value (None) is written as -1 by the CSV writer
-(``cli._cell``), never here.
+"""Number serialization for CSV output: six significant digits
+("6.18034e-01") or every working digit.  An undefined value (None) is
+written as -1 by the CSV writer (``cli._cell``), never here.
 """
 from __future__ import annotations
 
 import mpmath.libmp as libmp
 from mpmath import mpf
 
+#: mantissas longer than this are cut toward zero before printing
+_MAX_BITS = 4000
 
-def format_metric(x) -> str:
-    """Scientific notation with six significant digits, e.g. 2.50000e-06."""
-    if x == 0:
-        return "0.00000e+00"
-    raw = x._mpf_ if hasattr(x, "_mpf_") else mpf(x)._mpf_
+
+def _six(raw) -> str:
+    # beyond 2**±3500 to_digits_exp prints an integer of about bc / 3.3 digits,
+    # past Python's limit of 4300 for bc > 14,000.  Within, it reads |x| down
+    # to 2**min(e - 39, 0), e = exp + bc, above the cut, so no cell changes;
+    # and no mantissa of 1,200 digits or fewer is cut.
+    if raw[3] > _MAX_BITS:
+        raw = libmp.normalize(*raw, _MAX_BITS, libmp.round_down)
     s = libmp.to_str(raw, 6, strip_zeros=False, min_fixed=1, max_fixed=0)
     mant, _, exp = s.partition("e")
     if "." not in mant:
         mant += ".00000"
     return f"{mant}e{int(exp or 0):+03d}"
+
+
+def format_metric(x) -> str:
+    """Scientific notation with six significant digits, e.g. 2.50000e-06."""
+    if x == 0:
+        return "0.00000e+00"
+    return _six(x._mpf_ if hasattr(x, "_mpf_") else mpf(x)._mpf_)
+
+
+def interval_cell(lo, hi):
+    """``format_metric``'s cell of every value in [lo, hi] (raw tuples), or
+    None when the ends are zero, of two signs or binades, or print apart.
+
+    Proof: for |x| in one binade [2**(e-1), 2**e), e = exp + bc, |e| <=
+    3500, mpmath 1.3.0's ``to_str(x, 6)`` takes sf = floor(|x| 2**f) and
+    sd = floor(sf 10**d / 2**f) for f and d fixed by e, and prints sd's L
+    digits rounded half-up to six: round(sd / 10**(L-6)) 10**(L-6-d), which
+    a carry or a longer sd only moves up.  So the printed value is monotone
+    in |x|, and a cell printed at both ends holds every x between.  At a
+    binade edge f and d change; past |e| = 3500 a rounded power of ten
+    scales x.  Neither keeps the order."""
+    if not (lo[1] and hi[1]) or lo[0] != hi[0]:
+        return None
+    e = lo[2] + lo[3]
+    if e != hi[2] + hi[3] or abs(e) > 3500:
+        return None
+    cell = _six(lo)
+    return cell if cell == _six(hi) else None
 
 
 def format_full(x, digits: int) -> str:

@@ -1,20 +1,10 @@
 """Seeded single-run and cumulative-run experiment driver.
 
-A cumulative run launches ``m`` independent single runs of the
-Newton-step-then-Broyden solver with random starting data
-
-    u_hat uniform in [-alpha, alpha]^n,
-    B_hat = F'(u_hat) + beta ||F'(u_hat)||_2 R_hat,
-
-filters out runs that fail to converge to the known root or whose final
-q-factors leave the expected band, and aggregates window extrema of the
-diagnostics over the accepted set.  The per-run window is
-
-    K = {k0, ..., kbar},   k0 = max(1, min(kbar - 25, floor(0.75 kbar))).
-
-Randomness comes from a counter-based SHA-256 stream keyed by
-(seed, run index), so any run can be reproduced in isolation and the whole
-experiment gives bit-identical results for any worker count.
+A cumulative run launches ``m`` seeded single runs, filters out those that
+fail to converge or leave the q-factor bands, and aggregates window extrema
+of the diagnostics over the accepted set (see README.md).  Randomness is a
+counter-based SHA-256 stream keyed by (seed, run index), so results do not
+depend on the worker count.
 """
 from __future__ import annotations
 
@@ -50,13 +40,8 @@ _TWO128 = 1 << 128
 
 
 class CounterRng:
-    """Counter-based random bit stream, splittable by (seed, stream).
-
-    Each draw hashes (seed, stream, counter), each in [0, 2**64), with
-    SHA-256 and keeps 128 bits, so streams for different run indices are
-    independent and a run can be regenerated without replaying its
-    predecessors.
-    """
+    """Counter-based random bit stream: each draw keeps 128 bits of the
+    SHA-256 of (seed, stream, counter), each in [0, 2**64)."""
 
     def __init__(self, seed: int, stream: int = 0):
         self._key = struct.pack("<QQ", seed, stream)
@@ -68,13 +53,9 @@ class CounterRng:
         self._counter += 1
         return int.from_bytes(digest[:16], "big")
 
-    def uniform_unit(self, ctx: PrecisionContext):
-        """Uniform scalar in [0, 1) with 128 random bits."""
-        return ctx.real(self.bits()) / _TWO128
-
     def uniform_symmetric(self, ctx: PrecisionContext, scale):
-        """Uniform scalar in [-scale, scale)."""
-        return ctx.real(scale) * (2 * self.uniform_unit(ctx) - 1)
+        """Uniform scalar in [-scale, scale) from 128 random bits."""
+        return ctx.real(scale) * (2 * (ctx.real(self.bits()) / _TWO128) - 1)
 
 
 def check_scale(name: str, value, allow_zero: bool = False) -> str:
@@ -94,10 +75,8 @@ def check_scale(name: str, value, allow_zero: bool = False) -> str:
 
 @dataclass(frozen=True)
 class SeriesConfig:
-    """Configuration of one cumulative run (all m single runs).
-
-    A ``single`` run is run index 0 of a series with m = 1.
-    """
+    """Configuration of one cumulative run of m single runs (``single`` is
+    run index 0 of a series with m = 1)."""
 
     problem: str
     alpha: str
@@ -151,12 +130,8 @@ def _check_keys(what: str, data, known, required=()):
 
 @dataclass(frozen=True)
 class AcceptanceCriteria:
-    """Filter applied to each single run before aggregation.
-
-    A run is accepted when it converged, its final iterate is within
-    ``u_cap`` of the root, and the final q-factors lie inside the closed
-    bands (when bands are given).
-    """
+    """A run is accepted when it converged, its final iterate is within
+    ``u_cap`` of the root, and its final q-factors lie in the closed bands."""
 
     u_cap: str = "1e-10"
     q_band: Optional[tuple] = None
@@ -215,11 +190,8 @@ class Window:
 
 def init_random(p: Problem, alpha, beta, rng: CounterRng,
                 ctx: PrecisionContext):
-    """Random starting data (u_hat, B_hat, noise matrix for B_0).
-
-    Draw order is fixed (u_hat entries, B_hat noise, B_0 noise, row-major)
-    so a (seed, run index) pair always reproduces the same data.
-    """
+    """Random (u_hat, B_hat, noise matrix for B_0), drawn in that order,
+    row-major, so a (seed, run index) pair reproduces them."""
     n = p.n
     u_hat = Vec(tuple(rng.uniform_symmetric(ctx, alpha) for _ in range(n)), ctx)
     r_hat = ctx.mat([[rng.uniform_symmetric(ctx, 1) for _ in range(n)]
@@ -241,12 +213,9 @@ def perturbed(jac: Mat, beta, noise: Mat) -> Mat:
 
 
 def seeded_start(cfg: SeriesConfig, run_index: int):
-    """Problem, options and seeded starting data of one run of ``cfg``.
-
-    Returns (p, opts, u_hat, b_hat, b0), where ``b0`` is the B_0 rule of
-    :func:`solvers.bmp_run`: u0 -> F'(u0) perturbed by beta and the run's
-    B_0 noise for the ``jacobian`` mode, otherwise None.
-    """
+    """(p, opts, u_hat, b_hat, b0) of one run of ``cfg``; ``b0`` is the B_0
+    rule of :func:`solvers.bmp_run` for the ``jacobian`` mode (u0 -> F'(u0)
+    perturbed by beta and the run's noise), otherwise None."""
     ctx = PrecisionContext(cfg.precision)
     p = get_problem(cfg.problem)
     opts = SolverOptions(precision=ctx, tol_exponent=cfg.tol_exponent,
@@ -259,11 +228,8 @@ def seeded_start(cfg: SeriesConfig, run_index: int):
 
 
 def run_single(cfg: SeriesConfig, run_index: int):
-    """One seeded single run of the configured series.
-
-    Returns the solver record together with its metrics rows over the final
-    window K of ``cfg.window_rule``.
-    """
+    """One seeded run of the series: its record and its metrics rows over
+    the final window K of ``cfg.window_rule``."""
     p, opts, u_hat, b_hat, b0 = seeded_start(cfg, run_index)
     rec = bmp_run(p, u_hat, b_hat, opts, b0)
     window = Window.from_kbar(rec.kbar, cfg.window_rule)
@@ -273,12 +239,8 @@ def run_single(cfg: SeriesConfig, run_index: int):
 
 def removal_reason(rec: RunRecord, rows: list,
                    crit: AcceptanceCriteria) -> Optional[str]:
-    """None when the run is accepted, otherwise the removal category.
-
-    ``rows`` are metrics rows of ``rec`` ending at kbar; only the final
-    row's err, q and Q are read, and only once the status and kbar >= 2
-    have passed (for kbar = 0 the window K is empty).
-    """
+    """None when the run is accepted, otherwise the removal category; only
+    the final row of ``rows`` is read, once the status and kbar >= 2 pass."""
     if rec.status is Status.MAX_ITER:
         return "timeout"
     if rec.status not in SUCCESS:
@@ -299,14 +261,9 @@ def removal_reason(rec: RunRecord, rows: list,
 
 
 class SummaryColumn(NamedTuple):
-    """One column of summary.csv.
-
-    ``stat`` is the per-run statistic (pick, attr) of the MetricsRow
-    attribute ``attr``: its value at kbar ("final") or its extremum over the
-    window K with undefined (None) values skipped ("min", "max").  ``fold``
-    reduces the statistic over the accepted runs into the CumulativeSummary
-    field ``attr``.
-    """
+    """One column of summary.csv: ``stat`` = (pick, MetricsRow attribute),
+    the value at kbar ("final") or the window extremum ("min", "max"), which
+    ``fold`` reduces over the accepted runs into the field ``attr``."""
 
     csv: str
     attr: str
@@ -345,14 +302,9 @@ _STATS = tuple(dict.fromkeys(c.stat for c in SUMMARY_COLUMNS))
 
 
 def run_stats(rows: list) -> tuple:
-    """The per-run statistics of one run's rows over its window K (final row
-    last), in ``_STATS`` order and exact transport form: an mpf as its
-    ``_mpf_`` tuple, None where nothing was defined.
-
-    A window extremum of a lazy column evaluates only the rows that can
-    hold it (:func:`diagnostics.window_extreme`).  The extrema come first,
-    so that the final row's spectrum enters by its key too.
-    """
+    """The per-run statistics of one run's window rows (final row last), in
+    ``_STATS`` order, an mpf as its ``_mpf_`` tuple.  The window extrema
+    come first, so that the final row's spectrum enters by its key too."""
     values = {stat: window_extreme(*stat, rows) for stat in _STATS
               if stat[0] != "final"}
     values.update({stat: getattr(rows[-1], stat[1]) for stat in _STATS
@@ -394,11 +346,8 @@ def pool_size(workers: int, tasks: int, cpus: Optional[int]) -> int:
 
 
 def parallel_map(fn, tasks, workers: int) -> list:
-    """``[fn(*task) for task in tasks]``, in task order.
-
-    Runs on a process pool of :func:`pool_size` workers, or in-process when
-    that is at most one.
-    """
+    """``[fn(*task) for task in tasks]``, in task order, on a process pool
+    of :func:`pool_size` workers, or in-process when that is at most one."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     tasks = list(tasks)
@@ -418,12 +367,9 @@ def _worker_stats(cfg: SeriesConfig, crit: AcceptanceCriteria, run_index: int):
 
 def cumulative_run(cfg: SeriesConfig, crit: Optional[AcceptanceCriteria] = None,
                    workers: int = 1) -> CumulativeSummary:
-    """Run the m single runs of ``cfg``, filter, and aggregate.
-
-    The reduction consumes per-run statistics in run-index order, so the
-    summary is bit-identical for any ``workers`` count.  Raises
-    :class:`EmptyAcceptedSet` when every run is removed.
-    """
+    """Run the m single runs of ``cfg``, filter, and aggregate in run-index
+    order (bit-identical for any ``workers``); :class:`EmptyAcceptedSet`
+    when every run is removed."""
     if crit is None:
         crit = default_criteria(cfg.problem)
     ctx = PrecisionContext(cfg.precision)

@@ -1,23 +1,10 @@
 """Arbitrary-precision dense linear algebra on small square matrices.
 
-Everything runs under an explicit :class:`PrecisionContext`, so results are
-deterministic for a fixed precision and independent of any global mpmath
-state.  The matrices in the experiments are tiny (n <= 4), so the
-implementations favor transparent error behavior over asymptotic speed:
-LU with partial pivoting for solves, one-sided Jacobi rotations for
-singular values.
-
-Every operation works on raw ``_mpf_`` tuples at the context's precision
-and rounding, as the ``mpf`` operators do: the results are bit-identical,
-without an object per intermediate scalar.  :func:`mpf_add`,
-:func:`mpf_sub`, :func:`mpf_div` and :func:`mpf_sqrt` are this module's own
-copies of mpmath's pure-python libmp bodies, with ``int.bit_length`` and
-``math.isqrt`` in place of libmp's bit count and integer square root; every
-other scalar op is :mod:`mpmath.libmp`'s.  The solvers' per-iteration
-solve, dot and secant update come from :func:`kernels`, which picks them
-once per run by n: the solve and the update written out for n = 2,
-otherwise the generic loops of :func:`lu_solve` and
-:func:`rank_one_update`; the dot is always :func:`raw_dot`.
+Everything runs on raw ``_mpf_`` tuples at an explicit
+:class:`PrecisionContext`, bit-identical to the ``mpf`` operators: LU with
+partial pivoting for solves, one-sided Jacobi rotations for singular values,
+and per-run kernels (:func:`kernels`) written out for n = 2.  See README.md
+for the own scalar ops.
 """
 from __future__ import annotations
 
@@ -30,11 +17,8 @@ from mpmath.libmp import (fone, fzero, mpf_abs, mpf_cmp, mpf_gt, mpf_le, mpf_lt,
                           normalize1, round_nearest)
 
 
-# -- scalar ops: mpmath 1.3.0's python-backend bodies with int.bit_length for
-# libmp's bitcount (a table bisect and math.log) and math.isqrt for its sqrtrem
-# (a Newton loop): the same integers, so the same tuples.  Zeros, inf and nan,
-# the sums that libmp's 100-bit offset shortcut perturbs (to the same result,
-# without a huge shift) and directed-rounding square roots are libmp's own.
+# -- scalar ops: mpmath 1.3.0's python-backend bodies with int.bit_length and
+# math.isqrt, so the same tuples; special operands go to libmp (README.md)
 
 def mpf_add(s, t, prec, rnd, _sub=0):
     """s + t (s - t with ``_sub``) of raw tuples, as ``libmp.mpf_add``."""
@@ -118,13 +102,9 @@ class NoConvergence(LinalgError):
 
 
 class PrecisionContext:
-    """Working precision.
-
-    ``decimal_digits`` is the number of decimal digits carried by every
-    scalar created through this context.  An LU pivot smaller than
-    ``10**-(decimal_digits - 20)`` times the largest matrix entry (20 digits
-    of headroom) triggers :class:`SingularMatrix`.
-    """
+    """Working precision of ``decimal_digits`` decimal digits; an LU pivot
+    below ``10**-(decimal_digits - 20)`` times the largest matrix entry
+    raises :class:`SingularMatrix`."""
 
     __slots__ = ("decimal_digits", "mp", "prec", "rounding", "pivot_scale",
                  "svd_tol")
@@ -320,12 +300,8 @@ def rank_one_update(B: Mat, v: Vec, w: Vec) -> Mat:
 
 
 def lu_solve(A: Mat, b: Vec) -> Vec:
-    """Solve A x = b by LU with partial pivoting.
-
-    Raises :class:`SingularMatrix` when a pivot falls below
-    ``10**-(decimal_digits - 20)`` relative to the largest entry of A,
-    which is how quasi-Newton breakdown surfaces to the solvers.
-    """
+    """Solve A x = b by LU with partial pivoting; a pivot below the context's
+    threshold raises :class:`SingularMatrix`, the solvers' breakdown."""
     if len(b) != A.n:
         raise ValueError("dimension mismatch in lu_solve")
     return A.ctx.raw_vec(_solve(A.ctx, A.raw(), b.raw()))
@@ -464,13 +440,11 @@ def kernels(ctx: PrecisionContext, n: int):
 
 
 def singular_values(A: Mat):
-    """All singular values of A in ascending order, by one-sided Jacobi.
-
-    Columns are rotated until every off-diagonal Gram entry is below
-    ``10**(-decimal_digits + 10)`` relative to its diagonal pair.  Raises
-    :class:`NoConvergence` after ``60 n**2`` rotations, which only happens
-    when the precision context is misconfigured.
-    """
+    """All singular values of A in ascending order, by one-sided Jacobi:
+    columns rotate until every off-diagonal Gram entry is at most svd_tol
+    times the root of its diagonal pair; :class:`NoConvergence` after ``60
+    n**2`` rotations.  Each output lies within 2 n svd_tol ||A||_F of the
+    exact one (proof next to ``diagnostics.KEY_MARGIN``)."""
     ctx = A.ctx
     n = A.n
     prec, rnd = ctx.prec, ctx.rounding

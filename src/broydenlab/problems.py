@@ -1,13 +1,9 @@
 """Registry of nonlinear test systems with known roots and singularity data.
 
-Four built-in systems (``example1`` .. ``example4``) plus a one-dimensional
-monomial family ``monomial:p`` (u -> u**p with root 0).  Each problem carries
-its analytic Jacobian and, for the singular ones, a unit null vector ``phi``
-of F'(0) together with a vector ``psi`` spanning the orthogonal complement of
-range(F'(0)); these determine the oblique projector onto the nullspace.
-
-Residual and Jacobian callables are module-level functions so Problem objects
-can cross process boundaries.
+Each problem carries its analytic Jacobian and, for the singular ones, a
+unit null vector ``phi`` of F'(0) and a vector ``psi`` spanning the
+complement of range(F'(0)).  Residuals and Jacobians are module-level
+functions, so Problem objects can cross process boundaries.
 """
 from __future__ import annotations
 
@@ -125,14 +121,9 @@ def _j_monomial(p: int, u: Vec) -> Mat:
 
 @dataclass(frozen=True)
 class Problem:
-    """A residual map with known root and singularity metadata.
-
-    ``phi`` is a unit vector spanning ker(F'(root)) and ``psi`` spans
-    range(F'(root))^perp; both are None for regular roots.
-    ``singularity_order`` is 0 for a regular root, 1 when the second
-    derivative along phi has a nullspace component (Assumption-style
-    first-order singularity), 2 when that component vanishes as well.
-    """
+    """A residual map with known root: ``phi`` spans ker(F'(root)) and
+    ``psi`` range(F'(root))^perp (None for regular roots); the
+    ``singularity_order`` is 0 (regular), 1 or 2."""
 
     name: str
     n: int
@@ -226,13 +217,9 @@ def projectors(p: Problem, ctx: PrecisionContext) -> Mat:
 
 
 def verify_a2(p: Problem, h, ctx: PrecisionContext) -> Vec:
-    """Nullspace component of the second derivative along phi.
-
-    Returns P_N applied to the central second difference
-    (F(root + h phi) - 2 F(root) + F(root - h phi)) / h**2, an O(h**2)
-    approximation of P_N(F''(root)(phi, phi)).  A nonzero result certifies
-    the first-order singularity condition.
-    """
+    """P_N of the central second difference (F(root + h phi) - 2 F(root) +
+    F(root - h phi)) / h**2 ~ P_N(F''(root)(phi, phi)), nonzero at a
+    first-order singularity."""
     h = ctx.real(h)
     lo = ctx.pow10(-ctx.real(ctx.decimal_digits) / 2)
     if not (lo < h < ctx.pow10(-2)):
@@ -245,11 +232,8 @@ def verify_a2(p: Problem, h, ctx: PrecisionContext) -> Vec:
 
 
 def fd_jacobian(p: Problem, u: Vec, ctx: PrecisionContext) -> Mat:
-    """Central-difference Jacobian with step 10**(-digits/3).
-
-    Independent of ``Problem.jac``; used to cross-check the analytic
-    formulas.
-    """
+    """Central-difference Jacobian with step 10**(-digits/3), to cross-check
+    ``Problem.jac``."""
     h = ctx.pow10(-ctx.real(ctx.decimal_digits) / 3)
     n = p.n
     cols = []

@@ -1,21 +1,10 @@
 """Quasi-Newton iterations with full per-iteration traces.
 
-Four drivers run on one engine, which carries u, F, s, B and the trace as
-raw ``_mpf_`` tuples through the kernels :func:`linalg.kernels` picks by n.
-A driver may add a Jacobian refresh of B or, without B, its own step rule:
-
-* ``broyden_run``    rank-one secant updates from a given (u0, B0);
-* ``bmp_run``        a Newton-like step u0 = u_hat - B_hat^{-1} F(u_hat)
-                     followed by Broyden's method, with the initial guess as
-                     entry 0 of the record;
-* ``smp_run``        the Shamanskii-like acceleration (Newton iterate,
-                     simplified Newton step z, correction y - (4 - C|z|^a) z)
-                     behind the same preceding Newton-like step;
-* ``newton_run``     plain Newton, for reference.
-
-No failure mode raises out of a run: breakdowns, divergence and iteration
-caps all land in ``RunRecord.status``.  Traces are bit-reproducible for a
-fixed precision context, and bit-identical to ``Vec`` and ``Mat`` arithmetic.
+Four drivers (``broyden_run``, ``bmp_run``, ``smp_run``, ``newton_run``)
+run on one engine, which carries u, F, s, B and the trace as raw ``_mpf_``
+tuples through the kernels :func:`linalg.kernels` picks by n.  No failure
+mode raises out of a run: breakdowns, divergence and iteration caps land in
+``RunRecord.status``.
 """
 from __future__ import annotations
 
@@ -45,17 +34,10 @@ SUCCESS = (Status.CONVERGED, Status.EXACT_ROOT)
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Stopping rules and the recording switch for one run.
-
-    ``tol_exponent`` t stops the iteration at ||F(u)|| <= 10**-t; it must
-    leave at least 20 digits of headroom below the working precision so the
-    test cannot stagnate at roundoff level.  ``divergence_guard`` aborts a
-    run whose iterate norm explodes, as a bounded-time alternative to
-    ``max_iter``.  ``record_spectra`` keeps B_k in every trace entry, so the
-    spectra of E_k = B_k - F'(root) can be computed later.  The engine
-    decides from the dot products F.F and s.s; the norms of F and of the
-    steps are taken only when a trace entry is read.
-    """
+    """Stopping rules and the recording switch for one run: stop at ||F(u)||
+    <= 10**-``tol_exponent`` (at least 20 digits above the working
+    precision) or at ||u|| > ``divergence_guard``; ``record_spectra`` keeps
+    B_k in every trace entry."""
 
     precision: PrecisionContext
     tol_exponent: int
@@ -74,19 +56,11 @@ class SolverOptions:
 
 @dataclass
 class TraceEntry:
-    """State at one displayed iteration index k, kept as raw ``_mpf_`` tuples.
-
-    ``raw_u`` is u^k, ``raw_s`` the step u^{k+1} - u^k (None at the final
-    index) and ``raw_b`` the rows of B_k when spectra are recorded (never for
-    the Shamanskii-like method, which carries no B); ``u``, ``s`` and ``b``
-    build the ``Vec`` or ``Mat`` (None for None) on every read, so a trace
-    holds one form only.  ``ff``, ``ss`` and ``ff_next`` are the raw dot
-    products F(u^k).F(u^k), s^k.s^k and F(u^{k+1}).F(u^{k+1}) (the last two
-    only with a matrix).  ``f_norm`` = ||F(u^k)||, ``s_norm`` = ||s^k|| (None
-    at kbar) and the update norm ``eps`` = ||F(u^{k+1})|| / ||s^k|| (None
-    without ``ss``) are taken on first read, bit-identical to ``Vec.norm``
-    and the mpf quotient, so one square root of s.s serves all readers.
-    """
+    """State at iteration index k as raw ``_mpf_`` tuples: u^k, the step s^k
+    (None at kbar), the rows of B_k (None without a B), and the dot products
+    F.F, s.s and F(u^{k+1}).F(u^{k+1}).  ``u``, ``s`` and ``b`` build a
+    ``Vec`` or ``Mat`` on every read; ``f_norm``, ``s_norm`` and the update
+    norm ``eps`` = ||F(u^{k+1})|| / ||s^k|| are cached on first read."""
 
     ctx: PrecisionContext
     raw_u: tuple
@@ -255,15 +229,10 @@ def broyden_run(p: Problem, u0: Vec, b0: Mat, opts: SolverOptions) -> RunRecord:
 
 def bmp_run(p: Problem, u_hat: Vec, b_hat: Mat, opts: SolverOptions,
             b0: Optional[Callable[[Vec], Mat]] = None) -> RunRecord:
-    """Broyden's method with a preceding Newton-like step.
-
-    The first step u0 = u_hat - B_hat^{-1} F(u_hat) is the engine's step 0.
-    The matrix update at k = 0 installs B_0 = ``b0(u0)``, or without ``b0``
-    the secant update of B_hat along that step; every later one is the
-    secant update.  Entry 0 of the record holds (u_hat, B_hat), entry 1 the
-    Newton-like iterate u0 with B_0, and so on, matching how single-run
-    tables label the sequence.
-    """
+    """Broyden's method behind the Newton-like step u0 = u_hat - B_hat^{-1}
+    F(u_hat), the engine's step 0, after which B_0 = ``b0(u0)`` (without
+    ``b0``, the secant update of B_hat).  Entry 0 of the record holds
+    (u_hat, B_hat), entry 1 (u0, B_0), as single-run tables label them."""
     _check_dims(p, u_hat, b_hat)
     return _engine(p, u_hat, b_hat, opts, None if b0 is None else
                    lambda k, u: b0(u_hat.ctx.raw_vec(u)) if k == 0 else None)
@@ -277,14 +246,10 @@ def newton_run(p: Problem, u0: Vec, opts: SolverOptions) -> RunRecord:
 
 def smp_run(p: Problem, u_hat: Vec, b_hat: Mat, c, alpha,
             opts: SolverOptions) -> RunRecord:
-    """Shamanskii-like acceleration behind a preceding Newton-like step.
-
-    After u^{-1} = u_hat - B_hat^{-1} F(u_hat) and a Newton step to u^0, each
-    iteration computes the Newton iterate y, the simplified Newton step
-    z = F'(u)^{-1} F(y), and corrects to y - (4 - C ||z||^alpha) z.  The trace
-    lists (u_hat, u^{-1}, u^0, u^1, ...); there is no Broyden matrix, so eps
-    and B_k stay empty.
-    """
+    """Shamanskii-like acceleration: after u^{-1} = u_hat - B_hat^{-1}
+    F(u_hat) and a Newton step to u^0, the Newton iterate y, the simplified
+    Newton step z = F'(u)^{-1} F(y), and y - (4 - C ||z||^alpha) z.  The
+    trace lists (u_hat, u^{-1}, u^0, ...), without B_k or eps."""
     _check_dims(p, u_hat, b_hat)
     ctx = opts.precision
     try:

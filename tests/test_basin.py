@@ -206,3 +206,30 @@ def test_render_calls_the_given_problems_jacobian(ex1, crit):
         for j in range(3):
             classify_point_detail(p, grid.point(i, j, opts.precision), crit, opts)
     assert rendered == len(calls) - rendered > 0
+
+
+def test_near_basin_fails_only_on_two_lines_through_the_root(ex1, crit):
+    # the paper's first result: on a near grid the exceptional starts lie on
+    # u2 = 0, where the Newton-like step lands on the root (exact-root,
+    # kbar 1), and on det F'(u) = 1.5 u1 + 2 u2 = 0, where B_hat is singular
+    # (kbar 0); with offsets (a, b) from the centre these are b = 0 and
+    # 3a + 4b = 0, taken from the integers, never from mpf coordinates
+    res = 21
+    _, results = render_basin(ex1, GridSpec(half_width="0.001", resolution=res),
+                              crit, basin_opts(160, 60), workers=1)
+    half = res // 2
+    on_lines = 0
+    for idx, pixel in enumerate(results):
+        a, b = idx % res - half, half - idx // res
+        got = (pixel.classification, pixel.kbar)
+        if a == b == 0:
+            assert got == (Classification.IN_BAND, 0)
+        elif b == 0:
+            assert got == (Classification.OUT_OF_BAND, 1), (a, b)
+        elif 3 * a + 4 * b == 0:
+            assert got == (Classification.NO_CONVERGENCE, 0), (a, b)
+        else:
+            assert pixel.classification is Classification.IN_BAND, (a, b)
+            continue
+        on_lines += 1
+    assert on_lines == 2 * half + 4 + 1

@@ -29,8 +29,7 @@ def test_counter_rng_reproducible_and_split():
 def test_counter_rng_uniform_range(ctx100):
     rng = CounterRng(9, 0)
     for _ in range(200):
-        u = rng.uniform_unit(ctx100)
-        assert 0 <= u < 1
+        assert 0 <= rng.bits() < 2 ** 128
     for _ in range(200):
         x = rng.uniform_symmetric(ctx100, "0.25")
         assert abs(x) <= ctx100.real("0.25")

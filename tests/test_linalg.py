@@ -306,7 +306,7 @@ def _assert_key_matches_jacobi(A, near_tolerance=False):
     # 2**-(prec - 8), relative; an off-diagonal near the Jacobi tolerance
     # stays within the window's slack 4 svd_tol
     ctx = A.ctx
-    key = _Spectrum(ctx, A.raw(), lambda: (A - A).raw()).key()
+    key = ctx.make(_Spectrum(ctx, A.raw(), lambda: (A - A).raw()).key())
     want = 4 * singular_values(A)[-1] ** 2
     if near_tolerance:
         assert abs(key - want) <= 4 * ctx.svd_tol * key
@@ -601,3 +601,44 @@ def test_raw_dot_starts_from_the_first_product():
             assert raw_dot(a, b, prec, rnd) == summed_from_zero(a, b)
     v = ctx.vec(["0.3"])
     assert v.raw_dot(v) == summed_from_zero(v.raw(), v.raw())
+
+
+@st.composite
+def _jacobi_matrices(draw):
+    """Raw rows of an n x n matrix, n = 2 or 3, exact at 60 digits: free,
+    rank-deficient, with sigma_min below 1e-40 ||E||, or with a column
+    below Jacobi's deflation floor."""
+    n = draw(st.sampled_from((2, 3)))
+    kind = draw(st.sampled_from(("free", "rank-deficient", "tiny-sigma", "deflated")))
+    m = [[draw(st.integers(-2 ** 30, 2 ** 30)) for _ in range(n)] for _ in range(n)]
+    exps = [[0] * n for _ in range(n)]
+    if kind in ("rank-deficient", "tiny-sigma"):
+        c = [draw(st.integers(-9, 9)) for _ in range(n - 1)]
+        m[-1] = [sum(ci * row[j] for ci, row in zip(c, m)) for j in range(n)]
+    if kind == "tiny-sigma":
+        # one entry moved by at most 2**-100 of a norm of up to 2**32
+        m = [[x << 120 for x in row] for row in m]
+        exps = [[-120] * n for _ in range(n)]
+        m[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] += \
+            draw(st.integers(1, 2 ** 20))
+    if kind == "deflated":
+        j = draw(st.integers(0, n - 1))
+        for row in exps:
+            row[j] = -700
+    return [[_raw(x, e) for x, e in zip(row, erow)] for row, erow in zip(m, exps)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_jacobi_matrices())
+def test_jacobi_output_within_2n_svd_tol_of_the_singular_values(rows):
+    # the bound the six-digit spectrum cells rest on (next to KEY_MARGIN in
+    # diagnostics.py): Jacobi's outputs at P and at 2P digits each lie within
+    # 2 n svd_tol ||E||_F of the exact singular values of the same E
+    n = len(rows)
+    lo, hi = PrecisionContext(60), PrecisionContext(120)
+    got, want = (singular_values(ctx.raw_mat(rows)) for ctx in (lo, hi))
+    e = hi.raw_mat(rows)
+    norm = hi.sqrt(sum(x * x for row in e.rows for x in row))
+    bound = 2 * n * (lo.svd_tol + hi.svd_tol) * norm
+    for a, b in zip(got, want):
+        assert abs(hi.real(a) - b) <= bound
