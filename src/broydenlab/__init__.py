@@ -1,7 +1,7 @@
 """Arbitrary-precision laboratory for Broyden-type methods on singular systems."""
 
 from .linalg import (Mat, NoConvergence, PrecisionContext, SingularMatrix, Vec,
-                     lu_solve, rank_one_update, singular_values, spectral_norm)
+                     lu_solve, rank_one_update, singular_values)
 from .problems import (MissingNullData, Problem, get_problem, list_problems,
                        projectors, verify_a2)
 from .solvers import (RunRecord, SolverOptions, Status, bmp_run, broyden_run,
@@ -14,7 +14,7 @@ from .basin import Classification, DimensionMismatch, GridSpec, render_basin
 
 __all__ = [
     "Mat", "NoConvergence", "PrecisionContext", "SingularMatrix", "Vec",
-    "lu_solve", "rank_one_update", "singular_values", "spectral_norm",
+    "lu_solve", "rank_one_update", "singular_values",
     "MissingNullData", "Problem", "get_problem", "list_problems",
     "projectors", "verify_a2",
     "RunRecord", "SolverOptions", "Status", "bmp_run", "broyden_run",

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
-import json
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -127,6 +126,7 @@ def _series(args, defaults: dict):
         if given:
             flags = [flag for flag, field, _ in SERIES_FLAGS if field in given]
             raise ValueError(f"--config excludes {', '.join(flags)}")
+        import json   # main refuses its JSONDecodeError as a ValueError
         data = json.loads(Path(args.config).read_text())
         crit = data.pop("criteria", None) if isinstance(data, dict) else None
     cfg = SeriesConfig.from_mapping(data)
@@ -267,8 +267,7 @@ def main(argv=None) -> int:
     except EmptyAcceptedSet as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError, json.JSONDecodeError, LinalgError,
-            DimensionMismatch) as exc:
+    except (ValueError, KeyError, OSError, LinalgError, DimensionMismatch) as exc:
         # str() of a KeyError is the repr of its message, quotes included
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)

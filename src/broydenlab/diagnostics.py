@@ -143,7 +143,7 @@ class _Root(NamedTuple):
     k: int
 
     def value(self, ctx):
-        return ctx.power(self.x, ctx.one / self.k)
+        return ctx.mp.power(self.x, ctx.one / self.k)
 
     def key(self):
         return _ln(self.x) / self.k
@@ -161,7 +161,7 @@ class _LogRatio(NamedTuple):
     b: object
 
     def value(self, ctx):
-        return ctx.log(self.a) / ctx.log(self.b)
+        return ctx.mp.log(self.a) / ctx.mp.log(self.b)
 
     def key(self):
         log_b = _ln(self.b)

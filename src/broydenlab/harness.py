@@ -8,19 +8,16 @@ depend on the worker count.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
-import hashlib
 import os
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 import mpmath
 
 from .diagnostics import metrics_from_trace, window_extreme
-from .linalg import Mat, PrecisionContext, Vec, spectral_norm
+from .linalg import Mat, PrecisionContext, Vec, singular_values
 from .problems import Problem, get_problem
 from .solvers import RunRecord, SolverOptions, Status, SUCCESS, bmp_run
 
@@ -49,6 +46,7 @@ class CounterRng:
 
     def bits(self) -> int:
         """Next 128 random bits as an integer."""
+        import hashlib   # not at module import: a basin never draws
         digest = hashlib.sha256(self._key + struct.pack("<Q", self._counter)).digest()
         self._counter += 1
         return int.from_bytes(digest[:16], "big")
@@ -146,6 +144,7 @@ class AcceptanceCriteria:
                     raise ValueError(f"{name} must be a (lo, hi) pair, got {band!r}")
                 lo, hi = (check_scale(name, x, allow_zero=True) for x in band)
                 # exactly: as doubles, 1e-400 and 1e-401 are both 0
+                from fractions import Fraction
                 if Fraction(lo) > Fraction(hi):
                     raise ValueError(f"{name} is empty: {band}")
                 object.__setattr__(self, name, (lo, hi))
@@ -207,7 +206,7 @@ def perturbed(jac: Mat, beta, noise: Mat) -> Mat:
     beta = ctx.real(beta)
     if beta == 0:
         return jac
-    scale = beta * spectral_norm(jac)
+    scale = beta * singular_values(jac)[-1]
     return jac + Mat(tuple(tuple(scale * x for x in row)
                            for row in noise.rows), ctx)
 
@@ -354,6 +353,7 @@ def parallel_map(fn, tasks, workers: int) -> list:
     size = pool_size(workers, len(tasks), os.cpu_count())
     if size <= 1:
         return [fn(*task) for task in tasks]
+    import concurrent.futures
     with concurrent.futures.ProcessPoolExecutor(max_workers=size) as pool:
         futures = [pool.submit(fn, *task) for task in tasks]
         return [f.result() for f in futures]

@@ -161,20 +161,6 @@ class PrecisionContext:
         """Matrix from rows of raw ``_mpf_`` tuples."""
         return Mat((self.raw_vec(r).entries for r in rows), self)
 
-    # -- elementary functions ------------------------------------------------
-
-    def sqrt(self, x):
-        return self.mp.sqrt(x)
-
-    def log(self, x):
-        return self.mp.log(x)
-
-    def exp(self, x):
-        return self.mp.exp(x)
-
-    def power(self, x, y):
-        return self.mp.power(x, y)
-
     # -- container constructors ----------------------------------------------
 
     def vec(self, entries) -> "Vec":
@@ -396,18 +382,16 @@ def _outer_add(B, v, w, prec, rnd):
 
 
 def kernels(ctx: PrecisionContext, n: int):
-    """``(solve, dot, secant)`` on raw vectors and n x n matrices: ``solve(A,
-    b)`` is :func:`lu_solve`, ``dot(a, b)`` is ``Vec.raw_dot`` and ``secant(B,
-    s, ss, f)`` is B + (f / ss) s^T as ``rank_one_update(B, f.scaled(1 / ss),
-    s)`` forms it.  For n = 2 the solve and the secant update are written out
-    with the same scalar ops in the same order."""
+    """``(solve, secant)`` on raw vectors and n x n matrices: ``solve(A, b)``
+    is :func:`lu_solve` and ``secant(B, s, ss, f)`` is B + (f / ss) s^T as
+    ``rank_one_update(B, f.scaled(1 / ss), s)`` forms it.  For n = 2 both are
+    written out with the same scalar ops in the same order."""
     prec, rnd = ctx.prec, ctx.rounding
     if n != 2:
         def secant(B, s, ss, f):
             inv = mpf_rdiv_int(1, ss, prec, rnd)
             return _outer_add(B, [mpf_mul(inv, x, prec, rnd) for x in f], s, prec, rnd)
-        return (functools.partial(_solve, ctx),
-                lambda a, b: raw_dot(a, b, prec, rnd), secant)
+        return functools.partial(_solve, ctx), secant
 
     def solve(A, b):
         (a, b01), (c, d) = A
@@ -436,7 +420,7 @@ def kernels(ctx: PrecisionContext, n: int):
                 (mpf_add(b10, mpf_mul(v1, s0, prec, rnd), prec, rnd),
                  mpf_add(b11, mpf_mul(v1, s1, prec, rnd), prec, rnd)))
 
-    return solve, lambda a, b: raw_dot(a, b, prec, rnd), secant
+    return solve, secant
 
 
 def singular_values(A: Mat):
@@ -515,8 +499,3 @@ def singular_values(A: Mat):
     norms = sorted((mpf_sqrt(g, prec, rnd) for g in diag),
                    key=functools.cmp_to_key(mpf_cmp))
     return tuple(ctx.make(x) for x in norms)
-
-
-def spectral_norm(A: Mat):
-    """Largest singular value."""
-    return singular_values(A)[-1]

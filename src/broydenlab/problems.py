@@ -8,6 +8,7 @@ functions, so Problem objects can cross process boundaries.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -23,8 +24,8 @@ class MissingNullData(Exception):
 # -- residuals and Jacobians -------------------------------------------------
 #
 # example1 (n=2):  F(u) = (u1 + u2^2,  3/2 u1 u2 + u2^2 + u2^3)
-# example2 (n=3):  F(u) = (u1^2 + u2 + u3,  u2 - 2 u3^3,  5 u3 + u3^2)
-# example3 (n=3):  example2 with u1^2 replaced by u1^3 (same F'(0))
+# example2 (n=3):  F(u) = (u1^p + u2 + u3,  u2 - 2 u3^3,  5 u3 + u3^2), p = 2
+# example3 (n=3):  the same with p = 3 (same F'(0))
 # example4 (n=3):  regular root, see _f_example4
 # monomial (n=1):  F(u) = (u1^p,)
 
@@ -58,30 +59,18 @@ def _j_example1(u: Vec) -> Mat:
                 (u2 * 3 / 2, u1 * 3 / 2 + 2 * u2 + 3 * u2 * u2)), ctx)
 
 
-def _f_example2(u: Vec) -> Vec:
+def _f_example23(p: int, u: Vec) -> Vec:
+    # u1**p formed as u1 * u1 (* u1), one rounding per product
     u1, u2, u3 = u.entries
-    return Vec((u1 * u1 + u2 + u3, u2 - 2 * u3 * u3 * u3, 5 * u3 + u3 * u3), u.ctx)
+    return Vec((math.prod((u1,) * (p - 1), start=u1) + u2 + u3,
+                u2 - 2 * u3 * u3 * u3, 5 * u3 + u3 * u3), u.ctx)
 
 
-def _j_example2(u: Vec) -> Mat:
+def _j_example23(p: int, u: Vec) -> Mat:
     ctx = u.ctx
     u1, _, u3 = u.entries
     one, zero = ctx.one, ctx.zero
-    return Mat(((2 * u1, one, one),
-                (zero, one, -6 * u3 * u3),
-                (zero, zero, 5 + 2 * u3)), ctx)
-
-
-def _f_example3(u: Vec) -> Vec:
-    u1, u2, u3 = u.entries
-    return Vec((u1 * u1 * u1 + u2 + u3, u2 - 2 * u3 * u3 * u3, 5 * u3 + u3 * u3), u.ctx)
-
-
-def _j_example3(u: Vec) -> Mat:
-    ctx = u.ctx
-    u1, _, u3 = u.entries
-    one, zero = ctx.one, ctx.zero
-    return Mat(((3 * u1 * u1, one, one),
+    return Mat(((math.prod((u1,) * (p - 1), start=p), one, one),
                 (zero, one, -6 * u3 * u3),
                 (zero, zero, 5 + 2 * u3)), ctx)
 
@@ -93,8 +82,8 @@ def _f_example4(u: Vec) -> Vec:
     a = one + u1
     b = one + u2
     return Vec((a * a * b + b * b + u3 - 2,
-                ctx.exp(u1) + b * b * b + u3 * u3 - 2,
-                ctx.exp(u3 * u3) + b * b - 2), ctx)
+                ctx.mp.exp(u1) + b * b * b + u3 * u3 - 2,
+                ctx.mp.exp(u3 * u3) + b * b - 2), ctx)
 
 
 def _j_example4(u: Vec) -> Mat:
@@ -104,8 +93,8 @@ def _j_example4(u: Vec) -> Mat:
     a = one + u1
     b = one + u2
     return Mat(((2 * a * b, a * a + 2 * b, one),
-                (ctx.exp(u1), 3 * b * b, 2 * u3),
-                (zero, 2 * b, 2 * u3 * ctx.exp(u3 * u3))), ctx)
+                (ctx.mp.exp(u1), 3 * b * b, 2 * u3),
+                (zero, 2 * b, 2 * u3 * ctx.mp.exp(u3 * u3))), ctx)
 
 
 def _f_monomial(p: int, u: Vec) -> Vec:
@@ -165,12 +154,14 @@ _REGISTRY = {
         root_entries=(0, 0),
         phi_entries=(0, 1), psi_entries=(0, 1), singularity_order=1),
     "example2": Problem(
-        name="example2", n=3, f=_f_example2, jac=_j_example2,
+        name="example2", n=3, f=functools.partial(_f_example23, 2),
+        jac=functools.partial(_j_example23, 2),
         root_entries=(0, 0, 0),
         # psi = (1,1,0) x (1,0,5), a cross product of the range basis
         phi_entries=(1, 0, 0), psi_entries=(5, -5, -1), singularity_order=1),
     "example3": Problem(
-        name="example3", n=3, f=_f_example3, jac=_j_example3,
+        name="example3", n=3, f=functools.partial(_f_example23, 3),
+        jac=functools.partial(_j_example23, 3),
         root_entries=(0, 0, 0),
         phi_entries=(1, 0, 0), psi_entries=(5, -5, -1), singularity_order=2),
     "example4": Problem(

@@ -58,9 +58,8 @@ class SolverOptions:
 class TraceEntry:
     """State at iteration index k as raw ``_mpf_`` tuples: u^k, the step s^k
     (None at kbar), the rows of B_k (None without a B), and the dot products
-    F.F, s.s and F(u^{k+1}).F(u^{k+1}).  ``u``, ``s`` and ``b`` build a
-    ``Vec`` or ``Mat`` on every read; ``f_norm``, ``s_norm`` and the update
-    norm ``eps`` = ||F(u^{k+1})|| / ||s^k|| are cached on first read."""
+    F.F, s.s and F(u^{k+1}).F(u^{k+1}); ``f_norm``, ``s_norm`` and the
+    update norm ``eps`` = ||F(u^{k+1})|| / ||s^k|| are cached on first read."""
 
     ctx: PrecisionContext
     raw_u: tuple
@@ -69,10 +68,6 @@ class TraceEntry:
     ss: Optional[tuple] = None
     ff_next: Optional[tuple] = None
     raw_b: Optional[tuple] = None
-
-    u = property(lambda self: self.ctx.raw_vec(self.raw_u))
-    s = property(lambda self: self.raw_s and self.ctx.raw_vec(self.raw_s))
-    b = property(lambda self: self.raw_b and self.ctx.raw_mat(self.raw_b))
 
     @functools.cached_property
     def f_norm(self):
@@ -159,13 +154,13 @@ def _engine(p, u, B, opts, refresh=None, step=None) -> RunRecord:
     """
     ctx = u.ctx
     prec, rnd = ctx.prec, ctx.rounding
-    solve, dot, secant = kernels(ctx, p.n)
+    solve, secant = kernels(ctx, p.n)
     limits = _limits(opts)
     trace = []
     u = u.raw()
     B = None if B is None else B.raw()
     fu = p.residual(u, ctx)
-    ff = dot(fu, fu)
+    ff = raw_dot(fu, fu, prec, rnd)
     while True:
         k = len(trace)
         entry = TraceEntry(ctx, u, ff, raw_b=B if opts.record_spectra else None)
@@ -177,7 +172,7 @@ def _engine(p, u, B, opts, refresh=None, step=None) -> RunRecord:
             if step is None:
                 s = solve(B, [mpf_neg(x, prec, rnd) for x in fu])
                 u_next = tuple(mpf_add(a, b, prec, rnd) for a, b in zip(u, s))
-                ss = dot(s, s)
+                ss = raw_dot(s, s, prec, rnd)
                 if ss == fzero:
                     # zero step with a nonzero residual: the update is undefined
                     raise SingularMatrix("zero step")
@@ -187,7 +182,7 @@ def _engine(p, u, B, opts, refresh=None, step=None) -> RunRecord:
             status = Status.SINGULAR_MATRIX
             break
         f_next = p.residual(u_next, ctx)
-        ff = dot(f_next, f_next)
+        ff = raw_dot(f_next, f_next, prec, rnd)
         entry.raw_s = s
         if step is None:
             entry.ss, entry.ff_next = ss, ff
@@ -209,7 +204,7 @@ def _shamanskii_step(p, b_hat, c, alpha, ctx):
             y = u + lu_solve(j, -fu)
             z = lu_solve(j, p.f(y))
             nz = z.norm()
-            u_next = y if nz == 0 else y - z.scaled(4 - c * ctx.power(nz, alpha))
+            u_next = y if nz == 0 else y - z.scaled(4 - c * ctx.mp.power(nz, alpha))
         # the difference of the stored iterates, which rounds differently
         # from the solves' own steps
         return (u_next - u).raw(), u_next.raw()
@@ -258,6 +253,6 @@ def smp_run(p: Problem, u_hat: Vec, b_hat: Mat, c, alpha,
         raise ValueError(f"C and alpha must be numbers: {c!r}, {alpha!r}") from None
     if c == 0 or not ctx.mp.isfinite(c):
         raise ValueError("C must be finite and nonzero")
-    if not (0 < alpha < (ctx.sqrt(ctx.real(5)) - 1) / 2):
+    if not (0 < alpha < (ctx.mp.sqrt(ctx.real(5)) - 1) / 2):
         raise ValueError("alpha must lie in (0, (sqrt(5)-1)/2)")
     return _engine(p, u_hat, None, opts, step=_shamanskii_step(p, b_hat, c, alpha, ctx))

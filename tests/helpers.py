@@ -18,8 +18,7 @@ from mpmath.libmp import fzero, mpf_gt, mpf_le, mpf_lt, mpf_shift, mpf_sqrt
 from broydenlab.diagnostics import MetricsRow, _LogRatio, _Root, metrics_from_trace
 from broydenlab.harness import _STATS, Window
 from broydenlab.linalg import (Mat, PrecisionContext, SingularMatrix, Vec,
-                               lu_solve, rank_one_update, singular_values,
-                               spectral_norm)
+                               lu_solve, rank_one_update, singular_values)
 from broydenlab.problems import Problem, projectors
 from broydenlab.solvers import RunRecord, Status, TraceEntry, _limits
 
@@ -188,7 +187,7 @@ def reference_metrics(rec: RunRecord, p: Problem, indices=None) -> list:
     j_root = functools.cache(lambda: p.jac(root))
 
     lo = indices[0] - 1 if indices else 0
-    errs = [(e.u - root).norm() if k >= lo else None
+    errs = [(ctx.raw_vec(e.raw_u) - root).norm() if k >= lo else None
             for k, e in enumerate(trace)]
     step_norms = [e.s_norm if k >= lo else None for k, e in enumerate(trace)]
 
@@ -220,12 +219,13 @@ def reference_metrics(rec: RunRecord, p: Problem, indices=None) -> list:
 
         zeta = None
         if phi is not None and entry.raw_s is not None and step_norms[k] > 0:
-            shat = entry.s.scaled(1 / step_norms[k])
+            shat = ctx.raw_vec(entry.raw_s).scaled(1 / step_norms[k])
             dots = [d.raw_dot(d) for d in (shat - phi, shat + phi)]
             zeta = ctx.make(mpf_sqrt(dots[1] if mpf_lt(dots[1], dots[0])
                                      else dots[0], ctx.prec, ctx.rounding))
 
-        e_svals = None if entry.raw_b is None else singular_values(entry.b - j_root())
+        e_svals = None if entry.raw_b is None else singular_values(
+            ctx.raw_mat(entry.raw_b) - j_root())
         rows.append(MetricsRow(
             ctx=ctx, k=k, f_norm=entry.f_norm, err=err, q=q, eps=eps_prev,
             q_eps=q_eps, zeta=zeta,
@@ -245,7 +245,7 @@ def lam_omega_rows(rec: RunRecord, p: Problem, tol_exponent: int) -> list:
     is below the stopping tolerance 10**-tol_exponent; lam also at kbar.
     """
     trace = rec.trace
-    ctx = trace[0].u.ctx
+    ctx = trace[0].ctx
     sentinel = ctx.real(-1)
     root = p.root(ctx)
     floor = ctx.pow10(-tol_exponent)
@@ -254,13 +254,13 @@ def lam_omega_rows(rec: RunRecord, p: Problem, tol_exponent: int) -> list:
         p_x = identity(ctx, p.n) - projectors(p, ctx)
         psi = p.psi(ctx)
         d = psi.dot(p.phi(ctx))
-        coeffs = [psi.dot(e.u - root) / d for e in trace]
+        coeffs = [psi.dot(ctx.raw_vec(e.raw_u) - root) / d for e in trace]
     out = []
     for k, row in enumerate(metrics_from_trace(rec, p)):
         lam = omega = sentinel
         if coeffs is not None and abs(coeffs[k]) > floor:
             a_k = coeffs[k]
-            omega = p_x.matvec(trace[k].u - root).norm() / (a_k * a_k)
+            omega = p_x.matvec(ctx.raw_vec(trace[k].raw_u) - root).norm() / (a_k * a_k)
             if k + 1 < len(trace):
                 lam = coeffs[k + 1] / a_k
         row.lam, row.omega = lam, omega
@@ -360,7 +360,7 @@ def reference_run(method: str, p: Problem, u: Vec, b: Optional[Mat], opts,
                     z = lu_solve(j, p.f(y))
                     nz = z.norm()
                     u_next = y if nz == 0 else y - z.scaled(
-                        4 - c * ctx.power(nz, alpha))
+                        4 - c * ctx.mp.power(nz, alpha))
                 s = u_next - u
         except SingularMatrix:
             status = Status.SINGULAR_MATRIX
@@ -393,7 +393,7 @@ class BadSelection(Exception):
 
 def normalized_steps(rec: RunRecord) -> list[Vec]:
     """Unit steps shat^k for every index that has a step."""
-    return [normalized(e.s) for e in rec.trace if e.s is not None]
+    return [normalized(e.ctx.raw_vec(e.raw_s)) for e in rec.trace if e.raw_s is not None]
 
 
 def uli_min_sv(steps, k: int, selection, ctx=None):
@@ -443,11 +443,13 @@ def update_norm_identity_errors(rec: RunRecord, first: int):
     out = []
     for k in range(first, rec.kbar):
         entry, nxt = rec.trace[k], rec.trace[k + 1]
-        if entry.b is None or nxt.b is None or entry.eps is None:
+        if entry.raw_b is None or nxt.raw_b is None or entry.eps is None:
             raise ValueError("run was not recorded with record_spectra")
         if entry.eps == 0:
             continue
-        gap = abs(entry.eps - spectral_norm(nxt.b - entry.b))
+        ctx = entry.ctx
+        update = ctx.raw_mat(nxt.raw_b) - ctx.raw_mat(entry.raw_b)
+        gap = abs(entry.eps - singular_values(update)[-1])
         out.append((k, gap / entry.eps))
     return out
 

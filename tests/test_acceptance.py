@@ -46,7 +46,7 @@ def test_criterion_01_single_run_window_rates(ex1_reference_run):
     start = time.perf_counter()
     p, rec, rows = ex1_reference_run
     assert rec.status is Status.CONVERGED
-    ctx = rec.trace[0].u.ctx
+    ctx = rec.trace[0].ctx
     lo, hi = ctx.real("0.616"), ctx.real("0.620")
     qs = window_values(rows, rec.kbar, "q")
     big_qs = window_values(rows, rec.kbar, "q_eps")
@@ -64,7 +64,7 @@ def test_criterion_01_single_run_window_rates(ex1_reference_run):
 
 def test_criterion_02_update_norm_identity(ex1_reference_run):
     p, rec, rows = ex1_reference_run
-    ctx = rec.trace[0].u.ctx
+    ctx = rec.trace[0].ctx
     errors = update_norm_identity_errors(rec, 1)
     assert len(errors) >= rec.kbar - 2
     bound = ctx.pow10(-300)
@@ -75,7 +75,7 @@ def test_criterion_02_update_norm_identity(ex1_reference_run):
 
 def test_criterion_03_matrix_convergence(ex1_reference_run):
     p, rec, rows = ex1_reference_run
-    ctx = rec.trace[0].u.ctx
+    ctx = rec.trace[0].ctx
     k0 = Window.from_kbar(rec.kbar).k0
     eps = [rec.trace[k].eps for k in range(rec.kbar)]
     tail = sum(eps[k0:], ctx.zero)
@@ -111,8 +111,8 @@ def test_criterion_04_uniform_linear_independence_violated(ex1_reference_run):
 
 def test_criterion_05_limit_matrix_nullspace(ex1_reference_run):
     p, rec, rows = ex1_reference_run
-    ctx = rec.trace[0].u.ctx
-    residual = nullspace_residual(rec.trace[-1].b, p.phi(ctx))
+    ctx = rec.trace[0].ctx
+    residual = nullspace_residual(ctx.raw_mat(rec.trace[-1].raw_b), p.phi(ctx))
     assert residual <= ctx.pow10(-20)
     report(5, f"||B_final phi|| = {float(residual):.3e}")
 
@@ -131,7 +131,7 @@ def example3_run():
 def test_criterion_06_second_order_singularity_rates(example3_run):
     p, rec, rows = example3_run
     assert rec.status is Status.CONVERGED
-    ctx = rec.trace[0].u.ctx
+    ctx = rec.trace[0].ctx
     qs = window_values(rows, rec.kbar, "q")
     assert all(ctx.real("0.753") <= q <= ctx.real("0.757") for q in qs)
     big_qs = window_values(rows, rec.kbar, "q_eps")
@@ -186,7 +186,7 @@ def test_criterion_09_accelerated_method():
     rec_smp = smp_run(p, u_hat, b_hat, 1, "0.5", opts)
     assert rec_smp.status is Status.CONVERGED
     root = p.root(ctx)
-    errs = [(e.u - root).norm() for e in rec_smp.trace]
+    errs = [(ctx.raw_vec(e.raw_u) - root).norm() for e in rec_smp.trace]
     order = fitted_q_order(errs, points=6)
     assert order >= 1.4
     rec_bmp = bmp_run(p, u_hat, b_hat, opts, p.jac)
@@ -237,7 +237,7 @@ def test_criterion_11_oracle_suites(ctx100):
     rec = broyden_run(p, Vec((u0,), ctx100), ctx100.mat([[4]]),
                       SolverOptions(precision=ctx100, tol_exponent=70,
                                     max_iter=200))
-    broyden_us = [e.u[0] for e in rec.trace]
+    broyden_us = [ctx100.make(e.raw_u[0]) for e in rec.trace]
     oracle = secant_iterates(lambda x: x * x - 1, u0, broyden_us[1], ctx100,
                              len(broyden_us))
     tol = ctx100.pow10(-80)

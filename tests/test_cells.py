@@ -45,11 +45,11 @@ def test_certified_cells_equal_the_exact_cells():
                         assert cell == format_metric(exact), (problem, method, row.k, attr)
                 assert row.enclosures() == {}   # read values need no bounds
     print(f"{certified} certified cells, {fallback} fell back")
-    # most fallbacks are Newton's delta on example2, 2 up to rounding and so
-    # at a binade edge (155 of 244 at seed 7), then spectra of early rows
-    # where sigma_min / sigma_mid is not yet small
+    # most fallbacks are spectra of early rows where sigma_min / sigma_mid
+    # is not yet small (79 of 89 at seed 7); Newton's delta on example2, 2
+    # up to rounding, spans a binade edge and is certified
     assert certified > 3000
-    assert fallback * 25 <= certified
+    assert fallback * 140 <= certified
 
 
 def _raw(text):
@@ -59,8 +59,9 @@ def _raw(text):
 @pytest.mark.parametrize("lo, hi", [
     # across the midpoint between 1.23456 and 1.23457
     (_raw("1.2345649999"), _raw("1.2345650001")),
-    # across a binade edge: both ends print 1.00000e+00
-    (from_man_exp(2 ** 64 - 1, -64), from_man_exp(2 ** 64 + 1, -64)),
+    # across the binade edge 2**-9 = 0.001953125, itself a midpoint: the
+    # ends print 1.95312e-03 and 1.95313e-03
+    (from_man_exp(2 ** 70 - 1, -79), from_man_exp(2 ** 70 + 1, -79)),
     # across zero
     (_raw("-1e-30"), _raw("1e-30")),
     (mpf_neg(fone), fone),
@@ -73,6 +74,10 @@ def test_intervals_that_may_hold_two_cells_fall_back(lo, hi):
 
 def test_an_interval_inside_one_cell_gives_it():
     assert interval_cell(_raw("6.180339"), _raw("6.180341")) == "6.18034e+00"
+    # across a binade edge, where 2**0 and the largest 4000-bit value below
+    # it print 1.00000e+00 too
+    assert interval_cell(from_man_exp(2 ** 64 - 1, -64),
+                         from_man_exp(2 ** 64 + 1, -64)) == "1.00000e+00"
     assert interval_cell(_raw("-2.0000001e-300"), _raw("-1.9999999e-300")) \
         == "-2.00000e-300"
 

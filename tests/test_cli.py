@@ -2,11 +2,16 @@ import concurrent.futures
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mpf
 
+import broydenlab
 from broydenlab.cli import _COMMANDS, METRICS_HEADER, SUMMARY_HEADER, main
 from broydenlab.harness import Window
 
@@ -23,6 +28,21 @@ def test_list_problems(capsys):
     out = capsys.readouterr().out
     for name in ("example1", "example2", "example3", "example4", "monomial:p"):
         assert name in out
+
+
+def test_list_problems_loads_no_unused_stdlib_module():
+    # hashlib, concurrent.futures, fractions and json are imported where a
+    # command uses them, so a fresh interpreter that needs none starts faster
+    lazy = ("hashlib", "concurrent.futures", "fractions", "json")
+    code = ("import sys; from broydenlab.cli import main; main(['list-problems']); "
+            f"print([m for m in {lazy!r} if m in sys.modules])")
+    src = str(Path(broydenlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert "example1" in done.stdout
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_bad_arguments_exit_2(tmp_path, capsys):

@@ -193,7 +193,7 @@ def test_uli_matches_closed_form_2x2(ctx100):
     c, s = ctx100.mp.cos(t), ctx100.mp.sin(t)
     steps = [ctx100.vec([1, 0]), Vec((c, s), ctx100)]
     got = uli_min_sv(steps, 0, [0, 1])
-    want = ctx100.sqrt(1 - c)
+    want = ctx100.mp.sqrt(1 - c)
     assert abs(got - want) <= ctx100.pow10(-30)
 
 
@@ -265,12 +265,12 @@ def test_consecutive_min_sv_collapses_on_reference_run(ex1_reference_run):
 def test_min_sv_bounded_by_e_phi_norm(ex1_reference_run, ctx100):
     # variational bound: Lambda_1 <= ||E_k phi|| <= ||E_k||
     p, rec, rows = ex1_reference_run
-    ctx = rec.trace[0].u.ctx
+    ctx = rec.trace[0].ctx
     phi = p.phi(ctx)
     j_root = p.jac(p.root(ctx))
     for k in range(0, rec.kbar + 1, 23):
         entry, row = rec.trace[k], rows[k]
-        e_phi = (entry.b - j_root).matvec(phi).norm()
+        e_phi = (ctx.raw_mat(entry.raw_b) - j_root).matvec(phi).norm()
         slack = ctx.pow10(-ctx.decimal_digits + 30)
         assert row.e_svals[0] <= e_phi + slack
         assert e_phi <= row.e_norm + slack

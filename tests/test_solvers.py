@@ -10,7 +10,7 @@ from helpers import (identity, problem_linear, problem_sq_minus_1,
                      zero_vec)
 from broydenlab.basin import GridSpec
 from broydenlab.diagnostics import metrics_from_trace
-from broydenlab.linalg import Mat, PrecisionContext, Vec
+from broydenlab.linalg import Mat, PrecisionContext, Vec, singular_values
 from broydenlab.problems import Problem, get_problem
 from broydenlab.solvers import (SolverOptions, Status, TraceEntry,
                                 _check_terminal, _limits, bmp_run,
@@ -36,7 +36,7 @@ def test_linear_system_converges_in_one_step(ctx100):
     rec = broyden_run(p, ctx100.vec([5, -2]), b0, opts_for(ctx100))
     assert rec.status is Status.EXACT_ROOT
     assert rec.kbar == 1
-    assert rec.trace[-1].u == ctx100.vec([1, 1])
+    assert ctx100.raw_vec(rec.trace[-1].raw_u) == ctx100.vec([1, 1])
     # the first step solves the model exactly, so the update norm vanishes
     assert rec.trace[0].eps == 0
 
@@ -47,8 +47,8 @@ def test_1d_hand_iteration(ctx100):
     rec = broyden_run(p, ctx100.vec([2]), ctx100.mat([[3]]), opts_for(ctx100))
     assert rec.status is Status.EXACT_ROOT
     assert rec.kbar == 1
-    assert rec.trace[0].s == ctx100.vec([-1])
-    assert rec.trace[1].u == ctx100.vec([1])
+    assert ctx100.raw_vec(rec.trace[0].raw_s) == ctx100.vec([-1])
+    assert ctx100.raw_vec(rec.trace[1].raw_u) == ctx100.vec([1])
 
 
 def test_1d_broyden_coincides_with_secant_oracle(ctx100):
@@ -57,7 +57,7 @@ def test_1d_broyden_coincides_with_secant_oracle(ctx100):
     u0 = ctx100.real(2)
     b0 = ctx100.mat([[4]])                       # F'(2)
     rec = broyden_run(p, Vec((u0,), ctx100), b0, opts_for(ctx100, tol=70))
-    broyden_us = [e.u[0] for e in rec.trace]
+    broyden_us = [ctx100.make(e.raw_u[0]) for e in rec.trace]
     u1 = broyden_us[1]
     assert u1 == ctx100.real(2) - ctx100.real(3) / 4
 
@@ -74,7 +74,7 @@ def test_bmp_newton_halving_on_singular_root(ctx100):
     # 1-D F(u) = u^2, u_hat = 1, B_hat = F'(1) = 2: u0 = 1 - 1/2
     p = get_problem("monomial:2")
     rec = bmp_run(p, ctx100.vec([1]), ctx100.mat([[2]]), opts_for(ctx100))
-    assert rec.trace[1].u == ctx100.vec(["0.5"])
+    assert ctx100.raw_vec(rec.trace[1].raw_u) == ctx100.vec(["0.5"])
 
 
 def test_bmp_first_two_steps_are_newton_steps(ctx120):
@@ -86,7 +86,7 @@ def test_bmp_first_two_steps_are_newton_steps(ctx120):
                       opts_for(ctx120, tol=80, max_iter=400), p.jac)
     rec_newton = newton_run(p, u_hat, opts_for(ctx120, tol=80, max_iter=3))
     for k in (1, 2):
-        assert rec_bmp.trace[k].u == rec_newton.trace[k].u
+        assert rec_bmp.trace[k].raw_u == rec_newton.trace[k].raw_u
 
 
 def test_bmp_exact_root_start_short_circuits(ctx100):
@@ -95,7 +95,7 @@ def test_bmp_exact_root_start_short_circuits(ctx100):
                   p.jac)
     assert rec.status is Status.EXACT_ROOT
     assert rec.kbar == 0
-    assert rec.trace[0].s is None
+    assert rec.trace[0].raw_s is None
 
 
 def test_bmp_singular_bhat_reports_status(ctx100):
@@ -111,12 +111,12 @@ def test_bmp_tail_equals_plain_broyden(ctx120):
     u_hat = ctx120.vec(["0.004", "0.006"])
     opts = opts_for(ctx120, tol=80, max_iter=500)
     rec_bmp = bmp_run(p, u_hat, p.jac(u_hat), opts, p.jac)
-    u0 = rec_bmp.trace[1].u
+    u0 = ctx120.raw_vec(rec_bmp.trace[1].raw_u)
     rec_bm = broyden_run(p, u0, p.jac(u0), opts)
     assert rec_bm.status == rec_bmp.status
     assert rec_bm.kbar == rec_bmp.kbar - 1
     for k in range(rec_bm.kbar + 1):
-        assert rec_bm.trace[k].u == rec_bmp.trace[k + 1].u
+        assert rec_bm.trace[k].raw_u == rec_bmp.trace[k + 1].raw_u
         assert rec_bm.trace[k].eps == rec_bmp.trace[k + 1].eps
 
 
@@ -151,13 +151,12 @@ def test_secant_condition_after_every_update(ctx120):
     opts = opts_for(ctx120, tol=60, max_iter=400)
     rec = bmp_run(p, u_hat, p.jac(u_hat), opts, p.jac)
     tol_fac = ctx120.pow10(-ctx120.decimal_digits + 20)
-    from broydenlab.linalg import spectral_norm
     for k in range(1, rec.kbar):
         entry, nxt = rec.trace[k], rec.trace[k + 1]
-        s = entry.s
-        y = p.f(nxt.u) - p.f(entry.u)
-        lhs = (nxt.b.matvec(s) - y).norm()
-        bound = tol_fac * (y.norm() + spectral_norm(nxt.b) * s.norm())
+        s, b_next = ctx120.raw_vec(entry.raw_s), ctx120.raw_mat(nxt.raw_b)
+        y = p.f(ctx120.raw_vec(nxt.raw_u)) - p.f(ctx120.raw_vec(entry.raw_u))
+        lhs = (b_next.matvec(s) - y).norm()
+        bound = tol_fac * (y.norm() + singular_values(b_next)[-1] * s.norm())
         assert lhs <= bound
 
 
@@ -174,10 +173,11 @@ def test_trace_satisfies_record_contract(ctx120):
     for k in range(rec.kbar):
         entry, nxt = rec.trace[k], rec.trace[k + 1]
         # u^{k+1} = u^k + s^k up to one rounding of the sum
-        drift = (nxt.u - entry.u - entry.s).norm()
-        assert drift <= slack * max(ctx120.one, entry.u.norm())
-        assert entry.eps == nxt.f_norm / entry.s.norm()
-    assert rec.trace[rec.kbar].s is None and rec.trace[rec.kbar].eps is None
+        u, s = ctx120.raw_vec(entry.raw_u), ctx120.raw_vec(entry.raw_s)
+        drift = (ctx120.raw_vec(nxt.raw_u) - u - s).norm()
+        assert drift <= slack * max(ctx120.one, u.norm())
+        assert entry.eps == nxt.f_norm / s.norm()
+    assert rec.trace[rec.kbar].raw_s is None and rec.trace[rec.kbar].eps is None
     assert rec.trace[-1].f_norm <= ctx120.pow10(-opts.tol_exponent)
 
 
@@ -189,7 +189,7 @@ def test_determinism_bit_identical_traces(ctx120):
     rec2 = bmp_run(p, u_hat, p.jac(u_hat), opts, p.jac)
     assert rec1.status == rec2.status and rec1.kbar == rec2.kbar
     for e1, e2 in zip(rec1.trace, rec2.trace):
-        assert e1.u == e2.u and e1.f_norm == e2.f_norm and e1.eps == e2.eps
+        assert e1.raw_u == e2.raw_u and e1.f_norm == e2.f_norm and e1.eps == e2.eps
     assert rec1.trace[-1].raw_b == rec2.trace[-1].raw_b
 
 
@@ -225,9 +225,10 @@ def test_b0_mode_given(ctx100):
     rec = bmp_run(p, ctx100.vec([3]), ctx100.mat([[6]]), opts_for(ctx100),
                   lambda u0: given)
     # Newton-like step: 3 - 8/6 = 5/3; then B_0 = 3 applies
-    assert rec.trace[1].u[0] == ctx100.real(3) - ctx100.real(8) / 6
-    s1 = rec.trace[1].s
-    expected = -p.f(rec.trace[1].u)[0] / 3
+    u1 = ctx100.raw_vec(rec.trace[1].raw_u)
+    assert u1[0] == ctx100.real(3) - ctx100.real(8) / 6
+    s1 = ctx100.raw_vec(rec.trace[1].raw_s)
+    expected = -p.f(u1)[0] / 3
     assert s1[0] == expected
 
 
@@ -243,7 +244,7 @@ def test_newton_halving_on_double_root(ctx100):
     p = get_problem("monomial:2")
     rec = newton_run(p, ctx100.vec([1]), opts_for(ctx100, tol=60, max_iter=150))
     for k in (1, 5, 10):
-        assert rec.trace[k].u[0] == ctx100.real(1) / (2 ** k)
+        assert ctx100.make(rec.trace[k].raw_u[0]) == ctx100.real(1) / (2 ** k)
 
 
 def test_newton_quadratic_residual_decay_on_regular_problem():
@@ -289,7 +290,7 @@ def test_smp_zero_simplified_step_keeps_newton_iterate(ctx100):
     b_hat = base.jac(u_hat)
     rec_plain = smp_run(base, u_hat, b_hat, 1, "0.5",
                         opts_for(ctx, tol=60, max_iter=4))
-    u2 = rec_plain.trace[2].u
+    u2 = ctx.raw_vec(rec_plain.trace[2].raw_u)
     y_target = u2[0] - base.f(u2)[0] / base.jac(u2).rows[0][0]
 
     def f(u):
@@ -301,7 +302,7 @@ def test_smp_zero_simplified_step_keeps_newton_iterate(ctx100):
                        root_entries=(0,), phi_entries=None,
                        psi_entries=None, singularity_order=2)
     rec = smp_run(doctored, u_hat, b_hat, 5, "0.25", opts_for(ctx, tol=60))
-    assert rec.trace[3].u[0] == y_target
+    assert ctx.make(rec.trace[3].raw_u[0]) == y_target
     assert rec.status is Status.EXACT_ROOT
 
 
@@ -382,7 +383,7 @@ def test_smp_trace_has_no_matrix_data(ctx100):
     rec = smp_run(p, u_hat, p.jac(u_hat), 1, "0.5",
                   opts_for(ctx100, tol=60, max_iter=100))
     assert rec.status is Status.CONVERGED
-    assert all(e.eps is None and e.b is None for e in rec.trace)
+    assert all(e.eps is None and e.raw_b is None for e in rec.trace)
 
 
 def _reference_cases():
@@ -437,7 +438,7 @@ def _assert_matches_reference(rec, ref):
     status, kbar, trace, b_final = ref
     assert (rec.status, rec.kbar, len(rec.trace)) == (status, kbar, len(trace))
     for got, want in zip(rec.trace, trace):
-        assert got.raw_u == want.u.raw() and got.u == want.u
+        assert got.raw_u == want.u.raw() and got.ctx.raw_vec(got.raw_u) == want.u
         assert (got.ff, got.ss, got.ff_next) == (want.ff, want.ss, want.ff_next)
         assert got.raw_s == (None if want.s is None else want.s.raw())
         assert got.raw_b == (None if want.b is None else want.b.raw())
