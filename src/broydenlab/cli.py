@@ -145,32 +145,40 @@ def _cell(x, full_digits=None) -> str:
     return format_metric(x) if full_digits is None else format_full(x, full_digits)
 
 
-def _csv(columns, rows, full_digits=None) -> str:
-    """The columns' csv names, then a line of each row's attributes."""
-    lines = [",".join(name for name, _ in columns)] + [
-        ",".join(_cell(getattr(row, attr), full_digits) for _, attr in columns)
-        for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def _metrics_csv(rows) -> str:
-    """The six-digit metrics.csv: a lazy cell comes from the bounds of
-    ``MetricsRow.enclosures`` where both print alike, else from the value."""
-    lines = [METRICS_HEADER]
+def _csv(columns, rows, full_digits=None):
+    """The lines of a csv file: the columns' names, then each row's cells.
+    A row with ``enclosures()`` (a MetricsRow) takes a six-digit lazy cell
+    from its bounds where both print alike, else from the value."""
+    yield ",".join(name for name, _ in columns) + "\n"
     for row in rows:
-        bounds = row.enclosures()
-        lines.append(",".join(
-            (attr in bounds and interval_cell(*bounds[attr])) or _cell(getattr(row, attr))
-            for _, attr in METRICS_COLUMNS))
-    return "\n".join(lines) + "\n"
+        bounds = getattr(row, "enclosures", dict)() if full_digits is None else {}
+        yield ",".join((attr in bounds and interval_cell(*bounds[attr]))
+                       or _cell(getattr(row, attr), full_digits)
+                       for _, attr in columns) + "\n"
 
 
 def _write(out, files: dict) -> None:
-    """Create the directory ``out`` and write each named file, text or bytes."""
-    Path(out).mkdir(parents=True, exist_ok=True)
-    for name, data in files.items():
-        write = Path.write_bytes if isinstance(data, bytes) else Path.write_text
-        write(Path(out) / name, data)
+    """Write each named file, bytes or an iterable of text lines, into the
+    directory ``out``: each goes to a hidden ``.<name>.partial`` that is
+    renamed over ``<name>`` once all are complete.  On any exception, the
+    partial files and the directories this call created are removed."""
+    out = Path(out)
+    made = [d for d in (out, *out.parents) if not d.exists()]
+    out.mkdir(parents=True, exist_ok=True)
+    partial = {name: out / f".{name}.partial" for name in files}
+    try:
+        for name, data in files.items():
+            mode, data = ("wb", [data]) if isinstance(data, bytes) else ("w", data)
+            with open(partial[name], mode) as f:
+                f.writelines(data)
+        for name, path in partial.items():
+            path.replace(out / name)
+    except BaseException:
+        for path in partial.values():
+            path.unlink(missing_ok=True)
+        for d in made:
+            d.rmdir()
+        raise
 
 
 def _cmd_single(args) -> int:
@@ -185,8 +193,8 @@ def _cmd_single(args) -> int:
     else:
         rec = smp_run(p, u_hat, b_hat, args.c_const, args.order_alpha, opts)
     rows = metrics_from_trace(rec, p)
-    _write(args.out, {"metrics.csv": _csv(METRICS_COLUMNS, rows, cfg.precision)
-                      if args.full_precision else _metrics_csv(rows)})
+    _write(args.out, {"metrics.csv": _csv(
+        METRICS_COLUMNS, rows, cfg.precision if args.full_precision else None)})
     print(f"{p.name} {args.method}: status={rec.status.value} kbar={rec.kbar} "
           f"F_final={format_metric(rec.trace[-1].f_norm)}")
     return 0
@@ -231,20 +239,17 @@ def _cmd_verify(args) -> int:
     ctx = PrecisionContext(args.precision)
     p = get_problem(args.problem)
     rng = CounterRng(12345, 0)
+    bound = ctx.pow10(-(ctx.decimal_digits // 3) + 5)
     ok = True
     for _ in range(3):
         u = ctx.vec([rng.uniform_symmetric(ctx, 1) / 2 for _ in range(p.n)])
         dev = fd_jacobian_deviation(p, u, ctx)
-        bound = ctx.pow10(-(ctx.decimal_digits // 3) + 5)
-        status = "ok" if dev <= bound else "FAIL"
-        if dev > bound:
-            ok = False
+        ok = ok and dev <= bound
         print(f"jacobian vs central differences: deviation={format_metric(dev)} "
-              f"(bound {format_metric(bound)}) {status}")
+              f"(bound {format_metric(bound)}) {'ok' if dev <= bound else 'FAIL'}")
     try:
         h = ctx.pow10(-20)
-        result = verify_a2(p, h, ctx)
-        norm = result.norm()
+        norm = verify_a2(p, h, ctx).norm()
         print(f"||P_N F''(root)(phi,phi)|| ~ {format_metric(norm)} (h={format_metric(h)})")
     except MissingNullData:
         print("no nullspace data (regular root); second-derivative check skipped")

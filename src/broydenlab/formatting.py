@@ -66,7 +66,5 @@ def interval_cell(lo, hi):
 
 
 def format_full(x, digits: int) -> str:
-    """Full-precision decimal dump (round-trips at the same precision)."""
-    if hasattr(x, "_mpf_"):
-        return libmp.to_str(x._mpf_, digits, strip_zeros=True)
-    return repr(x)
+    """An mpf's full-precision decimal dump (round-trips at its precision)."""
+    return libmp.to_str(x._mpf_, digits, strip_zeros=True)

@@ -45,9 +45,15 @@ class CounterRng:
         self._counter = 0
 
     def bits(self) -> int:
-        """Next 128 random bits as an integer."""
-        import hashlib   # not at module import: a basin never draws
-        digest = hashlib.sha256(self._key + struct.pack("<Q", self._counter)).digest()
+        """Next 128 random bits as an integer; imports here, as a basin never draws."""
+        try:   # hashlib loads OpenSSL (3.5 MB), so take the interpreter's own
+            from _sha256 import sha256       # SHA-256, as random.py does
+        except ImportError:
+            try:
+                from _sha2 import sha256     # CPython 3.12+
+            except ImportError:
+                from hashlib import sha256
+        digest = sha256(self._key + struct.pack("<Q", self._counter)).digest()
         self._counter += 1
         return int.from_bytes(digest[:16], "big")
 

@@ -191,9 +191,6 @@ class Vec:
     def __eq__(self, other):
         return isinstance(other, Vec) and self.entries == other.entries
 
-    def __hash__(self):
-        return hash(self.entries)
-
     def __repr__(self):
         return "Vec(" + ", ".join(str(x) for x in self.entries) + ")"
 
@@ -248,9 +245,6 @@ class Mat:
 
     def __eq__(self, other):
         return isinstance(other, Mat) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def __repr__(self):
         return "Mat(" + "; ".join(", ".join(str(x) for x in r) for r in self.rows) + ")"

@@ -226,12 +226,9 @@ def fd_jacobian(p: Problem, u: Vec, ctx: PrecisionContext) -> Mat:
     """Central-difference Jacobian with step 10**(-digits/3), to cross-check
     ``Problem.jac``."""
     h = ctx.pow10(-ctx.real(ctx.decimal_digits) / 3)
-    n = p.n
-    cols = []
-    for j in range(n):
-        bump = Vec(tuple(h if i == j else ctx.zero for i in range(n)), ctx)
-        cols.append([d / (2 * h) for d in p.f(u + bump) - p.f(u - bump)])
-    return Mat(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)), ctx)
+    bumps = (ctx.vec([h if i == j else 0 for i in range(p.n)]) for j in range(p.n))
+    cols = [[d / (2 * h) for d in p.f(u + b) - p.f(u - b)] for b in bumps]
+    return Mat(zip(*cols), ctx)
 
 
 def fd_jacobian_deviation(p: Problem, u: Vec, ctx: PrecisionContext):

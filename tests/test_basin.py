@@ -83,7 +83,7 @@ def test_ppm_format_resolution_three(ex1, crit):
     assert image.startswith(b"P6\n3 3\n255\n")
     assert len(image) == len(b"P6\n3 3\n255\n") + 27
     assert len(results) == 9
-    lines = _csv(BASIN_COLUMNS, results).splitlines()
+    lines = "".join(_csv(BASIN_COLUMNS, results)).splitlines()
     assert lines[0] == "x,y,class,kbar,q_final"
     assert len(lines) == 10
 

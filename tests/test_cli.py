@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mpf
 
 import broydenlab
-from broydenlab.cli import _COMMANDS, METRICS_HEADER, SUMMARY_HEADER, main
+from broydenlab.cli import (_COMMANDS, METRICS_HEADER, SUMMARY_HEADER, _write,
+                             main)
 from broydenlab.harness import Window
 
 
@@ -45,6 +46,25 @@ def test_list_problems_loads_no_unused_stdlib_module():
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+def test_single_draws_without_loading_openssl(tmp_path):
+    # CounterRng hashes with the interpreter's own SHA-256 (_sha256, or _sha2
+    # on CPython 3.12+); hashlib's OpenSSL module costs 3.5 MB resident
+    import importlib.util
+    if not any(importlib.util.find_spec(m) for m in ("_sha256", "_sha2")):
+        pytest.skip("this interpreter has no built-in SHA-256 module")
+    argv = ["single", "--problem", "example1", "--precision", "60", "--tol", "30",
+            "--out", str(tmp_path)]
+    code = (f"import sys; from broydenlab.cli import main; main({argv!r}); "
+            "print('_hashlib' in sys.modules)")
+    src = str(Path(broydenlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert "status=converged" in done.stdout
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 def test_bad_arguments_exit_2(tmp_path, capsys):
     assert main(["unknown-command"]) == 2
     assert main(["single", "--problem", "nonexistent",
@@ -54,6 +74,62 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     assert main(["single", "--problem", "example1", "--tol", "200",
                  "--precision", "210", "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "metrics.csv").exists()
+
+
+def test_failed_write_leaves_nothing(tmp_path, capsys, monkeypatch):
+    # full-precision cells are computed while metrics.csv is open: a Jacobi
+    # sweep that fails from its sixth call on stops the write part-way, and
+    # neither the partial file nor the new directory is left behind
+    from broydenlab import diagnostics
+    from broydenlab.linalg import NoConvergence
+    out, calls, partial = tmp_path / "out", [], []
+    original = diagnostics.singular_values
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) >= 6:
+            partial.extend(out.glob(".*.partial"))
+            raise NoConvergence("rotation budget exceeded")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "singular_values", failing)
+    assert main(["single", "--problem", "example1", "--full-precision",
+                 "--precision", "60", "--tol", "30", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert [p.name for p in partial] == [".metrics.csv.partial"]
+    assert not out.exists() and list(tmp_path.iterdir()) == []
+
+
+def test_write_streams_lines(tmp_path):
+    # an iterable of lines is written as it is drawn, never joined in memory
+    import tracemalloc
+    lines = ("x" * 999 + "\n" for _ in range(20000))
+    tracemalloc.start()
+    try:
+        _write(tmp_path, {"big.csv": lines})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "big.csv").stat().st_size == 20_000_000
+    assert peak < 1_000_000
+    assert [p.name for p in tmp_path.iterdir()] == ["big.csv"]
+
+
+def test_interrupted_write_keeps_the_old_files(tmp_path):
+    # Ctrl-C part-way: the directories the write made go, and a file of an
+    # earlier run is neither replaced nor removed
+    def lines():
+        yield "new\n"
+        raise KeyboardInterrupt
+    with pytest.raises(KeyboardInterrupt):
+        _write(tmp_path / "a" / "b", {"x.csv": lines()})
+    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "x.csv").write_text("old\n")
+    with pytest.raises(KeyboardInterrupt):
+        _write(tmp_path, {"y.ppm": b"P6", "x.csv": lines()})
+    assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+    assert (tmp_path / "x.csv").read_text() == "old\n"
 
 
 def test_verify_example3(capsys):

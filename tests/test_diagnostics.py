@@ -148,7 +148,7 @@ def test_delta_of_minus_one_is_a_value(ctx100):
     assert window_extreme("min", "delta", metrics_from_trace(rec, p)) == -1
     rows = metrics_from_trace(rec, p)
     assert rows[1].delta == -1 and rows[0].delta is None
-    lines = _csv(METRICS_COLUMNS, rows).splitlines()
+    lines = "".join(_csv(METRICS_COLUMNS, rows)).splitlines()
     delta = [name for name, _ in METRICS_COLUMNS].index("delta")
     assert [line.split(",")[delta] for line in lines] == \
         ["delta", "-1", "-1.00000e+00", "5.00000e-01"]

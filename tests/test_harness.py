@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import struct
 
 import pytest
 
@@ -24,6 +26,18 @@ def test_counter_rng_reproducible_and_split():
     assert a.bits() != c.bits()
     d = CounterRng(2, 0)
     assert CounterRng(1, 0).bits() != d.bits()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 2 ** 64 - 2, 2 ** 64 - 1])
+def test_counter_rng_draws_are_hashlib_sha256(seed):
+    # the interpreter's own SHA-256 gives hashlib's digests, so every seeded
+    # draw is the same whichever module computes it
+    for stream in (0, 1, 2 ** 64 - 1):
+        rng = CounterRng(seed, stream)
+        for counter in range(3):
+            data = struct.pack("<QQQ", seed, stream, counter)
+            assert rng.bits() == int.from_bytes(
+                hashlib.sha256(data).digest()[:16], "big")
 
 
 def test_counter_rng_uniform_range(ctx100):
