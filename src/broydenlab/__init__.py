@@ -8,7 +8,7 @@ from .solvers import (RunRecord, SolverOptions, Status, bmp_run, broyden_run,
                       newton_run, smp_run)
 from .diagnostics import MetricsRow, metrics_from_trace
 from .harness import (AcceptanceCriteria, CounterRng, CumulativeSummary,
-                      EmptyAcceptedSet, SeriesConfig, Window, cumulative_run,
+                      EmptyAcceptedSet, SeriesConfig, cumulative_run,
                       default_criteria, init_random)
 from .basin import Classification, DimensionMismatch, GridSpec, render_basin
 
@@ -21,7 +21,7 @@ __all__ = [
     "newton_run", "smp_run",
     "MetricsRow", "metrics_from_trace",
     "AcceptanceCriteria", "CounterRng", "CumulativeSummary",
-    "EmptyAcceptedSet", "SeriesConfig", "Window", "cumulative_run",
+    "EmptyAcceptedSet", "SeriesConfig", "cumulative_run",
     "default_criteria", "init_random",
     "Classification", "DimensionMismatch", "GridSpec", "render_basin",
 ]

@@ -23,7 +23,8 @@ from .harness import (B0_MODES, SUMMARY_COLUMNS, AcceptanceCriteria,
 from .linalg import LinalgError, PrecisionContext
 from .problems import (MissingNullData, fd_jacobian_deviation, get_problem,
                        list_problems, verify_a2)
-from .solvers import SolverOptions, bmp_run, broyden_run, newton_run, smp_run
+from .solvers import (SolverOptions, bmp_run, broyden_run, newton_run,
+                      smp_constants, smp_run)
 
 #: (flag, SeriesConfig field, help) of ``single`` and ``cumulative``; the
 #: field gives the flag's type and metavar, and ``single`` has no ``--m``
@@ -184,6 +185,7 @@ def _write(out, files: dict) -> None:
 def _cmd_single(args) -> int:
     cfg, _ = _series(args, {"alpha": "0.01", "max_iter": 3000, "m": 1})
     p, opts, u_hat, b_hat, b0 = seeded_start(cfg, 0)
+    c, alpha = smp_constants(opts.precision, args.c_const, args.order_alpha)
     if args.method == "bmp":
         rec = bmp_run(p, u_hat, b_hat, opts, b0)
     elif args.method == "bm":
@@ -191,7 +193,7 @@ def _cmd_single(args) -> int:
     elif args.method == "newton":
         rec = newton_run(p, u_hat, opts)
     else:
-        rec = smp_run(p, u_hat, b_hat, args.c_const, args.order_alpha, opts)
+        rec = smp_run(p, u_hat, b_hat, c, alpha, opts)
     rows = metrics_from_trace(rec, p)
     _write(args.out, {"metrics.csv": _csv(
         METRICS_COLUMNS, rows, cfg.precision if args.full_precision else None)})
@@ -272,10 +274,8 @@ def main(argv=None) -> int:
     except EmptyAcceptedSet as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError, LinalgError, DimensionMismatch) as exc:
-        # str() of a KeyError is the repr of its message, quotes included
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
+    except (ValueError, OSError, LinalgError, DimensionMismatch) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -278,10 +278,10 @@ class MetricsRow:
     r = property(lambda self: self._read("r"))
     r_eps = property(lambda self: self._read("r_eps"))
     delta = property(lambda self: self._read("delta"))
-    #: ascending singular values of E_k; None when spectra were not recorded
+    #: ascending singular values of E_k; None for an smp run, which has no B_k
     e_svals = property(lambda self: self._read("e_svals"))
     #: ||E_k||_2 and the smallest and second smallest singular values of E_k;
-    #: None when spectra were not recorded (lambda2 also for n = 1)
+    #: None for an smp run (lambda2 also for n = 1)
     e_norm = property(lambda self: self._sval(-1))
     lambda1 = property(lambda self: self._sval(0))
     lambda2 = property(lambda self: self._sval(1))

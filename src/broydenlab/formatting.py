@@ -5,7 +5,6 @@ written as -1 by the CSV writer (``cli._cell``), never here.
 from __future__ import annotations
 
 import mpmath.libmp as libmp
-from mpmath import mpf
 
 #: mantissas longer than this are cut toward zero before printing
 _MAX_BITS = 4000
@@ -26,10 +25,10 @@ def _six(raw) -> str:
 
 
 def format_metric(x) -> str:
-    """Scientific notation with six significant digits, e.g. 2.50000e-06."""
+    """An mpf to six significant digits, e.g. 2.50000e-06."""
     if x == 0:
         return "0.00000e+00"
-    return _six(x._mpf_ if hasattr(x, "_mpf_") else mpf(x)._mpf_)
+    return _six(x._mpf_)
 
 
 def interval_cell(lo, hi):

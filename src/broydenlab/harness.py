@@ -175,22 +175,11 @@ def default_criteria(problem_name: str) -> AcceptanceCriteria:
     return AcceptanceCriteria()
 
 
-@dataclass(frozen=True)
-class Window:
+def window(kbar: int, rule: str = "min") -> range:
     """Final-window indices K = {k0, ..., kbar} of one single run."""
-
-    k0: int
-    kbar: int
-
-    @classmethod
-    def from_kbar(cls, kbar: int, rule: str = "min") -> "Window":
-        quarter = (3 * kbar) // 4
-        k0 = min(kbar - 25, quarter) if rule == "min" else max(kbar - 25, quarter)
-        return cls(k0=max(1, k0), kbar=kbar)
-
-    @property
-    def indices(self) -> range:
-        return range(self.k0, self.kbar + 1)
+    quarter = (3 * kbar) // 4
+    k0 = min(kbar - 25, quarter) if rule == "min" else max(kbar - 25, quarter)
+    return range(max(1, k0), kbar + 1)
 
 
 def init_random(p: Problem, alpha, beta, rng: CounterRng,
@@ -237,8 +226,7 @@ def run_single(cfg: SeriesConfig, run_index: int):
     the final window K of ``cfg.window_rule``."""
     p, opts, u_hat, b_hat, b0 = seeded_start(cfg, run_index)
     rec = bmp_run(p, u_hat, b_hat, opts, b0)
-    window = Window.from_kbar(rec.kbar, cfg.window_rule)
-    rows = metrics_from_trace(rec, p, window.indices)
+    rows = metrics_from_trace(rec, p, window(rec.kbar, cfg.window_rule))
     return rec, rows
 
 

@@ -102,10 +102,7 @@ def _f_monomial(p: int, u: Vec) -> Vec:
 
 
 def _j_monomial(p: int, u: Vec) -> Mat:
-    u1 = u.entries[0]
-    if p == 1:
-        return Mat(((u.ctx.one,),), u.ctx)
-    return Mat(((p * u1 ** (p - 1),),), u.ctx)
+    return Mat(((p * u.entries[0] ** (p - 1),),), u.ctx)
 
 
 @dataclass(frozen=True)
@@ -184,9 +181,9 @@ def get_problem(name: str) -> Problem:
         try:
             p = int(name.split(":", 1)[1])
         except ValueError:
-            raise KeyError(f"bad monomial exponent in {name!r}") from None
+            raise ValueError(f"bad monomial exponent in {name!r}") from None
         if p < 1:
-            raise KeyError("monomial exponent must be >= 1")
+            raise ValueError("monomial exponent must be >= 1")
         singular = p >= 2
         return Problem(
             name=name, n=1,
@@ -196,7 +193,7 @@ def get_problem(name: str) -> Problem:
             phi_entries=(1,) if singular else None,
             psi_entries=(1,) if singular else None,
             singularity_order=p - 1)
-    raise KeyError(f"unknown problem {name!r}")
+    raise ValueError(f"unknown problem {name!r}")
 
 
 def projectors(p: Problem, ctx: PrecisionContext) -> Mat:

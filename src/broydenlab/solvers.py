@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Callable, Optional
 
 from mpmath.libmp import fzero, mpf_gt, mpf_le, mpf_mul, mpf_neg, mpf_shift
@@ -34,18 +34,19 @@ SUCCESS = (Status.CONVERGED, Status.EXACT_ROOT)
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Stopping rules and the recording switch for one run: stop at ||F(u)||
-    <= 10**-``tol_exponent`` (at least 20 digits above the working
-    precision) or at ||u|| > ``divergence_guard``; ``record_spectra`` keeps
-    B_k in every trace entry."""
+    """Stopping rules of one run: stop at ||F(u)|| <= 10**-``tol_exponent``
+    (at least 20 digits above the working precision) or at ||u|| >
+    ``divergence_guard``."""
 
     precision: PrecisionContext
     tol_exponent: int
     max_iter: int = 3000
     divergence_guard: float = 1e10
-    record_spectra: bool = True
+    # accepted and ignored: every run with a matrix keeps B_k.  perfbench's
+    # basin workload still passes it; ROADMAP item 1 deletes both together
+    record_spectra: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, _ignored):
         if self.tol_exponent < 1:
             raise ValueError("tol_exponent must be positive")
         if self.tol_exponent > self.precision.decimal_digits - 20:
@@ -163,7 +164,7 @@ def _engine(p, u, B, opts, refresh=None, step=None) -> RunRecord:
     ff = raw_dot(fu, fu, prec, rnd)
     while True:
         k = len(trace)
-        entry = TraceEntry(ctx, u, ff, raw_b=B if opts.record_spectra else None)
+        entry = TraceEntry(ctx, u, ff, raw_b=B)
         trace.append(entry)
         status = _check_terminal(entry, k, opts, limits)
         if status is not None:
@@ -239,14 +240,9 @@ def newton_run(p: Problem, u0: Vec, opts: SolverOptions) -> RunRecord:
     return _engine(p, u0, p.jac(u0), opts, lambda k, u: p.jac(u0.ctx.raw_vec(u)))
 
 
-def smp_run(p: Problem, u_hat: Vec, b_hat: Mat, c, alpha,
-            opts: SolverOptions) -> RunRecord:
-    """Shamanskii-like acceleration: after u^{-1} = u_hat - B_hat^{-1}
-    F(u_hat) and a Newton step to u^0, the Newton iterate y, the simplified
-    Newton step z = F'(u)^{-1} F(y), and y - (4 - C ||z||^alpha) z.  The
-    trace lists (u_hat, u^{-1}, u^0, ...), without B_k or eps."""
-    _check_dims(p, u_hat, b_hat)
-    ctx = opts.precision
+def smp_constants(ctx: PrecisionContext, c, alpha):
+    """``smp_run``'s C and alpha at ``ctx``: C finite and nonzero, alpha in
+    (0, (sqrt(5)-1)/2), else ValueError."""
     try:
         c, alpha = ctx.real(c), ctx.real(alpha)
     except (ValueError, TypeError, ZeroDivisionError):
@@ -255,4 +251,16 @@ def smp_run(p: Problem, u_hat: Vec, b_hat: Mat, c, alpha,
         raise ValueError("C must be finite and nonzero")
     if not (0 < alpha < (ctx.mp.sqrt(ctx.real(5)) - 1) / 2):
         raise ValueError("alpha must lie in (0, (sqrt(5)-1)/2)")
+    return c, alpha
+
+
+def smp_run(p: Problem, u_hat: Vec, b_hat: Mat, c, alpha,
+            opts: SolverOptions) -> RunRecord:
+    """Shamanskii-like acceleration: after u^{-1} = u_hat - B_hat^{-1}
+    F(u_hat) and a Newton step to u^0, the Newton iterate y, the simplified
+    Newton step z = F'(u)^{-1} F(y), and y - (4 - C ||z||^alpha) z.  The
+    trace lists (u_hat, u^{-1}, u^0, ...), without B_k or eps."""
+    _check_dims(p, u_hat, b_hat)
+    ctx = opts.precision
+    c, alpha = smp_constants(ctx, c, alpha)
     return _engine(p, u_hat, None, opts, step=_shamanskii_step(p, b_hat, c, alpha, ctx))

@@ -23,8 +23,7 @@ def ex1_reference_run():
 
     Newton-step-then-Broyden, start box half-width 0.01, no matrix
     perturbation, B_0 = F'(u_0), 350 digits, tolerance 10**-100, fixed seed.
-    Every B_k is kept (``record_spectra``, the default) for the
-    update-identity checks.
+    Its trace keeps every B_k, which the update-identity checks read.
     """
     ctx = PrecisionContext(350)
     p = get_problem("example1")

@@ -16,7 +16,7 @@ import mpmath
 from mpmath.libmp import fzero, mpf_gt, mpf_le, mpf_lt, mpf_shift, mpf_sqrt
 
 from broydenlab.diagnostics import MetricsRow, _LogRatio, _Root, metrics_from_trace
-from broydenlab.harness import _STATS, Window
+from broydenlab.harness import _STATS, window
 from broydenlab.linalg import (Mat, PrecisionContext, SingularMatrix, Vec,
                                lu_solve, rank_one_update, singular_values)
 from broydenlab.problems import Problem, projectors
@@ -272,11 +272,11 @@ def eager_stats_wire(rec: RunRecord, rows: list, window_rule: str = "min"):
     """``run_stats`` of the window rows of ``rows``, computed after
     reading every column of every row: each window extremum is the min or
     max over all of the window's defined (not None) values."""
-    window = Window.from_kbar(rec.kbar, window_rule)
+    ks = window(rec.kbar, window_rule)
     by_k = {row.k: row for row in rows}
     values = {}
     for pick, attr in _STATS:
-        column = [getattr(by_k[k], attr) for k in window.indices]
+        column = [getattr(by_k[k], attr) for k in ks]
         if pick == "final":
             values[pick, attr] = column[-1]
             continue
@@ -340,7 +340,7 @@ def reference_run(method: str, p: Problem, u: Vec, b: Optional[Mat], opts,
     ff = fu.raw_dot(fu)
     while True:
         k = len(trace)
-        entry = ReferenceEntry(u=u, ff=ff, b=b if opts.record_spectra else None)
+        entry = ReferenceEntry(u=u, ff=ff, b=b)
         trace.append(entry)
         status = _reference_terminal(u, ff, k, opts, limits)
         if status is not None:
@@ -436,15 +436,15 @@ def update_norm_identity_errors(rec: RunRecord, first: int):
     updates B_k -> B_{k+1} from k = ``first`` on: 0 for bm and for bmp
     without a B_0 rule, 1 for bmp with one, which installs B_0 at k = 0.
 
-    Requires the trace to keep every B_k (``SolverOptions.record_spectra``,
-    the default).  The spectral norm of the update is recomputed by SVD, so
-    this checks the update-norm identity through an independent path.
+    Requires a run that keeps B_k, which every run but smp does.  The
+    spectral norm of the update is recomputed by SVD, so this checks the
+    update-norm identity through an independent path.
     """
     out = []
     for k in range(first, rec.kbar):
         entry, nxt = rec.trace[k], rec.trace[k + 1]
         if entry.raw_b is None or nxt.raw_b is None or entry.eps is None:
-            raise ValueError("run was not recorded with record_spectra")
+            raise ValueError("an smp run keeps no B_k")
         if entry.eps == 0:
             continue
         ctx = entry.ctx

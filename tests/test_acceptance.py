@@ -24,8 +24,8 @@ from helpers import (charpoly_singular_values, fitted_q_order, normalized_steps,
 from broydenlab.basin import (Classification, GridSpec, blue_fraction,
                               render_basin)
 from broydenlab.diagnostics import metrics_from_trace
-from broydenlab.harness import (CounterRng, SeriesConfig, Window,
-                                cumulative_run, default_criteria, init_random)
+from broydenlab.harness import (CounterRng, SeriesConfig, cumulative_run,
+                                default_criteria, init_random, window)
 from broydenlab.linalg import PrecisionContext, Vec, singular_values
 from broydenlab.problems import get_problem, verify_a2
 from broydenlab.solvers import (SolverOptions, Status, bmp_run, broyden_run,
@@ -37,8 +37,7 @@ def report(criterion, message):
 
 
 def window_values(rows, kbar, attr):
-    window = Window.from_kbar(kbar)
-    return [getattr(rows[k], attr) for k in window.indices
+    return [getattr(rows[k], attr) for k in window(kbar)
             if getattr(rows[k], attr) is not None]
 
 
@@ -76,7 +75,7 @@ def test_criterion_02_update_norm_identity(ex1_reference_run):
 def test_criterion_03_matrix_convergence(ex1_reference_run):
     p, rec, rows = ex1_reference_run
     ctx = rec.trace[0].ctx
-    k0 = Window.from_kbar(rec.kbar).k0
+    k0 = window(rec.kbar).start
     eps = [rec.trace[k].eps for k in range(rec.kbar)]
     tail = sum(eps[k0:], ctx.zero)
     bound = 3 * eps[k0] / (1 - ctx.real("0.62"))
@@ -91,10 +90,10 @@ def test_criterion_03_matrix_convergence(ex1_reference_run):
 def test_criterion_04_uniform_linear_independence_violated(ex1_reference_run):
     p, rec, rows = ex1_reference_run
     steps = normalized_steps(rec)
-    window = Window.from_kbar(rec.kbar)
+    k0 = window(rec.kbar).start
     checked = 0
     worst = 0.0
-    for k in range(window.k0, len(steps) - 1):
+    for k in range(k0, len(steps) - 1):
         sv = uli_min_sv(steps, k, (k, k + 1))
         worst = max(worst, float(sv))
         assert sv <= 1e-10
@@ -199,7 +198,7 @@ def test_criterion_10_basin_rendering():
     p = get_problem("example1")
     crit = default_criteria("example1")
     opts = SolverOptions(precision=PrecisionContext(160), tol_exponent=60,
-                         max_iter=300, record_spectra=False)
+                         max_iter=300)
     res = 101
     mid = (res - 1) // 2
 

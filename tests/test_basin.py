@@ -16,7 +16,7 @@ from broydenlab.solvers import SolverOptions
 
 def basin_opts(digits=160, tol=60, max_iter=300):
     return SolverOptions(precision=PrecisionContext(digits), tol_exponent=tol,
-                         max_iter=max_iter, record_spectra=False)
+                         max_iter=max_iter)
 
 
 @pytest.fixture(scope="module")
@@ -144,8 +144,7 @@ def test_render_keeps_the_callers_divergence_guard(ex1, crit, workers):
     # a guard below the grid's radius stops every start but the root at
     # once: the render must classify each pixel with the caller's options
     opts = SolverOptions(precision=PrecisionContext(80), tol_exponent=40,
-                         max_iter=300, divergence_guard=1e-4,
-                         record_spectra=False)
+                         max_iter=300, divergence_guard=1e-4)
     grid = GridSpec(half_width="0.001", resolution=3)
     _, results = render_basin(ex1, grid, crit, opts, workers=workers)
     for idx, result in enumerate(results):
@@ -158,23 +157,18 @@ def test_render_keeps_the_callers_divergence_guard(ex1, crit, workers):
     assert [r.classification for r in results].count(Classification.IN_BAND) == 1
 
 
-def test_point_detail_jac_calls_do_not_depend_on_record_spectra(ex1, crit):
-    # a pixel's one metrics row reads no spectrum, so keeping B_k in the
-    # trace forms no F'(root)
+def test_point_detail_forms_no_jacobian_at_the_root(ex1, crit):
+    # a pixel's one metrics row reads no spectrum, so the kept B_k form no
+    # F'(root): the calls are F'(u_hat) and B_0 = F'(u0) for each of the
+    # eight pixels off the root, as many as when the trace kept no B_k
     grid = GridSpec(half_width="0.001", resolution=3)
-    counts = []
-    for record_spectra in (True, False):
-        calls = []
-        p = dataclasses.replace(
-            ex1, jac=lambda u: calls.append(u) or ex1.jac(u))
-        opts = SolverOptions(precision=PrecisionContext(160), tol_exponent=60,
-                             max_iter=300, record_spectra=record_spectra)
-        for i in range(3):
-            for j in range(3):
-                classify_point_detail(p, grid.point(i, j, opts.precision),
-                                      crit, opts)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+    calls = []
+    p = dataclasses.replace(ex1, jac=lambda u: calls.append(u) or ex1.jac(u))
+    opts = basin_opts()
+    for i in range(3):
+        for j in range(3):
+            classify_point_detail(p, grid.point(i, j, opts.precision), crit, opts)
+    assert len(calls) == 16
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -14,7 +14,7 @@ from mpmath import mpf
 import broydenlab
 from broydenlab.cli import (_COMMANDS, METRICS_HEADER, SUMMARY_HEADER, _write,
                              main)
-from broydenlab.harness import Window
+from broydenlab.harness import window
 
 
 def read_csv(path):
@@ -157,9 +157,8 @@ def test_single_bmp_writes_metrics(tmp_path, capsys):
     # undefined quantities at k = 0 serialize as the literal sentinel
     assert rows[0][3] == "-1" and rows[0][4] == "-1"
     kbar = len(rows) - 1
-    window = Window.from_kbar(kbar)
     q_col = header.index("q")
-    for k in window.indices:
+    for k in window(kbar):
         q = mpf(rows[k][q_col])
         assert mpf("0.616") <= q <= mpf("0.620")
     out = capsys.readouterr().out
@@ -280,6 +279,9 @@ def test_basin_negative_half_width_exits_2(tmp_path, capsys):
     ["--method", "smp", "--C", "nan"], ["--method", "smp", "--C", "inf"],
     ["--method", "smp", "--order-alpha", "nan"], ["--alpha", "1/0"],
     ["--method", "smp", "--C", "1/0"], ["--method", "smp", "--order-alpha", "1/0"],
+    # the smp constants are checked whichever method runs
+    ["--method", "bm", "--C", "nonsense"], ["--method", "bmp", "--order-alpha", "xyz"],
+    ["--method", "newton", "--C", "0"], ["--method", "newton", "--order-alpha", "0.7"],
 ])
 def test_single_bad_scale_exits_2(tmp_path, capsys, extra):
     code = main(["single", "--problem", "example1", *extra,

@@ -5,7 +5,7 @@ from helpers import (BadSelection, eager_stats_wire, fitted_q_order, identity,
                      reference_metrics, synthetic_record, uli_min_sv)
 from broydenlab.cli import METRICS_COLUMNS, _csv
 from broydenlab.diagnostics import _Spectrum, metrics_from_trace, window_extreme
-from broydenlab.harness import _STATS, Window, run_stats
+from broydenlab.harness import _STATS, run_stats, window
 from broydenlab.linalg import Mat, PrecisionContext, Vec
 from broydenlab.problems import get_problem
 from broydenlab.solvers import (SolverOptions, Status, bmp_run, broyden_run,
@@ -55,7 +55,7 @@ def test_window_stats_with_tied_keys(ctx100, geometric_record, rule):
     # r is 1/2 at every index, so every r key ties and every row is read
     p = get_problem("example1")
     rows = metrics_from_trace(geometric_record, p)
-    k0 = Window.from_kbar(geometric_record.kbar, rule).k0
+    k0 = window(geometric_record.kbar, rule).start
     wire = run_stats(rows[k0:])
     assert not any(isinstance(row.pending["r"], tuple) for row in rows[k0:])
     assert wire == eager_stats_wire(geometric_record,
@@ -73,7 +73,7 @@ def test_window_stats_of_r_differing_in_last_bits(ctx100):
     rows = metrics_from_trace(rec, p)
     rs = [row.r for row in metrics_from_trace(rec, p)[1:]]
     assert len(set(rs)) > 1 and max(rs) - min(rs) <= ctx100.pow10(-95)
-    k0 = Window.from_kbar(rec.kbar).k0
+    k0 = window(rec.kbar).start
     assert run_stats(rows[k0:]) == eager_stats_wire(rec, rows)
 
 
@@ -91,7 +91,7 @@ def test_window_stats_with_tied_spectra(ctx100, rule):
     rec = _spectrum_record(ctx100, [("0.75", "0.125")] * 12)
     p = get_problem("example1")
     rows = metrics_from_trace(rec, p)
-    k0 = Window.from_kbar(rec.kbar, rule).k0
+    k0 = window(rec.kbar, rule).start
     wire = run_stats(rows[k0:])
     assert not any(isinstance(row.pending["e_svals"], _Spectrum)
                    for row in rows[k0:])
@@ -107,9 +107,9 @@ def test_window_minimum_of_spectra_differing_by_ulps(ctx100):
     rec = _spectrum_record(ctx100, [(ctx100.real(1) / 2 + j * ulp, "0.125")
                                     for j in js])
     rows = metrics_from_trace(rec, get_problem("example1"))
-    window = Window.from_kbar(rec.kbar)
-    assert js[-1] > min(js[window.k0:]) == 0
-    wire = run_stats(rows[window.k0:])
+    k0 = window(rec.kbar).start
+    assert js[-1] > min(js[k0:]) == 0
+    wire = run_stats(rows[k0:])
     e_norm = ctx100.make(wire[_STATS.index(("min", "e_norm"))])
     assert e_norm == ctx100.real(1) / 2 and e_norm < rows[-1].e_norm
     assert wire == eager_stats_wire(rec, rows)
@@ -233,8 +233,7 @@ def test_fitted_q_order_exact_sequences(ctx100):
 
 def test_zeta_over_error_decays_on_reference_run(ex1_reference_run):
     p, rec, rows = ex1_reference_run
-    window = Window.from_kbar(rec.kbar)
-    ratios = [rows[k].zeta / rows[k].err for k in window.indices
+    ratios = [rows[k].zeta / rows[k].err for k in window(rec.kbar)
               if rows[k].zeta is not None]
     assert len(ratios) > 20
     assert ratios[-1] < ratios[0] * 1e-6
@@ -247,9 +246,8 @@ def test_residual_over_error_squared_stabilizes(ex1_reference_run):
     # ||F_k|| / err_k^2 approaches a limit; oscillation over the final window
     # stays within 1e-2 relative
     p, rec, rows = ex1_reference_run
-    window = Window.from_kbar(rec.kbar)
     vals = [rows[k].f_norm / (rows[k].err * rows[k].err)
-            for k in window.indices]
+            for k in window(rec.kbar)]
     lo, hi = min(vals), max(vals)
     assert (hi - lo) / hi <= 1e-2
 
@@ -257,8 +255,7 @@ def test_residual_over_error_squared_stabilizes(ex1_reference_run):
 def test_consecutive_min_sv_collapses_on_reference_run(ex1_reference_run):
     p, rec, rows = ex1_reference_run
     steps = normalized_steps(rec)
-    window = Window.from_kbar(rec.kbar)
-    for k in range(window.k0, len(steps) - 1):
+    for k in range(window(rec.kbar).start, len(steps) - 1):
         assert uli_min_sv(steps, k, range(k, k + p.n)) <= 1e-10
 
 
@@ -283,8 +280,6 @@ _DRIVER_CASES = [
     # (id, problem, method, start, B rule, options, final status)
     ("bm-example1", "example1", "bm", _EX1, None, {}, Status.CONVERGED),
     ("bmp-example1-b0", "example1", "bmp", _EX1, "jac", {}, Status.CONVERGED),
-    ("bmp-example1-no-spectra", "example1", "bmp", _EX1, "jac",
-     {"record_spectra": False}, Status.CONVERGED),
     ("bmp-example2-b0", "example2", "bmp", _EX3, "jac", {}, Status.CONVERGED),
     ("bmp-example3", "example3", "bmp", _EX3, None, {}, Status.CONVERGED),
     ("bmp-example4", "example4", "bmp", ["0.01", "-0.02", "0.015"], "jac", {},

@@ -9,11 +9,11 @@ from broydenlab.diagnostics import metrics_from_trace
 from broydenlab import harness
 from broydenlab.diagnostics import MetricsRow, _Spectrum
 from broydenlab.harness import (AcceptanceCriteria, CounterRng,
-                                EmptyAcceptedSet, SeriesConfig, Window,
+                                EmptyAcceptedSet, SeriesConfig,
                                 _reduce_stats, cumulative_run,
                                 default_criteria, init_random,
                                 parallel_map, pool_size, removal_reason,
-                                run_single, run_stats)
+                                run_single, run_stats, window)
 from broydenlab.linalg import PrecisionContext, singular_values
 from broydenlab.problems import get_problem
 from broydenlab.solvers import Status
@@ -94,14 +94,14 @@ def test_seeded_start_b0_rule(tiny_cfg):
 
 def test_window_hand_values():
     # k0 = max(1, min(kbar - 25, floor(0.75 kbar)))
-    assert Window.from_kbar(40).k0 == 15
-    assert Window.from_kbar(80).k0 == 55
-    assert Window.from_kbar(120).k0 == 90
-    assert Window.from_kbar(10).k0 == 1
-    assert list(Window.from_kbar(40).indices) == list(range(15, 41))
+    assert window(40).start == 15
+    assert window(80).start == 55
+    assert window(120).start == 90
+    assert window(10).start == 1
+    assert window(40) == range(15, 41)
     # the alternative "last quarter, at most 25" reading
-    assert Window.from_kbar(200, rule="max").k0 == 175
-    assert Window.from_kbar(40, rule="max").k0 == 30
+    assert window(200, rule="max").start == 175
+    assert window(40, rule="max").start == 30
 
 
 def test_series_config_validation():
@@ -263,10 +263,10 @@ def test_aggregate_two_synthetic_records_hand_check(ctx100):
     rec_b = make(ctx100.real(4))
     rows_a = metrics_from_trace(rec_a, p)
     rows_b = metrics_from_trace(rec_b, p)
-    w = Window.from_kbar(30)
-    summary = _reduce_stats([run_stats(rows_a[w.k0:]), run_stats(rows_b[w.k0:])],
+    w = window(30)
+    summary = _reduce_stats([run_stats(rows_a[w.start:]), run_stats(rows_b[w.start:])],
                             ctx100, 0, {})
-    assert w.k0 == 5
+    assert w.start == 5
     # q is exactly 1/2 everywhere, so the collapse is exact
     assert summary.q_min == summary.q_max == ctx100.real(1) / 2
     # final residuals: min from record a, max from record b
@@ -339,21 +339,21 @@ def test_windowed_rows_equal_full_rows(tiny_cfg, rule):
     p = get_problem(cfg.problem)
     for j in range(cfg.m):
         rec, rows = run_single(cfg, j)
-        window = Window.from_kbar(rec.kbar, rule)
+        ks = window(rec.kbar, rule)
         full = metrics_from_trace(rec, p)
-        windowed = metrics_from_trace(rec, p, window.indices)
-        assert [row.k for row in windowed] == list(window.indices)
+        windowed = metrics_from_trace(rec, p, ks)
+        assert [row.k for row in windowed] == list(ks)
         assert len(windowed) < len(full)
         # pending holds each call's own F'(root) former; the values it
         # yields are compared by name
         names = [f.name for f in dataclasses.fields(MetricsRow)
                  if f.name != "pending"] + [
             "r", "r_eps", "delta", "e_svals", "e_norm"]
-        for got, want in zip(windowed, full[window.k0:], strict=True):
+        for got, want in zip(windowed, full[ks.start:], strict=True):
             for name in names:
                 assert getattr(got, name) == getattr(want, name)
-        assert [row.k for row in rows] == list(window.indices)
-        assert run_stats(rows) == run_stats(full[window.k0:])
+        assert [row.k for row in rows] == list(ks)
+        assert run_stats(rows) == run_stats(full[ks.start:])
     assert metrics_from_trace(rec, p, range(0)) == []
 
 

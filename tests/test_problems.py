@@ -13,11 +13,11 @@ ALL_NAMES = ["example1", "example2", "example3", "example4"]
 def test_registry_listing():
     assert list_problems() == ALL_NAMES
     assert get_problem("monomial:3").n == 1
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         get_problem("nonexistent")
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         get_problem("monomial:0")
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         get_problem("monomial:x")
 
 

@@ -30,6 +30,31 @@ def test_options_validation(ctx100):
         SolverOptions(precision=ctx100, tol_exponent=50, max_iter=0)
 
 
+def test_options_hold_only_the_stopping_rules():
+    assert [f.name for f in dataclasses.fields(SolverOptions)] == [
+        "precision", "tol_exponent", "max_iter", "divergence_guard"]
+
+
+@pytest.mark.parametrize("method", ["bm", "bmp", "newton"])
+def test_record_spectra_is_ignored(ctx100, method):
+    # every run with a matrix keeps B_k on every trace entry, so each row
+    # reads the spectrum of E_k, whatever record_spectra says
+    p = get_problem("example1")
+    u = ctx100.vec(["0.00731", "-0.00412"])
+    opts = SolverOptions(precision=ctx100, tol_exponent=60, max_iter=200,
+                         record_spectra=False)
+    assert opts == opts_for(ctx100)
+    if method == "bm":
+        rec = broyden_run(p, u, p.jac(u), opts)
+    elif method == "bmp":
+        rec = bmp_run(p, u, p.jac(u), opts, p.jac)
+    else:
+        rec = newton_run(p, u, opts)
+    assert rec.status is Status.CONVERGED
+    assert all(e.raw_b is not None for e in rec.trace)
+    assert all(row.e_svals is not None for row in metrics_from_trace(rec, p))
+
+
 def test_linear_system_converges_in_one_step(ctx100):
     p = problem_linear([[2, 1], [0, 1]], [3, 1], [1, 1])
     b0 = ctx100.mat([[2, 1], [0, 1]])
@@ -476,13 +501,12 @@ def test_metrics_read_the_trace_entry_norms(case):
 
 def test_engine_matches_reference_run_on_a_basin_grid():
     # a 5x5 example1 grid in the basin's configuration, both halves of the
-    # start box, with and without B_k kept
+    # start box
     ctx = PrecisionContext(160)
     p = get_problem("example1")
     statuses = set()
-    for hw, keep in (("0.001", False), ("0.1", True)):
-        opts = SolverOptions(precision=ctx, tol_exponent=60, max_iter=300,
-                             record_spectra=keep)
+    opts = SolverOptions(precision=ctx, tol_exponent=60, max_iter=300)
+    for hw in ("0.001", "0.1"):
         grid = GridSpec(half_width=hw, resolution=5, center=("1e-5", "-3e-5"))
         for i in range(5):
             for j in range(5):
