@@ -8,9 +8,10 @@ Each row collects, for iteration k (undefined entries are None),
     zeta_k = min(||shat^k - phi||, ||shat^k + phi||)
 
 and the ascending singular values of E_k = B_k - F'(root).  r, r_eps, delta
-and the spectra are lazy: a row keeps their operands, which give keys for
-window extrema and enclosures for six-digit cells (see README.md), and
-evaluates them on first read.
+and the spectra are lazy: a row keeps their operands, which give raw bounds
+that surely hold the value (see README.md), and evaluates them on first
+read.  Window extrema evaluate only the rows whose bounds reach the extreme
+one, and a six-digit cell comes from the bounds where both ends print alike.
 """
 from __future__ import annotations
 
@@ -19,9 +20,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from mpmath.libmp import (fone, from_float, from_int, from_man_exp, fzero, mpf_gt,
-                          mpf_lt, mpf_mul, mpf_neg, mpf_rdiv_int, mpf_shift,
-                          round_ceiling, round_floor)
+from mpmath.libmp import (fone, from_float, from_man_exp, fzero, mpf_cmp, mpf_gt,
+                          mpf_lt, mpf_mul, mpf_mul_int, mpf_rdiv_int,
+                          mpf_shift, round_ceiling, to_int)
 
 from .linalg import (PrecisionContext, mpf_add, mpf_div, mpf_sqrt, mpf_sub, raw_dot,
                      singular_values)
@@ -37,20 +38,7 @@ from .solvers import RunRecord
 #: delta, taken only where |B| >= 1e-3, errs by less than 1e-15 ((1 + |A|)
 #: + |A/B| (1 + |B|)) / |B| < 3e-12 (1 + |delta|).  The exact values round
 #: to 2**-(prec-10) relative, below 1e-40 even at 50 digits.  So the margin
-#: covers every error 300 times over: a row whose key lies beyond the
-#: margins of the extreme key cannot hold the extremum, ties and near-ties
-#: are always evaluated, and the extremum is exact by construction.
-#:
-#: An exact raw key K, the 4 ||E_k||**2 of ``_Spectrum`` (n = 2), stands for
-#: every value within 4 svd_tol K.  Proof: its eleven roundings of 2**-prec
-#: each, on nonnegative terms, leave it within 16 2**-prec of 4 sigma_max**2
-#: of the rounded E_k, and Jacobi's sigma_max**2 is the largest diagonal g
-#: of its final Gram matrix, whose off-diagonals are at most svd_tol
-#: sqrt(g_pp g_qq), or svd_tol g next to a deflated column: by Gershgorin and
-#: the Rayleigh quotient sigma_max**2 lies in [g, g (1 + (n - 1) svd_tol)],
-#: plus the rotations' rounding (below).  svd_tol = 10**(10 - digits) is
-#: about 10**11 2**-prec, so the key lies within about 1.0 svd_tol K of
-#: Jacobi's 4 sigma_max**2, and the slack covers that four times over.
+#: covers every error 300 times over.
 #:
 #: Jacobi's i-th output (ascending) lies within 2 n svd_tol ||E||_F of the
 #: i-th singular value of the E it is given, for n = 2 and 3.  Proof: its
@@ -69,8 +57,8 @@ from .solvers import RunRecord
 #: is below 2 n svd_tol ||E||_F.
 KEY_MARGIN = 1e-9
 _LN2 = math.log(2)
-#: binary precision of the bounds of the enclosures
-_BITS = 64
+#: bits that E_k keeps below its working precision when cut to integers
+_GUARD = 16
 
 
 def _ln(x) -> float:
@@ -80,64 +68,82 @@ def _ln(x) -> float:
     return math.log(math.ldexp(top, -53)) + (exp + bc) * _LN2
 
 
-def _span(key, sign: int, ctx: PrecisionContext):
-    """The interval of signed values that a float or an exact raw ``key``
-    stands for (see KEY_MARGIN), as floats or raw tuples."""
-    if isinstance(key, float):
-        slack = KEY_MARGIN * (1 + abs(key))
-        return sign * key - slack, sign * key + slack
-    prec, rnd = ctx.prec, ctx.rounding
-    slack = mpf_mul(mpf_shift(ctx.svd_tol._mpf_, 2), key, prec, rnd)
-    key = key if sign > 0 else mpf_neg(key)
-    return mpf_sub(key, slack, prec, rnd), mpf_add(key, slack, prec, rnd)
+def _span(key: float):
+    """The float interval of values that ``key`` stands for (see KEY_MARGIN)."""
+    slack = KEY_MARGIN * (1 + abs(key))
+    return key - slack, key + slack
 
 
-def _exp_span(span):
-    """Raw bounds on exp(t) for t in the float ``span``, None outside
-    (-700, 700): math.exp errs by less than an ulp, 2**-52 relative."""
-    lo, hi = span
-    if not -700 < lo <= hi < 700:
-        return None
-    return (from_float(math.exp(lo) * (1 - 2 ** -50)),
-            from_float(math.exp(hi) * (1 + 2 ** -50)))
-
-
-def _pad(span, w):
-    """The raw interval ``span`` widened by ``w`` on both sides."""
-    return (mpf_sub(span[0], w, _BITS, round_floor),
-            mpf_add(span[1], w, _BITS, round_ceiling))
-
-
-def _iv(op, a, b, cross=False):
-    """``op`` on raw intervals a and b of numbers >= 0, rounded outward;
-    ``cross`` pairs each end of a with the other end of b, as - and / need."""
-    b = b[::-1] if cross else b
-    return op(a[0], b[0], _BITS, round_floor), op(a[1], b[1], _BITS, round_ceiling)
-
-
-def _bounds(x, exp=0):
-    """Raw bounds on the integer x times 2**exp."""
-    return (from_man_exp(x, exp, _BITS, round_floor),
-            from_man_exp(x, exp, _BITS, round_ceiling))
-
-
-def _gram_invariants(e):
-    """(low, n1, n2, det) for raw 2 x 2 or 3 x 3 rows e = M 2**low, M an
-    integer matrix: ||M||_F**2, the sum of M's squared 2 x 2 minors and
-    det M, exact on Python integers."""
-    low = min(x[2] for row in e for x in row if x[1])
-    m = [[(-x[1] if x[0] else x[1]) << (x[2] - low) if x[1] else 0 for x in row]
-         for row in e]
-    pairs = ((0, 1),) if len(e) == 2 else ((0, 1), (0, 2), (1, 2))
+def _gram_invariants(m):
+    """(n1, n2, d) of the 2 x 2 or 3 x 3 integer matrix m (rows):
+    ||m||_F**2, the sum of m's squared 2 x 2 minors and |det m|."""
+    pairs = ((0, 1),) if len(m) == 2 else ((0, 1), (0, 2), (1, 2))
     minors = [[m[i][k] * m[j][l] - m[i][l] * m[j][k] for k, l in pairs] for i, j in pairs]
-    det = minors[0][0] if len(e) == 2 else (
+    det = minors[0][0] if len(m) == 2 else (
         m[0][0] * minors[2][2] - m[0][1] * minors[2][1] + m[0][2] * minors[2][0])
-    return (low, sum(x * x for row in m for x in row),
-            sum(x * x for row in minors for x in row), det)
+    return (sum(x * x for row in m for x in row),
+            sum(x * x for row in minors for x in row), abs(det))
+
+
+def _sqrt_bounds(lo: int, hi: int):
+    """Integer bounds on sqrt(t) for t in the integer interval [lo, hi]."""
+    low = math.isqrt(lo)
+    high = low if hi == lo else math.isqrt(hi)
+    return low, high + (high * high < hi)
+
+
+def _pair(s, g):
+    """Integer bounds on x and y, 0 <= x <= y, from integer bounds s on x**2
+    + y**2 and g on x y: x + y = sqrt(s + 2 g), y - x = sqrt(s - 2 g)."""
+    a = _sqrt_bounds(s[0] + 2 * g[0], s[1] + 2 * g[1])
+    b = _sqrt_bounds(max(s[0] - 2 * g[1], 0), s[1] - 2 * g[0])
+    return (((a[0] - b[1]) >> 1, (a[1] - b[0] + 1) >> 1),
+            ((a[0] + b[0]) >> 1, (a[1] + b[1] + 1) >> 1))
+
+
+def _top_root(n1: int, n2: int, c: int, prec: int):
+    """Integer bounds (lo, hi), about 2**-prec apart relative, on the largest
+    root of p(t) = t**3 - n1 t**2 + n2 t - c, whose roots are real, >= 0
+    and sum to n1 > 0; None where they cannot be certified.  Newton's method
+    runs from t = n1, above every root, where p rises and is convex, so that
+    it falls to the largest root.  It works in floating point: t and the
+    coefficients keep their leading 48 bits, a number that doubles each
+    time a step falls below the square root of their precision, up to
+    prec + 2 _GUARD bits.  p(lo) <= 0 <= p(hi) on exact integers puts a
+    root in [lo, hi], and p'(lo) > 0 with 3 lo > n1 makes it the largest:
+    p' = 3 t**2 - 2 n1 t + n2 rises past n1 / 3, and its larger root lies
+    between p's middle and largest roots (Rolle), so lo lies above the
+    middle root."""
+    size = n1.bit_length()
+    shift, last = max(size - 48, 0), max(size - prec - 2 * _GUARD, 0)
+    t = n1 >> shift
+    for _ in range(200):
+        a1, a2, a3 = n1 >> shift, n2 >> 2 * shift, c >> 3 * shift
+        d = (3 * t - 2 * a1) * t + a2
+        if d <= 0:
+            return None
+        step = (((t - a1) * t + a2) * t - a3) // d
+        t -= step
+        if abs(step) <= t >> (size - shift) // 2:
+            if shift == last:
+                break
+            # 2 (size - shift) - 8 bits: 8 for the truncated coefficients
+            # and the floor division
+            new = max(2 * shift - size + 8, last)
+            t, shift = t << shift - new, new
+    width = (t >> prec) + 1
+    lo, hi = (t - width) << shift, (t + width) << shift
+
+    def p(v):
+        return ((v - n1) * v + n2) * v - c
+
+    if 3 * lo > n1 and (3 * lo - 2 * n1) * lo + n2 > 0 and p(lo) <= 0 <= p(hi):
+        return lo, hi
+    return None
 
 
 class _Root(NamedTuple):
-    """x ** (1/k) for x > 0, keyed by its logarithm ln(x)/k."""
+    """x ** (1/k) for x > 0, bounded through its logarithm ln(x)/k."""
 
     x: object
     k: int
@@ -145,17 +151,19 @@ class _Root(NamedTuple):
     def value(self, ctx):
         return ctx.mp.power(self.x, ctx.one / self.k)
 
-    def key(self):
-        return _ln(self.x) / self.k
-
     def enclosure(self):
-        """Raw bounds on ``value``: exp of the key's interval."""
-        return _exp_span(_span(self.key(), 1, None))
+        """Raw bounds on ``value``: exp of the key's interval, None outside
+        (-700, 700); math.exp errs by less than an ulp, 2**-52 relative."""
+        lo, hi = _span(_ln(self.x) / self.k)
+        if not -700 < lo <= hi < 700:
+            return None
+        return (from_float(math.exp(lo) * (1 - 2 ** -50)),
+                from_float(math.exp(hi) * (1 + 2 ** -50)))
 
 
 class _LogRatio(NamedTuple):
-    """log a / log b for a > 0 and 0 < b < 1, keyed by the value itself;
-    no key where log b is near 0."""
+    """log a / log b for a > 0 and 0 < b < 1, bounded through a float key,
+    the value itself; no bounds where log b is near 0."""
 
     a: object
     b: object
@@ -163,23 +171,17 @@ class _LogRatio(NamedTuple):
     def value(self, ctx):
         return ctx.mp.log(self.a) / ctx.mp.log(self.b)
 
-    def key(self):
-        log_b = _ln(self.b)
-        return _ln(self.a) / log_b if log_b <= -1e-3 else None
-
     def enclosure(self):
         """Raw bounds on ``value``: the key's interval; None without a key."""
-        key = self.key()
-        return None if key is None else tuple(map(from_float, _span(key, 1, None)))
+        log_b = _ln(self.b)
+        if log_b > -1e-3:
+            return None
+        return tuple(map(from_float, _span(_ln(self.a) / log_b)))
 
 
 class _Spectrum(NamedTuple):
     """Ascending singular values of E_k = b - j_root(), for the raw rows b of
-    B_k, where j_root forms the raw rows of F'(root) on first call.  For
-    n = 2, keyed by 4 ||E_k||**2 = p + m + 2 sqrt(p m), with p = (a-d)**2 +
-    (b+c)**2 and m = (a+d)**2 + (b-c)**2 for E_k = [[a, b], [c, d]]: the two
-    norms are sigma_max -+ sigma_min.  Every term is nonnegative, so nothing
-    cancels (see KEY_MARGIN)."""
+    B_k, where j_root forms the raw rows of F'(root) on first call."""
 
     ctx: PrecisionContext
     b: tuple
@@ -193,61 +195,50 @@ class _Spectrum(NamedTuple):
     def value(self, ctx):
         return singular_values(ctx.raw_mat(self._e()))
 
-    def key(self):
-        if len(self.b) != 2:
-            return None
-        prec, rnd = self.ctx.prec, self.ctx.rounding
-        (a, b), (c, d) = self._e()
-        p, m = (raw_dot(v, v, prec, rnd) for v in (
-            (mpf_sub(a, d, prec, rnd), mpf_add(b, c, prec, rnd)),
-            (mpf_add(a, d, prec, rnd), mpf_sub(b, c, prec, rnd))))
-        root = mpf_sqrt(mpf_mul(p, m, prec, rnd), prec, rnd)
-        return mpf_add(mpf_add(p, m, prec, rnd), mpf_shift(root, 1), prec, rnd)
-
     def enclosure(self):
         """Raw bounds on each singular value ``value`` returns, ascending, for
-        n = 2 and 3; None otherwise.  For E = M 2**low, the squares m1 <= m2
-        (<= m3) of M's singular values have the sums n1, n2 and, for n = 3,
-        det**2 of their products one, two and three at a time (Cauchy-Binet;
-        :func:`_gram_invariants`).  For s and q the sum and the product of
-        all but m1, the largest is (s + sqrt(s**2 - 4 q)) / 2, rising with s
-        and falling with q, and the next is q over it.  For n = 2, s = n1 and
-        q = det**2.  For n = 3, q = det**2 / m1 lies in [n2 / 3, n2], so m1
-        lies in [det**2 / n2, u] for u = 3 det**2 / n2, then det**2 / (n2 -
-        u n1), which bound s = n1 - m1, q = n2 - m1 s and m1 = det**2 / q.
-        Jacobi's outputs lie within 2 n svd_tol F of the square roots (see
-        KEY_MARGIN), for F = n 2**max(exp + bc) >= ||E||_F."""
+        n = 2 and 3; None otherwise, or where they cannot be certified.
+
+        E's entries are cut toward zero at 2**cut, cut = top - prec - _GUARD
+        for top the largest exp + bc, to E' = M 2**cut, M an integer matrix
+        with entries below 2**(prec + _GUARD): E - E' moves each singular
+        value by less than n 2**cut (Weyl).  Let n1 = ||M||_F**2, n2 the sum
+        of M's squared 2 x 2 minors and d = |det M| (:func:`_gram_invariants`).
+        For n = 2, M's singular values x <= y have x**2 + y**2 = n1 and x y =
+        d (:func:`_pair`).  For n = 3, x <= y <= z, and z**2 is the largest
+        root of t**3 - n1 t**2 + n2 t - d**2 (Cauchy-Binet; :func:`_top_root`);
+        then x y = d / z and x**2 + y**2 = (n2 - (x y)**2) / z**2, where
+        n2 - (x y)**2 = z**2 (x**2 + y**2) >= 2 n2 / 3 does not cancel.  Every
+        step rounds outward on integers.  Jacobi's outputs lie within 2 n
+        svd_tol F of the singular values of E (see KEY_MARGIN), F = n 2**top
+        >= ||E||_F, so each bound is widened by pad 2**cut >= n 2**cut + 2 n
+        svd_tol F."""
         n = len(self.b)
         e = self._e() if n in (2, 3) else ()
         nonzero = [x for row in e for x in row if x != fzero]
         if not nonzero or not all(x[1] for x in nonzero):
             return None
-        low, n1, n2, det = _gram_invariants(e)
-        if not n2:
+        prec = self.ctx.prec
+        cut = max(x[2] + x[3] for x in nonzero) - prec - _GUARD
+        n1, n2, d = _gram_invariants([[to_int(mpf_shift(x, -cut)) for x in row]
+                                      for row in e])
+        if not n2:   # rank <= 1: no bound certifies the zeros
             return None
-        s, q, c3 = _bounds(n1), _bounds(n2), _bounds(det * det)
-        if n == 3:
-            u = _iv(mpf_div, _bounds(3 * det * det), q, True)[1]
-            rest = _iv(mpf_sub, q, _iv(mpf_mul, (u, u), s), True)[0]
-            v = mpf_div(c3[1], rest, _BITS, round_ceiling) if mpf_gt(rest, fzero) else u
-            m1 = (_iv(mpf_div, c3, q, True)[0], v if mpf_lt(v, u) else u)
-            s = _iv(mpf_sub, s, m1, True)
-            if not mpf_gt(s[0], fzero):
+        if n == 2:
+            svals = _pair((n1, n1), (d, d))
+        else:
+            zz = _top_root(n1, n2, d * d, prec)
+            if zz is None:
                 return None
-            q = _iv(mpf_sub, q, _iv(mpf_mul, m1, s), True)
-            if not mpf_gt(q[0], fzero):
-                return None
-        d = _iv(mpf_sub, _iv(mpf_mul, s, s), tuple(mpf_shift(x, 2) for x in q), True)
-        root = (mpf_sqrt(d[0] if mpf_gt(d[0], fzero) else fzero, _BITS, round_floor),
-                mpf_sqrt(d[1], _BITS, round_ceiling))
-        top = tuple(mpf_shift(x, -1) for x in _iv(mpf_add, s, root))
-        mus = [_iv(mpf_div, c3, q, True)] if n == 3 else []
-        f = mpf_shift(from_int(n), max(x[2] + x[3] for x in nonzero))
-        w = mpf_mul(mpf_mul(self.ctx.svd_tol._mpf_, from_int(2 * n), _BITS,
-                            round_ceiling), f, _BITS, round_ceiling)
-        return tuple(_pad(tuple(mpf_shift(mpf_sqrt(x, _BITS, rnd), low) for x, rnd in
-                                zip(mu, (round_floor, round_ceiling))), w)
-                     for mu in mus + [_iv(mpf_div, q, top, True), top])
+            z = _sqrt_bounds(*zz)
+            xy = d // z[1], -(-d // z[0])
+            svals = _pair(((n2 - xy[1] ** 2) // zz[1], -((xy[0] ** 2 - n2) // zz[0])),
+                          xy) + (z,)
+        pad = to_int(mpf_shift(mpf_mul_int(self.ctx.svd_tol._mpf_, 2 * n * n, 64,
+                                           round_ceiling), prec + _GUARD),
+                     round_ceiling) + n
+        return tuple((from_man_exp(lo - pad, cut), from_man_exp(hi + pad, cut))
+                     for lo, hi in svals)
 
 
 _LAZY = (_Root, _LogRatio, _Spectrum)
@@ -307,26 +298,26 @@ class MetricsRow:
 
 def window_extreme(pick: str, attr: str, rows):
     """``min`` or ``max`` (``pick``) of column ``attr`` over ``rows``, None
-    values skipped.  An unread lazy value enters by its key, and only the
-    rows whose key intervals (:func:`_span`) reach the extreme one are
-    evaluated."""
+    values skipped.  An unread lazy value enters by its ``enclosure``, and
+    only the rows whose bounds reach the extreme one are evaluated."""
     sign = 1 if pick == "max" else -1
-    exact, keyed = [], []
+    name = "e_svals" if attr == "e_norm" else attr
+    exact, spans = [], []
     for row in rows:
-        op = row.pending.get("e_svals" if attr == "e_norm" else attr)
-        key = op.key() if isinstance(op, _LAZY) else None
-        if key is None:
+        op = row.pending.get(name)
+        span = op.enclosure() if isinstance(op, _LAZY) else None
+        if span is None:
             exact.append(row)
         else:
-            keyed.append((_span(key, sign, row.ctx), row))
-    if keyed:
-        gt = float.__gt__ if isinstance(keyed[0][0][0], float) else mpf_gt
-        # the largest (signed) value that some row certainly reaches
-        floor = keyed[0][0][0]
-        for (lo, _), _ in keyed:
-            if gt(lo, floor):
-                floor = lo
-        exact += [row for (_, hi), row in keyed if not gt(floor, hi)]
+            # (near, far): the bound away from and the bound toward the extreme
+            spans.append(((span[-1] if name == "e_svals" else span)[::sign], row))
+    if spans:
+        # the value nearest the extreme that some row certainly reaches
+        bar = spans[0][0][0]
+        for (near, _), _ in spans:
+            if mpf_cmp(near, bar) == sign:
+                bar = near
+        exact += [row for (_, far), row in spans if mpf_cmp(far, bar) != -sign]
     values = [v for v in (getattr(row, attr) for row in exact) if v is not None]
     if not values:
         return None

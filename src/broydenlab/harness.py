@@ -297,7 +297,7 @@ _STATS = tuple(dict.fromkeys(c.stat for c in SUMMARY_COLUMNS))
 def run_stats(rows: list) -> tuple:
     """The per-run statistics of one run's window rows (final row last), in
     ``_STATS`` order, an mpf as its ``_mpf_`` tuple.  The window extrema
-    come first, so that the final row's spectrum enters by its key too."""
+    come first, so that the final row's spectrum enters by its bounds too."""
     values = {stat: window_extreme(*stat, rows) for stat in _STATS
               if stat[0] != "final"}
     values.update({stat: getattr(rows[-1], stat[1]) for stat in _STATS

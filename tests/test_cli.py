@@ -24,6 +24,16 @@ def read_csv(path):
     return header, rows
 
 
+def _fresh_python(code, timeout=60, check=True):
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    broydenlab; the CompletedProcess, with text output."""
+    src = str(Path(broydenlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=timeout, check=check)
+
+
 def test_list_problems(capsys):
     assert main(["list-problems"]) == 0
     out = capsys.readouterr().out
@@ -37,11 +47,7 @@ def test_list_problems_loads_no_unused_stdlib_module():
     lazy = ("hashlib", "concurrent.futures", "fractions", "json")
     code = ("import sys; from broydenlab.cli import main; main(['list-problems']); "
             f"print([m for m in {lazy!r} if m in sys.modules])")
-    src = str(Path(broydenlab.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
+    done = _fresh_python(code)
     assert "example1" in done.stdout
     assert done.stdout.splitlines()[-1] == "[]"
 
@@ -56,13 +62,25 @@ def test_single_draws_without_loading_openssl(tmp_path):
             "--out", str(tmp_path)]
     code = (f"import sys; from broydenlab.cli import main; main({argv!r}); "
             "print('_hashlib' in sys.modules)")
-    src = str(Path(broydenlab.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
+    done = _fresh_python(code)
     assert "status=converged" in done.stdout
     assert done.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("problem", ["example1", "example2"])
+def test_single_at_a_huge_scale_ends_in_bounded_time_and_memory(tmp_path, problem):
+    # E_0 = F'(u_hat) - F'(0) mixes entries near 10**(10**9) with entries
+    # near 10**(2 10**9); the spectrum bounds cut E_k below its working
+    # precision, so no integer of billions of bits is formed (n = 2 and 3)
+    argv = ["single", "--problem", problem, "--precision", "60", "--tol", "30",
+            "--alpha", "1e999999999", "--out", str(tmp_path)]
+    code = ("import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            f"from broydenlab.cli import main; sys.exit(main({argv!r}))")
+    done = _fresh_python(code, timeout=30, check=False)
+    assert done.returncode == 0, done.stderr
+    assert "status=diverged kbar=0" in done.stdout
+    assert (tmp_path / "metrics.csv").read_text().count("\n") == 2
 
 
 def test_bad_arguments_exit_2(tmp_path, capsys):

@@ -1,15 +1,36 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (BadSelection, eager_stats_wire, fitted_q_order, identity,
                      lam_omega_rows, normalized_steps, nullspace_residual,
                      reference_metrics, synthetic_record, uli_min_sv)
 from broydenlab.cli import METRICS_COLUMNS, _csv
-from broydenlab.diagnostics import _Spectrum, metrics_from_trace, window_extreme
+from broydenlab.diagnostics import (_Spectrum, _top_root, metrics_from_trace,
+                                   window_extreme)
 from broydenlab.harness import _STATS, run_stats, window
 from broydenlab.linalg import Mat, PrecisionContext, Vec
 from broydenlab.problems import get_problem
 from broydenlab.solvers import (SolverOptions, Status, bmp_run, broyden_run,
                                 newton_run, smp_run)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 300) | st.integers(0, 6), min_size=3, max_size=3),
+       st.integers(400, 700), st.sampled_from((0, 1, 2 ** 40)))
+def test_top_root_brackets_the_largest_root(roots, scale, gap):
+    # the cubic with roots r1 <= r2 <= r3, of more bits than prec as in
+    # _Spectrum.enclosure, the top one moved up by gap: a bracket holds r3,
+    # and only a top root within 2**-20 (relative) of the middle one may go
+    # without; small multiples of 2**scale give double and triple roots
+    if not any(roots):
+        return
+    r1, r2, r3 = sorted(r << scale for r in roots)
+    r3 += gap
+    got = _top_root(r1 + r2 + r3, r1 * r2 + r1 * r3 + r2 * r3, r1 * r2 * r3, 200)
+    if got is None:
+        assert r3 - r2 <= r3 >> 20
+    else:
+        assert got[0] <= r3 <= got[1] and got[1] - got[0] <= r3 >> 198
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +107,7 @@ def _spectrum_record(ctx, svals):
 
 @pytest.mark.parametrize("rule", ["min", "max"])
 def test_window_stats_with_tied_spectra(ctx100, rule):
-    # the same E_k on every row: every key ties, so every window row's
+    # the same E_k on every row: all bounds tie, so every window row's
     # spectrum is evaluated and the wire is exact
     rec = _spectrum_record(ctx100, [("0.75", "0.125")] * 12)
     p = get_problem("example1")
@@ -100,7 +121,7 @@ def test_window_stats_with_tied_spectra(ctx100, rule):
 
 def test_window_minimum_of_spectra_differing_by_ulps(ctx100):
     # E_k = diag(1/2 + j_k ulp, 1/8): ||E_k|| differs in the last bits only,
-    # far below the keys' slack, and the minimum is still the exact one,
+    # far below the bounds' pad, and the minimum is still the exact one,
     # although the final row (read first) does not hold it
     ulp = ctx100.real(2) ** -(ctx100.prec - 1)   # one ulp of B_k's 3/2
     js = [(k * 7 + 1) % 5 for k in range(12)]

@@ -84,7 +84,7 @@ CASES = {
         ["cumulative", "--config",
          {"problem": "example1", "alpha": "1e-5", "m": 5, "precision": 130,
           "tol_exponent": 60, "rng_seed": 11}], _CUMULATIVE_M5),
-    # n = 3, where no window row of ||E_k|| has an exact key
+    # n = 3, whose window rows of ||E_k|| enter by the cubic's bounds
     "cumulative-example2": (
         ["cumulative", "--problem", "example2"] + _N3_SERIES, {
             "summary.csv": "9955342eb74c3a667bfff829788a4e3cc88114da8c6d9847050b6f105281f7fd"}),

@@ -363,12 +363,13 @@ def test_windowed_rows_equal_full_rows(tiny_cfg, rule):
 def test_lazy_window_stats_equal_eager_stats(problem, alpha, rule):
     # window extrema from the candidate rows alone equal those over every
     # value of every row, and evaluate r, r_eps and delta on a few rows only;
-    # an accepted example1 run (n = 2, keyed spectra) evaluates the final
+    # an accepted run (n = 2 or 3, bounded spectra) evaluates the final
     # row's spectrum and at most one candidate's
     cfg = SeriesConfig(problem=problem, alpha=alpha, m=3, tol_exponent=60,
                        precision=130, max_iter=500, rng_seed=23,
                        window_rule=rule)
     crit = default_criteria(problem)
+    accepted = 0
     for j in range(cfg.m):
         rec, rows = run_single(cfg, j)
         wire = run_stats(rows)
@@ -377,9 +378,11 @@ def test_lazy_window_stats_equal_eager_stats(problem, alpha, rule):
         assert read < len(rows)
         spectra = sum(not isinstance(row.pending["e_svals"], _Spectrum)
                       for row in rows)
-        if problem == "example1" and removal_reason(rec, rows, crit) is None:
+        if removal_reason(rec, rows, crit) is None:
+            accepted += 1
             assert 1 <= spectra <= 2
         assert wire == eager_stats_wire(rec, rows, rule)
+    assert accepted == cfg.m
 
 
 def test_removed_run_leaves_lazy_columns_unread(tiny_cfg, monkeypatch):
@@ -448,10 +451,10 @@ def test_removal_reason_reads_only_the_final_row():
 
 def test_broyden_update_series_evaluates_few_spectra():
     # at 160 digits ||E_k|| varies across a window by about 2**-(prec // 2);
-    # the slack 4 svd_tol still separates the rows.  The final columns are
-    # read after the window extrema, so the final row's spectrum enters by
-    # its key too: an accepted run evaluates at most two spectra, most runs
-    # only the final row's
+    # the bounds' pad, at most 16 svd_tol relative, still separates the
+    # rows.  The final columns are read after the window extrema, so the
+    # final row's spectrum enters by its bounds too: an accepted run
+    # evaluates at most two spectra, most runs only the final row's
     cfg = SeriesConfig(problem="example1", alpha="1e-5", b0_mode="broyden-update",
                        m=8, precision=160, rng_seed=0)
     crit = default_criteria("example1")
