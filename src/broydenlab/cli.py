@@ -21,8 +21,8 @@ from .harness import (B0_MODES, SUMMARY_COLUMNS, AcceptanceCriteria,
                       CounterRng, EmptyAcceptedSet, SeriesConfig,
                       cumulative_run, default_criteria, seeded_start)
 from .linalg import LinalgError, PrecisionContext
-from .problems import (MissingNullData, fd_jacobian_deviation, get_problem,
-                       list_problems, verify_a2)
+from .problems import (FAMILIES, MAX_EXPONENT, MissingNullData,
+                       fd_jacobian_deviation, get_problem, list_problems, verify_a2)
 from .solvers import (SolverOptions, bmp_run, broyden_run, newton_run,
                       smp_constants, smp_run)
 
@@ -233,7 +233,8 @@ def _cmd_list_problems(args) -> int:
         kind = ("regular root" if p.singularity_order == 0 else
                 f"singularity order {p.singularity_order}")
         print(f"{name}  (n={p.n}, {kind})")
-    print("monomial:p  (1-D family u -> u**p with root 0, p >= 1)")
+    for family, (_, low, text) in FAMILIES.items():
+        print(f"{family}:p  ({text}, {low} <= p <= {MAX_EXPONENT})")
     return 0
 
 

@@ -165,14 +165,15 @@ class AcceptanceCriteria:
 
 
 def default_criteria(problem_name: str) -> AcceptanceCriteria:
-    """Per-problem acceptance bands for the final q-factors."""
-    if problem_name in ("example1", "example2"):
-        return AcceptanceCriteria(q_band=("0.616", "0.620"),
-                                  big_q_band=("0.616", "0.620"))
-    if problem_name == "example3":
-        return AcceptanceCriteria(q_band=("0.753", "0.757"),
-                                  big_q_band=("0.568", "0.572"))
-    return AcceptanceCriteria()
+    """q, Q bands: q* and q***m to 3 decimals +- 0.002, q***(m+1) + q***m = 1."""
+    m = get_problem(problem_name).singularity_order
+    if m == 0:
+        return AcceptanceCriteria()
+    t = 1.0
+    for _ in range(100):   # q* = (1 + q*)**(-1/m), a contraction near q*
+        t = (1 + t) ** (-1 / m)
+    q, big_q = ([f"{round(x, 3) + d:.3f}" for d in (-0.002, 0.002)] for x in (t, t ** m))
+    return AcceptanceCriteria(q_band=q, big_q_band=big_q)
 
 
 def window(kbar: int, rule: str = "min") -> range:

@@ -1,9 +1,9 @@
 """Registry of nonlinear test systems with known roots and singularity data.
 
-Each problem carries its analytic Jacobian and, for the singular ones, a
-unit null vector ``phi`` of F'(0) and a vector ``psi`` spanning the
-complement of range(F'(0)).  Residuals and Jacobians are module-level
-functions, so Problem objects can cross process boundaries.
+Each problem, named or a ``family:p`` member, carries its analytic Jacobian
+and, for the singular ones, a unit null vector ``phi`` of F'(0) and a vector
+``psi`` spanning the complement of range(F'(0)).  Residuals and Jacobians are
+module-level functions, so Problem objects can cross process boundaries.
 """
 from __future__ import annotations
 
@@ -23,11 +23,11 @@ class MissingNullData(Exception):
 
 # -- residuals and Jacobians -------------------------------------------------
 #
-# example1 (n=2):  F(u) = (u1 + u2^2,  3/2 u1 u2 + u2^2 + u2^3)
-# example2 (n=3):  F(u) = (u1^p + u2 + u3,  u2 - 2 u3^3,  5 u3 + u3^2), p = 2
-# example3 (n=3):  the same with p = 3 (same F'(0))
-# example4 (n=3):  regular root, see _f_example4
-# monomial (n=1):  F(u) = (u1^p,)
+# example1 (n=2):     F(u) = (u1 + u2^2,  3/2 u1 u2 + u2^2 + u2^3)
+# example23:p (n=3):  F(u) = (u1^p + u2 + u3,  u2 - 2 u3^3,  5 u3 + u3^2), order
+#                     p - 1, one F'(0); example2 is p = 2, example3 p = 3
+# example4 (n=3):     regular root, see _f_example4
+# monomial:p (n=1):   F(u) = (u1^p,), order p - 1
 
 _TWO = from_int(2)
 
@@ -107,9 +107,8 @@ def _j_monomial(p: int, u: Vec) -> Mat:
 
 @dataclass(frozen=True)
 class Problem:
-    """A residual map with known root: ``phi`` spans ker(F'(root)) and
-    ``psi`` range(F'(root))^perp (None for regular roots); the
-    ``singularity_order`` is 0 (regular), 1 or 2."""
+    """A residual map with a known root of ``singularity_order`` 0 (regular) or
+    m >= 1; ``phi`` spans ker(F'(root)) and ``psi`` range(F'(root))^perp, or None."""
 
     name: str
     n: int
@@ -145,55 +144,60 @@ class Problem:
         return self.phi_entries is not None and self.psi_entries is not None
 
 
+def _member(n: int, f, jac, null: tuple, p: int, name: str) -> Problem:
+    """Member p of a family: F = f(p, .), F' = jac(p, .), ``null`` = (phi, psi)."""
+    phi, psi = null if p >= 2 else (None, None)
+    return Problem(name=name, n=n, f=functools.partial(f, p),
+                   jac=functools.partial(jac, p), root_entries=(0,) * n,
+                   phi_entries=phi, psi_entries=psi, singularity_order=p - 1)
+
+
+_example23 = functools.partial(  # psi = (1,1,0) x (1,0,5) spans range(F'(0))^perp
+    _member, 3, _f_example23, _j_example23, ((1, 0, 0), (5, -5, -1)))
+_monomial = functools.partial(_member, 1, _f_monomial, _j_monomial, ((1,), (1,)))
+
 _REGISTRY = {
     "example1": Problem(
         name="example1", n=2, f=_f_example1, jac=_j_example1,
         root_entries=(0, 0),
         phi_entries=(0, 1), psi_entries=(0, 1), singularity_order=1),
-    "example2": Problem(
-        name="example2", n=3, f=functools.partial(_f_example23, 2),
-        jac=functools.partial(_j_example23, 2),
-        root_entries=(0, 0, 0),
-        # psi = (1,1,0) x (1,0,5), a cross product of the range basis
-        phi_entries=(1, 0, 0), psi_entries=(5, -5, -1), singularity_order=1),
-    "example3": Problem(
-        name="example3", n=3, f=functools.partial(_f_example23, 3),
-        jac=functools.partial(_j_example23, 3),
-        root_entries=(0, 0, 0),
-        phi_entries=(1, 0, 0), psi_entries=(5, -5, -1), singularity_order=2),
+    "example2": _example23(2, "example2"),
+    "example3": _example23(3, "example3"),
     "example4": Problem(
         name="example4", n=3, f=_f_example4, jac=_j_example4,
         root_entries=(0, 0, 0),
         phi_entries=None, psi_entries=None, singularity_order=0),
 }
 
+#: ``family:p`` problems, p <= MAX_EXPONENT: family -> (builder, smallest p, text)
+MAX_EXPONENT = 64
+FAMILIES = {
+    "example23": (_example23, 2, "example2 with u1**p, singularity order p-1"),
+    "monomial": (_monomial, 1, "1-D family u -> u**p with root 0"),
+}
+
 
 def list_problems() -> list[str]:
-    """Names of the built-in registry entries (the monomial family is extra)."""
+    """Names of the built-in registry entries (``FAMILIES`` are extra)."""
     return sorted(_REGISTRY)
 
 
 def get_problem(name: str) -> Problem:
-    """Look up a problem by name; ``monomial:p`` builds the 1-D family member."""
+    """A registry problem by name, or member p of a family by ``family:p``."""
     if name in _REGISTRY:
         return _REGISTRY[name]
-    if name.startswith("monomial:"):
-        try:
-            p = int(name.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad monomial exponent in {name!r}") from None
-        if p < 1:
-            raise ValueError("monomial exponent must be >= 1")
-        singular = p >= 2
-        return Problem(
-            name=name, n=1,
-            f=functools.partial(_f_monomial, p),
-            jac=functools.partial(_j_monomial, p),
-            root_entries=(0,),
-            phi_entries=(1,) if singular else None,
-            psi_entries=(1,) if singular else None,
-            singularity_order=p - 1)
-    raise ValueError(f"unknown problem {name!r}")
+    family, colon, digits = name.partition(":")
+    if not colon or family not in FAMILIES:
+        raise ValueError(f"unknown problem {name!r}")
+    build, low, _ = FAMILIES[family]
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"bad {family} exponent in {name!r}")
+    p = int(digits.lstrip("0")[:3] or 0)   # 3+ digits: >= 100, refused below
+    if p < low:
+        raise ValueError(f"{family} exponent must be >= {low}")
+    if p > MAX_EXPONENT:
+        raise ValueError(f"{family} exponent must be <= {MAX_EXPONENT}")
+    return build(p, f"{family}:{p}")
 
 
 def projectors(p: Problem, ctx: PrecisionContext) -> Mat:
@@ -219,18 +223,12 @@ def verify_a2(p: Problem, h, ctx: PrecisionContext) -> Vec:
     return p_n.matvec(second)
 
 
-def fd_jacobian(p: Problem, u: Vec, ctx: PrecisionContext) -> Mat:
-    """Central-difference Jacobian with step 10**(-digits/3), to cross-check
-    ``Problem.jac``."""
+def fd_jacobian_deviation(p: Problem, u: Vec, ctx: PrecisionContext):
+    """Max entrywise deviation of ``Problem.jac`` from central differences with
+    step 10**(-digits/3), relative to the analytic Jacobian's scale."""
     h = ctx.pow10(-ctx.real(ctx.decimal_digits) / 3)
     bumps = (ctx.vec([h if i == j else 0 for i in range(p.n)]) for j in range(p.n))
     cols = [[d / (2 * h) for d in p.f(u + b) - p.f(u - b)] for b in bumps]
-    return Mat(zip(*cols), ctx)
-
-
-def fd_jacobian_deviation(p: Problem, u: Vec, ctx: PrecisionContext):
-    """Max entrywise deviation between analytic and finite-difference Jacobian,
-    relative to the analytic Jacobian's scale."""
     analytic = p.jac(u)
     scale = max(analytic.max_abs(), ctx.one)
-    return (analytic - fd_jacobian(p, u, ctx)).max_abs() / scale
+    return (analytic - Mat(zip(*cols), ctx)).max_abs() / scale

@@ -37,7 +37,8 @@ def _fresh_python(code, timeout=60, check=True):
 def test_list_problems(capsys):
     assert main(["list-problems"]) == 0
     out = capsys.readouterr().out
-    for name in ("example1", "example2", "example3", "example4", "monomial:p"):
+    for name in ("example1", "example2", "example3", "example4", "monomial:p",
+                 "example23:p"):
         assert name in out
 
 
@@ -413,7 +414,13 @@ def test_argparse_refusal_is_one_line(tmp_path, capsys, argv, name):
     ("nope", "error: unknown problem 'nope'\n"),
     ("monomial:0", "error: monomial exponent must be >= 1\n"),
     ("monomial:x", "error: bad monomial exponent in 'monomial:x'\n"),
-], ids=["nope", "monomial:0", "monomial:x"])
+    ("example23:1", "error: example23 exponent must be >= 2\n"),
+    ("example23:x", "error: bad example23 exponent in 'example23:x'\n"),
+    ("monomial:3_0", "error: bad monomial exponent in 'monomial:3_0'\n"),
+    ("monomial:+3", "error: bad monomial exponent in 'monomial:+3'\n"),
+    ("monomial:65", "error: monomial exponent must be <= 64\n"),
+], ids=["nope", "monomial:0", "monomial:x", "example23:1", "example23:x",
+        "monomial:3_0", "monomial:+3", "monomial:65"])
 def test_unknown_problem_message(tmp_path, capsys, problem, line):
     code = main(["single", "--problem", problem, "--alpha", "0.1",
                  "--out", str(tmp_path)])
@@ -427,7 +434,8 @@ def test_unknown_problem_message(tmp_path, capsys, problem, line):
 # invalid ones, so that some runs get past the input checks
 _PROBLEMS = st.one_of(st.just("example1"), st.sampled_from(
     ["example1", "example2", "example3", "example4", "monomial:2",
-     "monomial:0", "nope"]))
+     "example23:4", "monomial:0", "example23:1", "example23:x", "monomial:3_0",
+     "nope"]))
 _GOOD_SCALES = st.sampled_from(["0.01", "1e-5", "0.3", "0"])
 _SCALES = st.one_of(_GOOD_SCALES, _GOOD_SCALES,
                     st.sampled_from(["-1", "nan", "inf", "abc", "1e400"]))
@@ -497,8 +505,9 @@ _CONFIG_AND_FLAG = st.tuples(
 def test_cli_random_input_never_crashes(tmp_path_factory, command):
     # any command line that argparse accepts, and any JSON config, ends in
     # a documented exit code with at most one line on stderr; a config with
-    # a series flag is refused, and a run that succeeds writes no empty or
-    # None cell to a CSV file (undefined values are written as -1)
+    # a series flag is refused, a refusal writes nothing, and a run that
+    # succeeds writes no empty or None cell to a CSV file (undefined values
+    # are written as -1)
     out = tmp_path_factory.mktemp("out")
     argv = command
     if not isinstance(command, list):
@@ -514,6 +523,8 @@ def test_cli_random_input_never_crashes(tmp_path_factory, command):
     assert code in expected, (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
     assert err.getvalue().count("\n") <= 1, err.getvalue()
+    if code == 2:
+        assert {path.name for path in out.iterdir()} <= {"series.json"}, argv
     if code == 0:
         cells = [cell for path in out.glob("*.csv")
                  for line in path.read_text().splitlines()

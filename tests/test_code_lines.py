@@ -41,3 +41,18 @@ def test_prints_one_line_per_module_and_the_totals(tmp_path, capsys):
     assert code_lines.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "    19      8 a.py", "     3      1 b.py", "    22      9 total"]
+
+
+#: ``wc -l`` and code lines of src/broydenlab/*.py that no change may exceed
+LINE_BUDGET, CODE_LINE_BUDGET = 2269, 1498
+
+
+def test_src_stays_within_its_line_budget():
+    sources = [path.read_text() for path in
+               sorted((code_lines.ROOT / "src" / "broydenlab").glob("*.py"))]
+    lines = sum(len(source.splitlines()) for source in sources)
+    code = sum(code_lines.code_lines(source) for source in sources)
+    assert lines <= LINE_BUDGET and code <= CODE_LINE_BUDGET, (
+        f"src/broydenlab has {lines} lines, {code} of them code, over the "
+        f"budget of {LINE_BUDGET} and {CODE_LINE_BUDGET}: pay lines back, or "
+        "raise the numbers here and record that in CHANGES.md")

@@ -189,7 +189,8 @@ def test_default_criteria_build_no_precision_context(monkeypatch):
         raise AssertionError("PrecisionContext built")
 
     monkeypatch.setattr(harness, "PrecisionContext", refuse)
-    for name in ("example1", "example2", "example3", "example4"):
+    for name in ("example1", "example2", "example3", "example4", "monomial:1",
+                 "monomial:3", "example23:2", "example23:6"):
         default_criteria(name)
 
 
@@ -201,6 +202,31 @@ def test_default_criteria_bands():
     c4 = default_criteria("example4")
     assert c4.q_band is None and c4.big_q_band is None
     assert c4.u_cap == "1e-10"
+    # the bands follow from the singularity order m alone
+    assert default_criteria("monomial:1") == c4
+    assert default_criteria("monomial:2") == c1
+    assert default_criteria("monomial:3") == c3 == default_criteria("example23:3")
+    for p, q_band, big_q_band in [(4, ("0.817", "0.821"), ("0.548", "0.552")),
+                                  (5, ("0.855", "0.859"), ("0.537", "0.541")),
+                                  (6, ("0.879", "0.883"), ("0.530", "0.534"))]:
+        c = default_criteria(f"example23:{p}")
+        assert (c.q_band, c.big_q_band) == (q_band, big_q_band)
+
+
+@pytest.mark.parametrize("p", [4, 5])
+def test_higher_order_runs_lie_in_their_order_bands(p):
+    # example23:p has a singularity of order p - 1: every run is accepted,
+    # its window q and Q lie in the bands of that order, and delta nears p
+    cfg = SeriesConfig(problem=f"example23:{p}", alpha="0.01", m=2,
+                       tol_exponent=120, precision=400, rng_seed=1)
+    crit = default_criteria(cfg.problem)
+    s = cumulative_run(cfg)
+    assert (s.accepted, s.removed) == (2, 0)
+    ctx = PrecisionContext(cfg.precision)
+    for band, lo, hi in ((crit.q_band, s.q_min, s.q_max),
+                         (crit.big_q_band, s.q_eps_min, s.q_eps_max)):
+        assert ctx.real(band[0]) <= lo <= hi <= ctx.real(band[1])
+    assert p - ctx.real("0.25") <= s.delta_min <= s.delta_max <= p + ctx.real("0.01")
 
 
 @pytest.fixture(scope="module")

@@ -49,6 +49,38 @@ def test_jacobian_hand_values(ctx100):
         [[0, 1, 1], [0, 1, 0], [0, 0, 5]])
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_example23_family_member_is_the_registry_problem(p, ctx100):
+    # example23:2 and :3 give F and F' bit for bit equal to example2 and
+    # example3, with the same null data and order, under their own names
+    member, named = get_problem(f"example23:{p}"), get_problem(f"example{p}")
+    assert member.name == f"example23:{p}" and named.name == f"example{p}"
+    for attr in ("n", "root_entries", "phi_entries", "psi_entries",
+                 "singularity_order"):
+        assert getattr(member, attr) == getattr(named, attr)
+    rng = CounterRng(91, p)
+    for _ in range(10):
+        u = ctx100.vec([rng.uniform_symmetric(ctx100, 1) for _ in range(3)])
+        assert member.f(u).raw() == named.f(u).raw()
+        assert member.jac(u).raw() == named.jac(u).raw()
+
+
+def test_family_exponents_are_ascii_digits_up_to_the_ceiling():
+    # leading zeros name the same member; a non-ASCII digit, a sign or an
+    # underscore is refused, and so is p above MAX_EXPONENT however long
+    assert get_problem("monomial:007").name == "monomial:7"
+    assert get_problem("example23:64").singularity_order == 63
+    for name in ("monomial:+3", "monomial:3_0", "monomial: 3",
+                 "monomial:\u0663", "example23:"):
+        with pytest.raises(ValueError, match="bad .* exponent"):
+            get_problem(name)
+    for name in ("example23:65", "monomial:65", "monomial:" + "9" * 5000):
+        with pytest.raises(ValueError, match="exponent must be <= 64"):
+            get_problem(name)
+    with pytest.raises(ValueError, match="unknown problem"):
+        get_problem("example1:2")
+
+
 def test_example2_and_example3_share_jacobian_at_root(ctx100):
     p2, p3 = get_problem("example2"), get_problem("example3")
     z = zero_vec(ctx100, 3)
@@ -63,7 +95,7 @@ def test_dimension_checks(ctx100):
         p.jac(ctx100.vec([1]))
 
 
-@pytest.mark.parametrize("name", ALL_NAMES + ["monomial:2", "monomial:3"])
+@pytest.mark.parametrize("name", ALL_NAMES + ["monomial:2", "monomial:3", "example23:4"])
 def test_jacobian_matches_finite_differences(name, ctx100):
     p = get_problem(name)
     rng = CounterRng(777, 0)
